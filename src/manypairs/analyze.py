@@ -8,7 +8,6 @@ cluster size that still shows a violation.
 
 from __future__ import annotations
 
-import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +19,15 @@ from .binning import BinningStrategy, ChshEstimate, chsh_value, sign_vector
 from .errors import (IngestionError, InsufficientDataError,
                      InvalidArgumentError)
 from .pairstats import SETTING_PAIRS
-from .simulate import EventStream, variant_inversions
+from .simulate import (CSV_STREAM_PREFIX, EventStream, event_format,
+                       variant_inversions)
+
+#: Column names of the CSV event form.
+_CSV_COLUMNS = ("x", "y", "variant", "a", "b")
+
+#: Stream metadata that must agree between streams pooled under one beta;
+#: "table" is compared per setting pair.  Seeds and event counts may differ.
+_PROVENANCE_FIELDS = ("visibility", "detector", "discardProb", "table")
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,11 @@ class SnCurve:
     note: str | None = None
 
 
+def _stream_meta(header: dict) -> dict:
+    return {k: v for k, v in header.items()
+            if k not in ("settingPair", "basisVariant")}
+
+
 def read_jsonl(path) -> list[EventStream]:
     """Parse a JSON-lines event file into streams (physical bits)."""
     path = Path(path)
@@ -76,8 +88,7 @@ def read_jsonl(path) -> list[EventStream]:
             basis_variant=int(header["basisVariant"]),
             a=np.array(a_bits, dtype=np.uint8),
             b=np.array(b_bits, dtype=np.uint8),
-            meta={k: v for k, v in header.items()
-                  if k not in ("settingPair", "basisVariant")}))
+            meta=_stream_meta(header)))
 
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -112,46 +123,84 @@ def read_jsonl(path) -> list[EventStream]:
 
 
 def read_csv(path) -> list[EventStream]:
-    """Parse the compact CSV form (x, y, variant, a, b) into streams."""
+    """Parse the compact CSV form (x, y, variant, a, b) into streams.
+
+    A `# stream: {json}` comment line carries the metadata of the rows
+    after it; files without such lines read with empty metadata.
+    """
     path = Path(path)
+    metas: list[dict] = [{}]
     chunks: dict[tuple, list] = {}
-    order: list[tuple] = []
     with path.open() as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(reader.fieldnames) != {
-                "x", "y", "variant", "a", "b"}:
+        names = fh.readline().strip().split(",")
+        if sorted(names) != sorted(_CSV_COLUMNS):
             raise IngestionError(
                 f"{path}:1: expected columns x,y,variant,a,b")
-        for lineno, row in enumerate(reader, start=2):
+        cols = [names.index(c) for c in _CSV_COLUMNS]
+        for lineno, line in enumerate(fh, start=2):
+            if line.startswith(CSV_STREAM_PREFIX):
+                try:
+                    header = json.loads(line[len(CSV_STREAM_PREFIX):])
+                except json.JSONDecodeError as exc:
+                    raise IngestionError(
+                        f"{path}:{lineno}: bad stream metadata ({exc})")
+                metas.append(_stream_meta(header))
+                continue
+            cells = line.strip().split(",")
+            if cells == [""]:
+                continue
             try:
-                x, y = int(row["x"]), int(row["y"])
-                v = int(row["variant"])
-                a, b = int(row["a"]), int(row["b"])
-            except (TypeError, ValueError):
-                raise IngestionError(f"{path}:{lineno}: malformed row {row!r}")
+                x, y, v, a, b = (int(cells[i]) for i in cols)
+            except (IndexError, ValueError):
+                raise IngestionError(
+                    f"{path}:{lineno}: malformed row {line.strip()!r}")
             if v not in (0, 1, 2, 3):
                 raise IngestionError(
                     f"{path}:{lineno}: basis variant outside 0..3")
             if a not in (0, 1) or b not in (0, 1):
                 raise IngestionError(f"{path}:{lineno}: outcomes must be bits")
-            key = ((x, y), v)
-            if key not in chunks:
-                chunks[key] = []
-                order.append(key)
-            chunks[key].append((a, b))
+            chunks.setdefault((len(metas) - 1, (x, y), v), []).append((a, b))
     streams = []
-    for key in order:
-        pairs = np.array(chunks[key], dtype=np.uint8)
-        streams.append(EventStream(setting_pair=key[0], basis_variant=key[1],
-                                   a=pairs[:, 0], b=pairs[:, 1], meta={}))
+    for (block, setting_pair, variant), rows in chunks.items():
+        pairs = np.array(rows, dtype=np.uint8)
+        streams.append(EventStream(setting_pair=setting_pair,
+                                   basis_variant=variant, a=pairs[:, 0],
+                                   b=pairs[:, 1], meta=dict(metas[block])))
     return streams
 
 
 def read_streams(path) -> list[EventStream]:
-    path = Path(path)
-    if path.suffix == ".csv":
+    """Read an event file in the format its suffix names."""
+    if event_format(path) == "csv":
         return read_csv(path)
     return read_jsonl(path)
+
+
+def streams_by_beta(paths) -> dict:
+    """Read event files and group their streams by the beta in their metadata.
+
+    Streams without a beta group under 0.0.  Streams of one beta must
+    agree in visibility, detector, discard probability and, per setting
+    pair, correlator table; otherwise raises IngestionError naming two
+    files whose streams differ.
+    """
+    groups: dict[float, list] = {}
+    seen: dict[tuple, tuple] = {}
+    for path in paths:
+        for stream in read_streams(path):
+            beta = float(stream.meta.get("beta", 0.0))
+            for name in _PROVENANCE_FIELDS:
+                pair = stream.setting_pair if name == "table" else None
+                value = stream.meta.get(name)
+                first_value, first_path = seen.setdefault(
+                    (beta, name, pair), (value, path))
+                if value != first_value:
+                    where = f" for setting pair {pair}" if pair else ""
+                    raise IngestionError(
+                        f"{first_path} and {path}: streams at beta={beta} "
+                        f"differ in {name}{where}; analyze them separately")
+            groups.setdefault(beta, []).append(stream)
+    return groups
 
 
 def logical_bits(stream: EventStream) -> tuple[np.ndarray, np.ndarray]:

@@ -43,6 +43,39 @@ def _parse_float_list(text: str, points: int = 11) -> list[float]:
     return [float(t) for t in text.split(",") if t]
 
 
+def _text_of(parse):
+    """argparse type: keep the text as given once `parse` accepts it.
+
+    The commands echo the text in their config and parse it again.
+    """
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"malformed value {text!r}")
+        return text
+    return check
+
+
+_INT_RANGE = _text_of(_parse_int_range)
+_FLOAT_LIST = _text_of(_parse_float_list)
+
+
+def _override(text: str) -> tuple[tuple[int, int], float]:
+    """argparse type for 'X,Y=E': a setting pair and its correlator."""
+    try:
+        key, value = text.split("=", 1)
+        x, y = (int(t) for t in key.split(","))
+        correlator = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"malformed override {text!r}, expected X,Y=E")
+    if (x, y) not in SETTING_PAIRS:
+        raise argparse.ArgumentTypeError(
+            f"override {text!r} names no setting pair")
+    return (x, y), correlator
+
+
 def _strategy(args) -> Majority | Parity:
     if args.strategy == "parity":
         return Parity()
@@ -139,11 +172,7 @@ def cmd_max_s(args) -> int:
 
 def cmd_simulate(args) -> int:
     table = werner_correlators(settings_from_beta(args.beta), args.v)
-    overrides = {}
-    for item in args.override or []:
-        key, value = item.split("=", 1)
-        x, y = (int(t) for t in key.split(","))
-        overrides[(x, y)] = float(value)
+    overrides = dict(args.override or [])
     detector = sim.DetectorModel(eta_t_a=args.eta_t_a, eta_r_a=args.eta_r_a,
                                  eta_t_b=args.eta_t_b, eta_r_b=args.eta_r_b)
     streams = []
@@ -162,13 +191,7 @@ def cmd_simulate(args) -> int:
             streams.append(sim.generate_run(
                 pair_table, (x, y), args.events, detector, seed=args.seed,
                 discard_prob=args.discard_prob, extra_meta=extra))
-    out = _resolve_out(args.out)
-    if out is None:
-        raise ManyPairsError("simulate requires --out")  # pragma: no cover
-    if args.format == "csv":
-        sim.write_csv(streams, out)
-    else:
-        sim.write_jsonl(streams, out)
+    sim.write_streams(streams, _resolve_out(args.out))
     return 0
 
 
@@ -182,15 +205,9 @@ def _criterion(text: str):
 
 def cmd_analyze(args) -> int:
     strategy = _strategy(args)
-    streams = []
-    for path in args.files:
-        streams.extend(ana.read_streams(path))
-    by_beta: dict[float, list] = {}
-    for stream in streams:
-        beta = float(stream.meta.get("beta", 0.0))
-        by_beta.setdefault(beta, []).append(stream)
     sequences_per_beta = {beta: ana.sequences_from_streams(group)
-                          for beta, group in by_beta.items()}
+                          for beta, group
+                          in ana.streams_by_beta(args.files).items()}
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     curve = ana.find_nc(sequences_per_beta, strategy,
                         _parse_int_range(args.n),
@@ -252,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan-vc", help="critical visibility vs pair count")
     _add_common(p)
-    p.add_argument("--n", required=True, help="pair counts, e.g. 2..64")
+    p.add_argument("--n", type=_INT_RANGE, required=True,
+                   help="pair counts, e.g. 2..64")
     p.add_argument("--mode", choices=[m.value for m in opt.SettingsMode],
                    default=opt.SettingsMode.BETA_FAMILY.value)
     p.add_argument("--width", type=float, default=1e-5)
@@ -260,15 +278,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("max-s", help="CHSH value vs beta for fixed n set")
     _add_common(p)
-    p.add_argument("--n", required=True)
-    p.add_argument("--beta", required=True,
+    p.add_argument("--n", type=_INT_RANGE, required=True)
+    p.add_argument("--beta", type=_FLOAT_LIST, required=True,
                    help="comma list or lo..hi (see --beta-points)")
     p.add_argument("--beta-points", type=int, default=64)
     p.add_argument("--v", type=float, default=1.0)
     p.set_defaults(func=cmd_max_s)
 
     p = sub.add_parser("simulate", help="generate coincidence event files")
-    _add_common(p, strategy=False)
+    p.add_argument("--out", required=True,
+                   help="event file: a .csv suffix writes CSV, any other "
+                        "JSON lines (relative paths land in "
+                        f"${OUTDIR_ENV} when set)")
+    p.add_argument("--format", choices=["csv", "json"], default=None,
+                   help="optional; must agree with the --out suffix")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
     p.add_argument("--events", type=int, default=sim.DEFAULT_EVENTS_PER_RUN)
@@ -280,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-t-b", type=float, default=1.0)
     p.add_argument("--eta-r-b", type=float, default=1.0)
     p.add_argument("--discard-prob", type=float, default=0.0)
-    p.add_argument("--override", action="append", default=None,
+    p.add_argument("--override", type=_override, action="append",
+                   default=None,
                    metavar="X,Y=E",
                    help="per-setting-pair correlator override (colored noise)")
     p.set_defaults(func=cmd_simulate)
@@ -288,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="cluster, bin and bootstrap S_n")
     _add_common(p)
     p.add_argument("--files", nargs="+", required=True)
-    p.add_argument("--n", required=True)
+    p.add_argument("--n", type=_INT_RANGE, required=True)
     p.add_argument("--resamples", type=int, default=1000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--criterion", default="point",
@@ -299,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="majority vs parity over a (V, n) grid")
     _add_common(p, strategy=False)
-    p.add_argument("--v", required=True)
+    p.add_argument("--v", type=_FLOAT_LIST, required=True)
     p.add_argument("--v-points", type=int, default=11)
-    p.add_argument("--n", required=True)
+    p.add_argument("--n", type=_INT_RANGE, required=True)
     p.add_argument("--mode", choices=[m.value for m in opt.SettingsMode],
                    default=opt.SettingsMode.BETA_FAMILY.value)
     p.add_argument("--tol", type=float, default=1e-4)
@@ -309,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ratio", help="remaining parity violation at n_c/2")
     _add_common(p, strategy=False)
-    p.add_argument("--v", required=True)
+    p.add_argument("--v", type=_FLOAT_LIST, required=True)
     p.add_argument("--v-points", type=int, default=11)
     p.set_defaults(func=cmd_ratio)
 
@@ -319,6 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "simulate" and args.format not in (
+            None, sim.event_format(args.out)):
+        parser.error(f"simulate: --format {args.format} contradicts --out "
+                     f"{args.out}; a .csv suffix writes CSV, any other "
+                     "JSON lines")
     try:
         return args.func(args)
     except ManyPairsError as exc:

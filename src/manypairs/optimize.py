@@ -1,17 +1,26 @@
 """Maximization of the binned CHSH value and the critical-noise landscape.
 
 For unbiased-marginal pair statistics the binned correlator of each
-setting pair depends only on that pair's scalar correlator e, so the
-optimizer evaluates a per-strategy response function f(e) instead of
-re-convolving count matrices:
+setting pair depends only on that pair's scalar correlator e.  It is the
+noise stability of the binning's sign function,
 
-* parity: f(e) = e^n exactly;
-* majority: conditioning on the number k of discordant pairs gives
-  f(e) = sum_k Binom(n, k; (1-e)/2) T_k with an e-independent kernel T_k,
-  precomputed once per (n, tie policy).
+    f(e) = sum_k W_k e^k,
 
-The generic convolution route in `collective`/`binning` remains the
-reference implementation; tests pin both routes against each other.
+with the Fourier weights W_k >= 0 of that function (R. O'Donnell,
+*Analysis of Boolean Functions*, 2014, ch. 2 and Thm 5.19):
+
+* parity: W_n = 1, so f(e) = e^n;
+* majority at odd n: the closed form of Thm 5.19, in O(n) via gammaln;
+* majority at even n with ties to one side: the restriction
+  Maj_{n+1}(x, -1), whose level-k weight is C(n, k) times the squared
+  Maj_{n+1} coefficient at level k (k odd) or k + 1 (k even);
+  randomized ties average the two one-sided functions, which keeps only
+  the odd levels.
+
+The weights are cached per (n, binning) and only the nonzero levels are
+evaluated.  The generic convolution route in `collective`/`binning`
+remains the reference implementation; tests pin both routes against
+each other.
 """
 
 from __future__ import annotations
@@ -26,9 +35,9 @@ from scipy import optimize as sciopt
 from scipy.special import gammaln
 
 from .binning import (PARITY_BETA_SCALE, BinningStrategy, Majority, Parity,
-                      TiePolicy, parity_chsh_analytic, sign_vector)
+                      TiePolicy, parity_chsh_analytic)
 from .errors import FitError, InvalidArgumentError, NoViolationError
-from .pairstats import MeasurementSettings, settings_from_beta
+from .pairstats import SETTING_PAIRS, MeasurementSettings, settings_from_beta
 
 
 class SettingsMode(enum.Enum):
@@ -51,100 +60,73 @@ EXCEEDS_CAP = ExceedsCap()
 _MULTISTART_SEED = 20240817
 
 _GRID_POINTS = 256
-_GOLDEN_MAX_ITER = 200
 _SIMPLEX_MAX_EVALS = 2000
+
+#: Sign of each setting pair's correlator in S, in SETTING_PAIRS order.
+_CHSH_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
+
+
+def _log_binom(n, k):
+    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+
+
+def _log_majority_coefficient(m: int, k: np.ndarray) -> np.ndarray:
+    """log |Fourier coefficient| of Maj_m (m odd) on a set of odd size k."""
+    h = (m - 1) // 2
+    return (_log_binom(h, (k - 1) // 2) - _log_binom(m - 1, k - 1)
+            + _log_binom(m - 1, h) + (1 - m) * math.log(2.0))
 
 
 @functools.lru_cache(maxsize=1024)
-def _log_comb(n: int) -> np.ndarray:
-    k = np.arange(n + 1)
-    out = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    out.setflags(write=False)
-    return out
-
-
-def _binom_weights(n: int, q: float) -> np.ndarray:
-    """Binomial(n, q) pmf over 0..n, via cached log-binomial coefficients."""
-    if q <= 0.0:
-        w = np.zeros(n + 1)
-        w[0] = 1.0
-        return w
-    if q >= 1.0:
-        w = np.zeros(n + 1)
-        w[n] = 1.0
-        return w
-    k = np.arange(n + 1)
-    return np.exp(_log_comb(n) + k * math.log(q) + (n - k) * math.log1p(-q))
-
-
-@functools.lru_cache(maxsize=256)
-def _majority_kernel(n: int, tie_policy: TiePolicy) -> np.ndarray:
-    """Kernel T_k = E[s(u+v) s(k-u+v)], u ~ Bin(k, 1/2), v ~ Bin(n-k, 1/2)."""
-    s = sign_vector(n, Majority(tie_policy))
-    kernel = np.empty(n + 1)
-    for k in range(n + 1):
-        pu = _binom_weights(k, 0.5)
-        pv = _binom_weights(n - k, 0.5)
-        u = np.arange(k + 1)[:, None]
-        v = np.arange(n - k + 1)[None, :]
-        kernel[k] = np.sum(pu[:, None] * pv[None, :] * s[u + v] * s[k - u + v])
-    kernel.setflags(write=False)
-    return kernel
-
-
-def binned_correlator_from_e(e: float, n: int,
-                             strategy: BinningStrategy) -> float:
-    """Binned correlator E^(n) for a single unbiased-marginal correlator e."""
+def _response_weights(n: int, strategy: BinningStrategy):
+    """Nonzero levels k and Fourier weights W_k of the binning, n >= 1."""
     if isinstance(strategy, Parity):
-        return float(e) ** n
-    kernel = _majority_kernel(n, strategy.tie_policy)
-    q = (1.0 - e) / 2.0
-    return float(_binom_weights(n, q) @ kernel)
+        levels, weights = np.array([n]), np.array([1.0])
+    else:
+        one_sided_ties = (n % 2 == 0 and
+                          strategy.tie_policy is not TiePolicy.RANDOMIZED)
+        levels = np.arange(n + 1) if one_sided_ties else np.arange(1, n + 1, 2)
+        m = n + 1 - n % 2
+        weights = np.exp(_log_binom(n, levels)
+                         + 2.0 * _log_majority_coefficient(m, levels | 1))
+    levels.setflags(write=False)
+    weights.setflags(write=False)
+    return levels, weights
+
+
+def binned_correlator_from_e(e, n: int, strategy: BinningStrategy):
+    """Binned correlator E^(n) for unbiased-marginal correlator(s) e.
+
+    Accepts a scalar (returns a float) or an array (returns an array of
+    the same shape).
+    """
+    levels, weights = _response_weights(n, strategy)
+    out = np.power.outer(np.asarray(e, dtype=float), levels) @ weights
+    return float(out) if out.ndim == 0 else out
 
 
 def _chsh_at_settings(settings: MeasurementSettings, visibility: float,
                       n: int, strategy: BinningStrategy) -> float:
-    s = 0.0
-    for (x, y), sign in (((1, 1), 1), ((1, 2), 1), ((2, 1), 1), ((2, 2), -1)):
-        e = visibility * math.cos(settings.alice(x) - settings.bob(y))
-        s += sign * binned_correlator_from_e(e, n, strategy)
-    return s
+    e = visibility * np.cos([settings.alice(x) - settings.bob(y)
+                             for (x, y) in SETTING_PAIRS])
+    return float(_CHSH_SIGNS @ binned_correlator_from_e(e, n, strategy))
 
 
-def family_chsh(beta: float, visibility: float, n: int,
-                 strategy: BinningStrategy) -> float:
-    if isinstance(strategy, Parity):
-        return parity_chsh_analytic(beta, visibility, n)
-    es = visibility * math.cos(beta)
-    ed = visibility * math.cos(3.0 * beta)
-    return (3.0 * binned_correlator_from_e(es, n, strategy)
-            - binned_correlator_from_e(ed, n, strategy))
+def family_chsh(beta, visibility: float, n: int, strategy: BinningStrategy):
+    """CHSH value of the one-angle settings family (0, 2b, b, -b).
 
-
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12,
-                max_iter: int = _GOLDEN_MAX_ITER):
-    """Golden-section maximization on [lo, hi]; returns (x, f(x), evals)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    evals = 2
-    for _ in range(max_iter):
-        if b - a < tol:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fn(x1)
-        evals += 1
-    if f1 >= f2:
-        return x1, f1, evals
-    return x2, f2, evals
+    beta may be a scalar (returns a float) or an array (returns an array).
+    Raises InvalidArgumentError for n < 1 or a visibility outside [0, 1].
+    """
+    if n < 1:
+        raise InvalidArgumentError(f"n must be >= 1, got {n!r}")
+    if not 0.0 <= visibility <= 1.0:
+        raise InvalidArgumentError(f"visibility {visibility!r} outside [0, 1]")
+    beta = np.asarray(beta, dtype=float)
+    f = binned_correlator_from_e(
+        visibility * np.cos(np.stack([beta, 3.0 * beta])), n, strategy)
+    s = 3.0 * f[0] - f[1]
+    return float(s) if s.ndim == 0 else s
 
 
 @dataclass(frozen=True)
@@ -164,30 +146,27 @@ def max_chsh(n: int, visibility: float, strategy: BinningStrategy,
     """Maximize the binned CHSH value over measurement settings.
 
     BETA_FAMILY searches the one-parameter family on (0, pi/2] (dense grid
-    then golden-section refinement); FULL_PLANAR runs a multi-start
-    Nelder-Mead over all four planar angles, seeded from the family
-    optimum.
+    in one array evaluation, then Brent's bounded refinement); FULL_PLANAR
+    runs a multi-start Nelder-Mead over all four planar angles, seeded
+    from the family optimum.
     """
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n!r}")
-    if not 0.0 <= visibility <= 1.0:
-        raise InvalidArgumentError(f"visibility {visibility!r} outside [0, 1]")
-
     grid = np.linspace(math.pi / 2.0 / _GRID_POINTS, math.pi / 2.0,
                        _GRID_POINTS)
-    vals = np.array([family_chsh(b, visibility, n, strategy) for b in grid])
+    vals = family_chsh(grid, visibility, n, strategy)
     i = int(np.argmax(vals))
     lo = grid[i - 1] if i > 0 else grid[0] / 2.0
     hi = grid[i + 1] if i + 1 < len(grid) else grid[-1]
-    beta, s_family, g_evals = _golden_max(
-        lambda b: family_chsh(b, visibility, n, strategy), lo, hi)
+    refined = sciopt.minimize_scalar(
+        lambda b: -family_chsh(b, visibility, n, strategy), bounds=(lo, hi),
+        method="bounded", options={"xatol": 1e-12})
+    beta, s_family = float(refined.x), float(-refined.fun)
     if vals[i] > s_family:
         beta, s_family = float(grid[i]), float(vals[i])
-    evaluations = len(grid) + g_evals
-    family = OptimizationResult(s_max=float(s_family),
+    evaluations = len(grid) + refined.nfev
+    family = OptimizationResult(s_max=s_family,
                                 settings=settings_from_beta(beta),
                                 mode=SettingsMode.BETA_FAMILY,
-                                evaluations=evaluations, beta=float(beta))
+                                evaluations=evaluations, beta=beta)
     if mode is SettingsMode.BETA_FAMILY:
         return family
 
@@ -221,24 +200,6 @@ def max_chsh(n: int, visibility: float, strategy: BinningStrategy,
                               beta=family.beta, converged=converged)
 
 
-def critical_visibility_bisect(n: int, strategy: BinningStrategy,
-                               mode: SettingsMode = SettingsMode.BETA_FAMILY,
-                               width: float = 1e-5) -> float:
-    """Bisection on V of the predicate max_chsh(..).s_max > 2."""
-    top = max_chsh(n, 1.0, strategy, mode)
-    if top.s_max <= 2.0:
-        raise NoViolationError(
-            f"no violation at V=1 for n={n}, {strategy!r}", top.s_max)
-    lo, hi = 0.5, 1.0
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if max_chsh(n, mid, strategy, mode).s_max > 2.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def critical_visibility(n: int, strategy: BinningStrategy,
                         mode: SettingsMode = SettingsMode.BETA_FAMILY,
                         width: float = 1e-5) -> float:
@@ -246,15 +207,18 @@ def critical_visibility(n: int, strategy: BinningStrategy,
 
     Parity uses the exact identity V_c = (2 / S_max(V=1))^(1/n), valid
     because the optimal settings are visibility-independent under the V^n
-    scaling; majority falls back to bisection.
+    scaling; majority finds the root of S_max(V) - 2 on [0.5, 1] by
+    Brent's method, to within width / 2.
     """
+    top = max_chsh(n, 1.0, strategy, mode)
+    if top.s_max <= 2.0:
+        raise NoViolationError(
+            f"no violation at V=1 for n={n}, {strategy!r}", top.s_max)
     if isinstance(strategy, Parity):
-        top = max_chsh(n, 1.0, strategy, mode)
-        if top.s_max <= 2.0:
-            raise NoViolationError(
-                f"no violation at V=1 for n={n}, parity", top.s_max)
         return (2.0 / top.s_max) ** (1.0 / n)
-    return critical_visibility_bisect(n, strategy, mode, width)
+    return sciopt.brentq(
+        lambda v: max_chsh(n, v, strategy, mode).s_max - 2.0, 0.5, 1.0,
+        xtol=width / 2.0)
 
 
 def critical_pairs(visibility: float, strategy: BinningStrategy,

@@ -22,6 +22,9 @@ from .pairstats import CorrelatorTable, joint_table
 #: Default events per run (the per-60s average of a typical run).
 DEFAULT_EVENTS_PER_RUN = 16000
 
+#: Prefix of the CSV comment line that carries one stream's metadata.
+CSV_STREAM_PREFIX = "# stream: "
+
 
 @dataclass(frozen=True)
 class DetectorModel:
@@ -155,26 +158,48 @@ def generate_symmetrized(table: CorrelatorTable, setting_pair: tuple[int, int],
         for v in range(4))
 
 
+def event_format(path) -> str:
+    """Event-file format named by the suffix: "csv" for .csv, else "json"."""
+    return "csv" if Path(path).suffix == ".csv" else "json"
+
+
+def _header(stream: EventStream) -> dict:
+    header = dict(stream.meta)
+    header["settingPair"] = list(stream.setting_pair)
+    header["basisVariant"] = stream.basis_variant
+    return header
+
+
 def write_jsonl(streams, path) -> None:
     """Write streams as JSON lines: a header object, then one {a,b}/event."""
     path = Path(path)
     with path.open("w") as fh:
         for stream in streams:
-            header = dict(stream.meta)
-            header["settingPair"] = list(stream.setting_pair)
-            header["basisVariant"] = stream.basis_variant
-            fh.write(json.dumps(header) + "\n")
+            fh.write(json.dumps(_header(stream)) + "\n")
             for a, b in zip(stream.a.tolist(), stream.b.tolist()):
                 fh.write(f'{{"a": {a}, "b": {b}}}\n')
 
 
 def write_csv(streams, path) -> None:
-    """Compact CSV form: one row per event (x, y, variant, a, b)."""
+    """Compact CSV form: one row per event (x, y, variant, a, b).
+
+    Each stream's rows follow a `# stream: {json}` comment line holding
+    the same header object as the JSON-lines form.
+    """
     path = Path(path)
     with path.open("w") as fh:
         fh.write("x,y,variant,a,b\n")
         for stream in streams:
+            fh.write(CSV_STREAM_PREFIX + json.dumps(_header(stream)) + "\n")
             x, y = stream.setting_pair
             v = stream.basis_variant
             for a, b in zip(stream.a.tolist(), stream.b.tolist()):
                 fh.write(f"{x},{y},{v},{a},{b}\n")
+
+
+def write_streams(streams, path) -> None:
+    """Write streams in the format that `event_format` names for the path."""
+    if event_format(path) == "csv":
+        write_csv(streams, path)
+    else:
+        write_jsonl(streams, path)

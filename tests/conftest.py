@@ -7,6 +7,8 @@ import itertools
 import numpy as np
 import pytest
 
+from manypairs.errors import NoViolationError
+from manypairs.optimize import SettingsMode, max_chsh
 from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
                                  PairJointDistribution, joint_table)
 
@@ -52,6 +54,24 @@ def brute_force_counts(pair: PairJointDistribution, n: int) -> dict:
             mat[a_total, b_total] += prob
         out[(x, y)] = mat
     return out
+
+
+def critical_visibility_bisect(n: int, strategy,
+                               mode: SettingsMode = SettingsMode.BETA_FAMILY,
+                               width: float = 1e-5) -> float:
+    """Bisection on V of the predicate max_chsh(..).s_max > 2."""
+    top = max_chsh(n, 1.0, strategy, mode)
+    if top.s_max <= 2.0:
+        raise NoViolationError(
+            f"no violation at V=1 for n={n}, {strategy!r}", top.s_max)
+    lo, hi = 0.5, 1.0
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if max_chsh(n, mid, strategy, mode).s_max > 2.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 @pytest.fixture

@@ -31,6 +31,7 @@ class TestScanVc:
         assert code == 0
         doc = json.loads(out)
         assert doc["config"]["strategy"] == "majority"
+        assert doc["config"]["n"] == "2..4"
         assert [r[0] for r in doc["rows"]] == [2, 3, 4]
         assert "monotone" in doc
 
@@ -97,6 +98,56 @@ class TestSimulateAnalyze:
                            "--n", "1", "--resamples", "10", "--seed", "0",
                            "--format", "json")
         assert code == 0
+        # the beta of each stream survives the CSV round trip
+        assert [r[0] for r in json.loads(out)["rows"]] == [0.2]
+
+    def test_format_follows_suffix(self, tmp_path, capsys):
+        events = tmp_path / "e.jsonl"
+        code, _, _ = run(capsys, "simulate", "--beta", "0.25", "--v", "0.99",
+                         "--events", "200", "--seed", "2", "--out",
+                         str(events))
+        assert code == 0
+        assert json.loads(events.read_text().splitlines()[0])["beta"] == 0.25
+        code, out, _ = run(capsys, "analyze", "--files", str(events),
+                           "--n", "1,2", "--resamples", "10", "--seed", "0",
+                           "--format", "json")
+        assert code == 0
+        assert [r[:2] for r in json.loads(out)["rows"]] == [[0.25, 1],
+                                                            [0.25, 2]]
+
+    def _simulate(self, capsys, path, v, seed, *extra, events="300"):
+        code, _, _ = run(capsys, "simulate", "--beta", "0.151", "--v", v,
+                         "--events", events, "--seed", seed, "--out",
+                         str(path), *extra)
+        assert code == 0
+
+    @pytest.mark.parametrize("second, field", [
+        (("0.90", "2"), "visibility"),
+        (("0.9871", "2", "--override", "2,2=0.5"), "table"),
+    ], ids=["visibility", "correlator-table"])
+    def test_mixed_provenance_not_pooled(self, tmp_path, capsys, second,
+                                         field):
+        first_path, second_path = tmp_path / "a.csv", tmp_path / "b.jsonl"
+        self._simulate(capsys, first_path, "0.9871", "1")
+        self._simulate(capsys, second_path, *second)
+        code, out, err = run(capsys, "analyze", "--files", str(first_path),
+                             str(second_path), "--n", "1", "--resamples",
+                             "10", "--seed", "0")
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert str(first_path) in err and str(second_path) in err
+        assert field in err
+
+    def test_seeds_and_event_counts_pool(self, tmp_path, capsys):
+        first, second = tmp_path / "a.csv", tmp_path / "b.jsonl"
+        self._simulate(capsys, first, "0.9871", "1")
+        self._simulate(capsys, second, "0.9871", "2", events="500")
+        code, out, _ = run(capsys, "analyze", "--files", str(first),
+                           str(second), "--n", "1", "--resamples", "10",
+                           "--seed", "0", "--format", "json")
+        assert code == 0
+        assert [r[0] for r in json.loads(out)["rows"]] == [0.151]
 
     def test_override(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
@@ -143,4 +194,36 @@ class TestErrors:
                            "--n", "1", "--seed", "0", "--resamples", "10",
                            "--criterion", "bogus")
         assert code == 1
-        assert "criterion" in err
+        assert "unknown criterion" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("max-s", "--strategy", "majority", "--n", "3", "--beta", "0.3",
+         "--v", "1.5"),
+        ("max-s", "--strategy", "majority", "--n", "0", "--beta", "0.3"),
+    ], ids=["visibility-above-1", "zero-pairs"])
+    def test_max_s_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("scan-vc", "--n", "3..x"),
+        ("max-s", "--n", "2", "--beta", "0.1..y"),
+        ("ratio", "--v", "0.99,z"),
+        ("simulate", "--beta", "0.2", "--v", "0.9", "--seed", "0",
+         "--override", "2,2", "--out", "e.jsonl"),
+        ("simulate", "--beta", "0.2", "--v", "0.9", "--seed", "0"),
+        ("simulate", "--beta", "0.2", "--v", "0.9", "--seed", "0",
+         "--format", "csv", "--out", "e.jsonl"),
+    ], ids=["malformed-n", "malformed-beta", "malformed-v",
+            "malformed-override", "simulate-without-out",
+            "format-contradicts-suffix"])
+    def test_usage_error_exit_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert not (tmp_path / "e.jsonl").exists()

@@ -4,23 +4,69 @@ import numpy as np
 import pytest
 
 from manypairs.binning import (PARITY_BETA_SCALE, PARITY_S_LIMIT, Majority,
-                               Parity, TiePolicy, chsh_from_counts,
-                               parity_chsh_analytic)
+                               Parity, TiePolicy, binned_correlator,
+                               chsh_from_counts, parity_chsh_analytic)
 from manypairs.collective import convolve_counts
 from manypairs.errors import (FitError, InvalidArgumentError,
                               NoViolationError)
 from manypairs.optimize import (EXCEEDS_CAP, SettingsMode,
                                 binned_correlator_from_e, binning_comparison,
                                 critical_pairs, critical_visibility,
-                                critical_visibility_bisect, family_chsh,
-                                fit_vc_curve, max_chsh, parity_vc_approx,
-                                scan_critical_visibilities, violation_ratio)
-from manypairs.pairstats import (joint_table, settings_from_beta,
-                                 werner_correlators)
+                                family_chsh, fit_vc_curve, max_chsh,
+                                parity_vc_approx, scan_critical_visibilities,
+                                violation_ratio)
+from manypairs.pairstats import (SETTING_PAIRS, joint_table,
+                                 settings_from_beta, werner_correlators)
+
+from conftest import critical_visibility_bisect
+
+
+ALL_STRATEGIES = (Majority(TiePolicy.TIE_TO_MINUS),
+                  Majority(TiePolicy.TIE_TO_PLUS),
+                  Majority(TiePolicy.RANDOMIZED), Parity())
 
 
 class TestFastCorrelatorPath:
     """The O(n) response function must agree with the convolution route."""
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
+    def test_weights_match_convolution_grid(self, strategy):
+        # f(e) = sum_k W_k e^k against the exact count distribution
+        for n in range(1, 11):
+            for beta, v in ((0.2, 1.0), (0.7, 0.6), (1.3, 0.95)):
+                table = werner_correlators(settings_from_beta(beta), v)
+                dist = convolve_counts(joint_table(table), n)
+                es = np.array([table.correlator(x, y)
+                               for (x, y) in SETTING_PAIRS])
+                got = binned_correlator_from_e(es, n, strategy)
+                for (x, y), fast in zip(SETTING_PAIRS, got):
+                    assert fast == pytest.approx(
+                        binned_correlator(dist, x, y, strategy), abs=1e-12)
+                assert family_chsh(beta, v, n, strategy) == pytest.approx(
+                    chsh_from_counts(dist, strategy).s, abs=1e-12)
+
+    def test_majority_sheppard_limit(self):
+        # large-n majority correlator tends to (2/pi) arcsin(e)
+        e = np.linspace(-0.99, 0.99, 199)
+        got = binned_correlator_from_e(e, 4097, Majority())
+        assert np.abs(got - 2.0 / math.pi * np.arcsin(e)).max() <= 1e-3
+
+    def test_array_and_scalar_beta_agree(self):
+        betas = np.linspace(0.01, 1.5, 37)
+        for strategy in ALL_STRATEGIES:
+            vec = family_chsh(betas, 0.97, 6, strategy)
+            loop = [family_chsh(float(b), 0.97, 6, strategy) for b in betas]
+            assert vec.shape == betas.shape
+            np.testing.assert_allclose(vec, loop, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
+    def test_invalid_input_rejected(self, strategy):
+        with pytest.raises(InvalidArgumentError):
+            family_chsh(0.3, 0.9, 0, strategy)
+        with pytest.raises(InvalidArgumentError):
+            family_chsh(0.3, 1.5, 3, strategy)
+        with pytest.raises(InvalidArgumentError):
+            family_chsh(0.3, -0.1, 3, strategy)
 
     def test_matches_convolution(self, rng):
         strategies = (Majority(TiePolicy.TIE_TO_MINUS),
@@ -99,12 +145,30 @@ class TestCriticalVisibility:
             bisect = critical_visibility_bisect(n, Parity())
             assert shortcut == pytest.approx(bisect, abs=2e-5)
 
+    @pytest.mark.parametrize("policy", list(TiePolicy), ids=str)
+    def test_majority_root_vs_bisection(self, policy):
+        width = 1e-5
+        strategy = Majority(policy)
+        for n in (2, 3, 8, 13):
+            if policy is TiePolicy.RANDOMIZED and n % 2 == 0:
+                # coin-flipped ties lose the family violation at even n
+                with pytest.raises(NoViolationError):
+                    critical_visibility(n, strategy, width=width)
+                continue
+            root = critical_visibility(n, strategy, width=width)
+            bisect = critical_visibility_bisect(n, strategy, width=width)
+            assert abs(root - bisect) <= width
+
 
 class TestCriticalPairs:
     def test_majority_9912(self):
         # the quoted 99.12% visibility is itself rounded, so allow +-2
         nc = critical_pairs(0.9912, Majority())
         assert 62 <= nc <= 66
+
+    def test_majority_exceeds_cap_at_n4096(self):
+        # probes n = 4096, where the response weights stay O(n) to build
+        assert critical_pairs(0.9999, Majority()) is EXCEEDS_CAP
 
     def test_parity_unbounded_at_unit_visibility(self):
         assert critical_pairs(1.0, Parity(), n_max=10 ** 4) is EXCEEDS_CAP

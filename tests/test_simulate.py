@@ -155,6 +155,17 @@ class TestRoundTrip:
             assert rt.basis_variant == orig.basis_variant
             assert np.array_equal(rt.a, orig.a)
             assert np.array_equal(rt.b, orig.b)
+            assert rt.meta["beta"] == 0.5
+            assert rt.meta["table"] == orig.meta["table"]
+
+    def test_csv_without_stream_lines(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text("x,y,variant,a,b\n1,1,0,1,0\n2,2,1,0,0\n"
+                        "1,1,0,1,1\n")
+        back = read_csv(path)
+        assert [(s.setting_pair, s.basis_variant, s.meta) for s in back] == [
+            ((1, 1), 0, {}), ((2, 2), 1, {})]
+        assert back[0].a.tolist() == [1, 1] and back[0].b.tolist() == [0, 1]
 
 
 class TestDetectorModel:
