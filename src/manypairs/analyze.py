@@ -170,10 +170,18 @@ def read_csv(path) -> list[EventStream]:
 
 
 def read_streams(path) -> list[EventStream]:
-    """Read an event file in the format its suffix names."""
-    if event_format(path) == "csv":
-        return read_csv(path)
-    return read_jsonl(path)
+    """Read an event file in the format its suffix names.
+
+    Raises IngestionError naming the path when the file cannot be read
+    or is not UTF-8 text.
+    """
+    read = read_csv if event_format(path) == "csv" else read_jsonl
+    try:
+        return read(path)
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot read ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text") from exc
 
 
 def streams_by_beta(paths) -> dict:
@@ -229,11 +237,13 @@ def sequences_from_streams(streams) -> dict:
 
 
 def ingest(paths) -> dict:
-    """Read event files and return logical sequences keyed by setting pair."""
-    streams = []
-    for path in paths:
-        streams.extend(read_streams(path))
-    return sequences_from_streams(streams)
+    """Read event files into {beta: logical sequences by setting pair}.
+
+    Streams are grouped and checked by `streams_by_beta`, so streams of
+    one beta with different provenance raise IngestionError.
+    """
+    return {beta: sequences_from_streams(group)
+            for beta, group in streams_by_beta(paths).items()}
 
 
 def cluster_events(sequence: tuple[np.ndarray, np.ndarray],

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -19,8 +18,7 @@ import numpy as np
 from . import analyze as ana
 from . import optimize as opt
 from . import simulate as sim
-from .binning import (PARITY_BETA_SCALE, Majority, Parity, TiePolicy,
-                      parity_chsh_analytic)
+from .binning import Majority, Parity, TiePolicy
 from .errors import ManyPairsError
 from .pairstats import SETTING_PAIRS, settings_from_beta, werner_correlators
 
@@ -46,19 +44,33 @@ def _parse_float_list(text: str, points: int = 11) -> list[float]:
 def _text_of(parse):
     """argparse type: keep the text as given once `parse` accepts it.
 
-    The commands echo the text in their config and parse it again.
+    The commands echo the text in their config and parse it again.  A
+    value that parses to no items is rejected too.
     """
     def check(text: str) -> str:
         try:
-            parse(text)
+            items = parse(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"malformed value {text!r}")
+        if not items:
+            raise argparse.ArgumentTypeError(f"no values in {text!r}")
         return text
     return check
 
 
 _INT_RANGE = _text_of(_parse_int_range)
 _FLOAT_LIST = _text_of(_parse_float_list)
+
+
+def _points(text: str) -> int:
+    """argparse type for a grid size: an integer >= 1."""
+    try:
+        points = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"malformed value {text!r}")
+    if points < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 point, got {text}")
+    return points
 
 
 def _override(text: str) -> tuple[tuple[int, int], float]:
@@ -199,19 +211,20 @@ def _criterion(text: str):
     if text == "point":
         return ana.PointEstimate()
     if text.startswith("ksigma:"):
-        return ana.MinusKSigma(k=float(text.split(":", 1)[1]))
+        try:
+            return ana.MinusKSigma(k=float(text.split(":", 1)[1]))
+        except ValueError:
+            raise ManyPairsError(f"malformed criterion {text!r}")
     raise ManyPairsError(f"unknown criterion {text!r}")
 
 
 def cmd_analyze(args) -> int:
     strategy = _strategy(args)
-    sequences_per_beta = {beta: ana.sequences_from_streams(group)
-                          for beta, group
-                          in ana.streams_by_beta(args.files).items()}
+    criterion = _criterion(args.criterion)
+    sequences_per_beta = ana.ingest(args.files)
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     curve = ana.find_nc(sequences_per_beta, strategy,
-                        _parse_int_range(args.n),
-                        criterion=_criterion(args.criterion),
+                        _parse_int_range(args.n), criterion=criterion,
                         resamples=args.resamples, seed=args.seed,
                         threads=threads)
     rows = list(curve.entries)
@@ -281,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_INT_RANGE, required=True)
     p.add_argument("--beta", type=_FLOAT_LIST, required=True,
                    help="comma list or lo..hi (see --beta-points)")
-    p.add_argument("--beta-points", type=int, default=64)
+    p.add_argument("--beta-points", type=_points, default=64)
     p.add_argument("--v", type=float, default=1.0)
     p.set_defaults(func=cmd_max_s)
 
@@ -324,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="majority vs parity over a (V, n) grid")
     _add_common(p, strategy=False)
     p.add_argument("--v", type=_FLOAT_LIST, required=True)
-    p.add_argument("--v-points", type=int, default=11)
+    p.add_argument("--v-points", type=_points, default=11)
     p.add_argument("--n", type=_INT_RANGE, required=True)
     p.add_argument("--mode", choices=[m.value for m in opt.SettingsMode],
                    default=opt.SettingsMode.BETA_FAMILY.value)
@@ -334,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ratio", help="remaining parity violation at n_c/2")
     _add_common(p, strategy=False)
     p.add_argument("--v", type=_FLOAT_LIST, required=True)
-    p.add_argument("--v-points", type=int, default=11)
+    p.add_argument("--v-points", type=_points, default=11)
     p.set_defaults(func=cmd_ratio)
 
     return parser

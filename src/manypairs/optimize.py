@@ -37,7 +37,7 @@ from scipy.special import gammaln
 from .binning import (PARITY_BETA_SCALE, BinningStrategy, Majority, Parity,
                       TiePolicy, parity_chsh_analytic)
 from .errors import FitError, InvalidArgumentError, NoViolationError
-from .pairstats import SETTING_PAIRS, MeasurementSettings, settings_from_beta
+from .pairstats import MeasurementSettings, settings_from_beta
 
 
 class SettingsMode(enum.Enum):
@@ -105,13 +105,6 @@ def binned_correlator_from_e(e, n: int, strategy: BinningStrategy):
     return float(out) if out.ndim == 0 else out
 
 
-def _chsh_at_settings(settings: MeasurementSettings, visibility: float,
-                      n: int, strategy: BinningStrategy) -> float:
-    e = visibility * np.cos([settings.alice(x) - settings.bob(y)
-                             for (x, y) in SETTING_PAIRS])
-    return float(_CHSH_SIGNS @ binned_correlator_from_e(e, n, strategy))
-
-
 def family_chsh(beta, visibility: float, n: int, strategy: BinningStrategy):
     """CHSH value of the one-angle settings family (0, 2b, b, -b).
 
@@ -147,8 +140,10 @@ def max_chsh(n: int, visibility: float, strategy: BinningStrategy,
 
     BETA_FAMILY searches the one-parameter family on (0, pi/2] (dense grid
     in one array evaluation, then Brent's bounded refinement); FULL_PLANAR
-    runs a multi-start Nelder-Mead over all four planar angles, seeded
-    from the family optimum.
+    runs a multi-start Nelder-Mead seeded from the family optimum.  Each
+    correlator V cos(theta_A - theta_B) depends only on angle differences,
+    so FULL_PLANAR fixes theta_a1 = 0 and searches (theta_a2, theta_b1,
+    theta_b2).
     """
     grid = np.linspace(math.pi / 2.0 / _GRID_POINTS, math.pi / 2.0,
                        _GRID_POINTS)
@@ -170,16 +165,14 @@ def max_chsh(n: int, visibility: float, strategy: BinningStrategy,
     if mode is SettingsMode.BETA_FAMILY:
         return family
 
-    counter = {"evals": 0}
-
-    def neg(theta):
-        counter["evals"] += 1
-        return -_chsh_at_settings(MeasurementSettings(*theta), visibility, n,
-                                  strategy)
+    def neg(theta):  # correlators in SETTING_PAIRS order, theta_a1 = 0
+        a2, b1, b2 = theta
+        e = visibility * np.cos([b1, b2, a2 - b1, a2 - b2])
+        return -float(_CHSH_SIGNS @ binned_correlator_from_e(e, n, strategy))
 
     rng = np.random.default_rng(_MULTISTART_SEED)
-    seed_angles = np.array(family.settings.as_tuple())
-    starts = [seed_angles] + [seed_angles + rng.normal(scale=0.3, size=4)
+    seed_angles = np.array(family.settings.as_tuple()[1:])
+    starts = [seed_angles] + [seed_angles + rng.normal(scale=0.3, size=3)
                               for _ in range(8)]
     best_s = family.s_max
     best_angles = seed_angles
@@ -188,16 +181,23 @@ def max_chsh(n: int, visibility: float, strategy: BinningStrategy,
         res = sciopt.minimize(neg, start, method="Nelder-Mead",
                               options={"maxfev": _SIMPLEX_MAX_EVALS,
                                        "xatol": 1e-10, "fatol": 1e-12})
+        evaluations += res.nfev
         if not res.success:
             converged = False
         if -res.fun > best_s:
             best_s = float(-res.fun)
             best_angles = res.x
     return OptimizationResult(s_max=best_s,
-                              settings=MeasurementSettings(*best_angles),
+                              settings=MeasurementSettings(0.0, *best_angles),
                               mode=SettingsMode.FULL_PLANAR,
-                              evaluations=evaluations + counter["evals"],
-                              beta=family.beta, converged=converged)
+                              evaluations=evaluations, beta=family.beta,
+                              converged=converged)
+
+
+def _check_tolerance(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidArgumentError(
+            f"{name} must be a finite positive number, got {value!r}")
 
 
 def critical_visibility(n: int, strategy: BinningStrategy,
@@ -208,8 +208,10 @@ def critical_visibility(n: int, strategy: BinningStrategy,
     Parity uses the exact identity V_c = (2 / S_max(V=1))^(1/n), valid
     because the optimal settings are visibility-independent under the V^n
     scaling; majority finds the root of S_max(V) - 2 on [0.5, 1] by
-    Brent's method, to within width / 2.
+    Brent's method, to within width / 2.  Raises InvalidArgumentError
+    unless width is a finite positive number.
     """
+    _check_tolerance("width", width)
     top = max_chsh(n, 1.0, strategy, mode)
     if top.s_max <= 2.0:
         raise NoViolationError(
@@ -357,16 +359,15 @@ def _crossover_n_grid(n_values):
     return odd if odd else [n for n in n_values if n >= 2]
 
 
-def _best_parity_advantage(visibility: float, n_values,
-                           mode: SettingsMode) -> float:
-    best = -math.inf
-    for n in n_values:
-        if n < 2:  # both strategies coincide at n = 1
-            continue
-        s_par = max_chsh(n, visibility, Parity(), mode).s_max
-        s_maj = max_chsh(n, visibility, Majority(), mode).s_max
-        best = max(best, s_par - s_maj)
-    return best
+def _maxima(n: int, visibility: float, mode: SettingsMode) -> tuple:
+    """(majority, parity) CHSH maxima at one grid point."""
+    return (max_chsh(n, visibility, Majority(), mode).s_max,
+            max_chsh(n, visibility, Parity(), mode).s_max)
+
+
+def _parity_advantage(maxima) -> float:
+    """Largest parity-minus-majority gap over (s_maj, s_par) pairs."""
+    return max((s_par - s_maj for s_maj, s_par in maxima), default=-math.inf)
 
 
 def binning_comparison(v_values, n_values,
@@ -375,48 +376,31 @@ def binning_comparison(v_values, n_values,
     """Tabulate both strategies on a grid and locate the parity crossover.
 
     The crossover V* is where, for some tie-free (odd) n in the grid, the
-    parity maximum first exceeds the majority maximum; it is refined by
-    bisection between the bracketing grid visibilities.
+    parity maximum first exceeds the majority maximum.  The winners come
+    from the table; V* is refined by Brent's method between the first
+    bracketing pair of grid visibilities, to within crossover_tol / 2.
     """
+    _check_tolerance("crossover_tol", crossover_tol)
     v_values = [float(v) for v in v_values]
     n_values = [int(n) for n in n_values]
     if not v_values or not n_values:
         raise InvalidArgumentError("grids must be nonempty")
-    rows = []
-    winners = []
-    advantages = []
-    for v in v_values:
-        best_maj = -math.inf
-        best_par = -math.inf
-        for n in n_values:
-            s_maj = max_chsh(n, v, Majority(), mode).s_max
-            s_par = max_chsh(n, v, Parity(), mode).s_max
-            rows.append((v, n, s_maj, s_par))
-            if n >= 2:
-                best_maj = max(best_maj, s_maj)
-                best_par = max(best_par, s_par)
-        adv = _best_parity_advantage(v, _crossover_n_grid(n_values), mode)
-        advantages.append(adv)
-        if adv > 0.0:
-            winners.append((v, "parity"))
-        elif adv < 0.0:
-            winners.append((v, "majority"))
-        else:
-            winners.append((v, "tie"))
+    table = {(v, n): _maxima(n, v, mode) for v in v_values for n in n_values}
+    rows = tuple((v, n) + table[v, n] for v in v_values for n in n_values)
+    n_grid = _crossover_n_grid(n_values)
+    advantages = [_parity_advantage(table[v, n] for n in n_grid)
+                  for v in v_values]
+    winners = tuple(
+        (v, "parity" if adv > 0.0 else "majority" if adv < 0.0 else "tie")
+        for v, adv in zip(v_values, advantages))
 
     crossover = None
     for (v_lo, adv_lo), (v_hi, adv_hi) in zip(zip(v_values, advantages),
                                               zip(v_values[1:], advantages[1:])):
         if adv_lo <= 0.0 < adv_hi:
-            lo, hi = v_lo, v_hi
-            grid = _crossover_n_grid(n_values)
-            while hi - lo > crossover_tol:
-                mid = 0.5 * (lo + hi)
-                if _best_parity_advantage(mid, grid, mode) > 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            crossover = 0.5 * (lo + hi)
+            crossover = sciopt.brentq(
+                lambda v: _parity_advantage(_maxima(n, v, mode)
+                                            for n in n_grid),
+                v_lo, v_hi, xtol=crossover_tol / 2.0)
             break
-    return BinningComparison(rows=tuple(rows), winners=tuple(winners),
-                             crossover=crossover)
+    return BinningComparison(rows=rows, winners=winners, crossover=crossover)

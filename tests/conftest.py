@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from manypairs.binning import Majority, Parity
 from manypairs.errors import NoViolationError
 from manypairs.optimize import SettingsMode, max_chsh
 from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
@@ -72,6 +74,39 @@ def critical_visibility_bisect(n: int, strategy,
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def crossover_bisect(v_values, n_values,
+                     mode: SettingsMode = SettingsMode.BETA_FAMILY,
+                     crossover_tol: float = 1e-4):
+    """Majority/parity crossover V* by bisection, or None without a bracket.
+
+    The advantage at V is the largest parity-minus-majority CHSH maximum
+    over the odd n >= 3 of the grid (every n >= 2 when there is none).
+    V* is the midpoint of the final bracket of the predicate
+    advantage > 0, bisected from the first grid pair where it turns true.
+    """
+    odd = [n for n in n_values if n % 2 == 1 and n >= 3]
+    n_grid = odd if odd else [n for n in n_values if n >= 2]
+
+    def advantage(v):
+        return max((max_chsh(n, v, Parity(), mode).s_max
+                    - max_chsh(n, v, Majority(), mode).s_max
+                    for n in n_grid), default=-math.inf)
+
+    v_values = [float(v) for v in v_values]
+    advantages = [advantage(v) for v in v_values]
+    for (lo, adv_lo), (hi, adv_hi) in zip(zip(v_values, advantages),
+                                          zip(v_values[1:], advantages[1:])):
+        if adv_lo <= 0.0 < adv_hi:
+            while hi - lo > crossover_tol:
+                mid = 0.5 * (lo + hi)
+                if advantage(mid) > 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            return 0.5 * (lo + hi)
+    return None
 
 
 @pytest.fixture

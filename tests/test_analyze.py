@@ -55,8 +55,29 @@ class TestIngest:
         p2 = tmp_path / "b.csv"
         write_jsonl(streams[:2], p1)
         write_csv(streams[2:], p2)
-        seqs = ingest([p1, p2])
-        assert set(seqs) == set(SETTING_PAIRS)
+        per_beta = ingest([p1, p2])
+        assert list(per_beta) == [0.0]
+        assert set(per_beta[0.0]) == set(SETTING_PAIRS)
+        assert all(len(a) == len(b) == 100
+                   for a, b in per_beta[0.0].values())
+
+    def test_ingest_refuses_mixed_visibility(self, tmp_path):
+        paths = []
+        for name, v in (("a.jsonl", 0.9871), ("b.jsonl", 0.90)):
+            table = werner_correlators(settings_from_beta(0.151), v)
+            streams = [generate_run(table, sp, 50, seed=1,
+                                    extra_meta={"beta": 0.151,
+                                                "visibility": v})
+                       for sp in SETTING_PAIRS]
+            paths.append(tmp_path / name)
+            write_jsonl(streams, paths[-1])
+        with pytest.raises(IngestionError, match="visibility"):
+            ingest(paths)
+
+    def test_missing_file_named(self, tmp_path):
+        missing = tmp_path / "missing.jsonl"
+        with pytest.raises(IngestionError, match="missing.jsonl"):
+            ingest([missing])
 
     def test_malformed_record_names_location(self, tmp_path):
         p = tmp_path / "bad.jsonl"

@@ -168,6 +168,14 @@ class TestCompareRatio:
         assert doc["columns"] == ["v", "n", "s_majority", "s_parity"]
         assert len(doc["rows"]) == 2
 
+    def test_compare_config_echo(self, capsys):
+        code, out, _ = run(capsys, "compare", "--v", "0.98..0.985",
+                           "--v-points", "2", "--n", "3", "--tol", "1e-3")
+        assert code == 0
+        assert out.splitlines()[0] == (
+            '# config: {"command": "compare", "v": "0.98..0.985", '
+            '"n": "3", "mode": "beta-family", "tol": 0.001}')
+
     def test_ratio_value(self, capsys):
         code, out, _ = run(capsys, "ratio", "--v", "0.99")
         assert code == 0
@@ -196,12 +204,44 @@ class TestErrors:
         assert code == 1
         assert "unknown criterion" in err
 
+    def test_malformed_ksigma_criterion(self, tmp_path, capsys):
+        events = tmp_path / "e.jsonl"
+        run(capsys, "simulate", "--beta", "0.2", "--v", "0.9", "--events",
+            "40", "--seed", "0", "--out", str(events))
+        code, out, err = run(capsys, "analyze", "--files", str(events),
+                             "--n", "1", "--seed", "0", "--resamples", "10",
+                             "--criterion", "ksigma:x")
+        assert code == 1
+        assert out == ""
+        assert err == "error: malformed criterion 'ksigma:x'\n"
+
     @pytest.mark.parametrize("argv", [
         ("max-s", "--strategy", "majority", "--n", "3", "--beta", "0.3",
          "--v", "1.5"),
         ("max-s", "--strategy", "majority", "--n", "0", "--beta", "0.3"),
     ], ids=["visibility-above-1", "zero-pairs"])
     def test_max_s_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("compare", "--v", "0.988..0.999", "--v-points", "23", "--n",
+         "3,5,7,9,11", "--tol", "0"),
+        ("compare", "--v", "0.988..0.999", "--v-points", "23", "--n",
+         "3,5,7,9,11", "--tol", "-1"),
+        ("compare", "--v", "0.99,0.995", "--n", "3", "--tol", "nan"),
+        ("scan-vc", "--n", "2..4", "--width", "0"),
+        ("scan-vc", "--n", "2..4", "--width", "nan"),
+        ("analyze", "--files", "missing.jsonl", "--n", "1", "--seed", "0"),
+        ("analyze", "--files", "binary.csv", "--n", "1", "--seed", "0"),
+    ], ids=["compare-tol-0", "compare-tol-negative", "compare-tol-nan",
+            "scan-vc-width-0", "scan-vc-width-nan", "analyze-missing-file",
+            "analyze-binary-file"])
+    def test_bad_value_exit_1(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "binary.csv").write_bytes(b"x,y,variant,a,b\n\xff\xfe\n")
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
@@ -216,9 +256,17 @@ class TestErrors:
         ("simulate", "--beta", "0.2", "--v", "0.9", "--seed", "0"),
         ("simulate", "--beta", "0.2", "--v", "0.9", "--seed", "0",
          "--format", "csv", "--out", "e.jsonl"),
+        ("ratio", "--v", "0.99..0.995", "--v-points", "-1"),
+        ("ratio", "--v", "0.99..0.995", "--v-points", "0"),
+        ("compare", "--v", "0.99..0.995", "--v-points", "0", "--n", "3"),
+        ("max-s", "--n", "2", "--beta", "0.1..0.3", "--beta-points", "0"),
+        ("scan-vc", "--n", "5..3"),
+        ("scan-vc", "--n", ","),
     ], ids=["malformed-n", "malformed-beta", "malformed-v",
             "malformed-override", "simulate-without-out",
-            "format-contradicts-suffix"])
+            "format-contradicts-suffix", "ratio-negative-points",
+            "ratio-zero-points", "compare-zero-points", "max-s-zero-points",
+            "empty-n-range", "empty-n-list"])
     def test_usage_error_exit_2(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:

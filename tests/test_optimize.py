@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from manypairs import optimize
 from manypairs.binning import (PARITY_BETA_SCALE, PARITY_S_LIMIT, Majority,
                                Parity, TiePolicy, binned_correlator,
                                chsh_from_counts, parity_chsh_analytic)
@@ -18,12 +19,18 @@ from manypairs.optimize import (EXCEEDS_CAP, SettingsMode,
 from manypairs.pairstats import (SETTING_PAIRS, joint_table,
                                  settings_from_beta, werner_correlators)
 
-from conftest import critical_visibility_bisect
+from conftest import critical_visibility_bisect, crossover_bisect
 
 
 ALL_STRATEGIES = (Majority(TiePolicy.TIE_TO_MINUS),
                   Majority(TiePolicy.TIE_TO_PLUS),
                   Majority(TiePolicy.RANDOMIZED), Parity())
+
+BAD_TOLERANCES = (0.0, -1.0, math.nan, math.inf)
+
+
+def _no_optimization(*args, **kwargs):
+    raise AssertionError("max_chsh called before the arguments were checked")
 
 
 class TestFastCorrelatorPath:
@@ -112,6 +119,19 @@ class TestMaxChsh:
             full = max_chsh(n, v, strat, SettingsMode.FULL_PLANAR)
             assert full.s_max >= fam.s_max - 1e-9
 
+    @pytest.mark.parametrize("strategy", [Majority(), Parity()],
+                             ids=["majority", "parity"])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_full_planar_settings_reproduce_s(self, n, strategy):
+        v = 0.98
+        full = max_chsh(n, v, strategy, SettingsMode.FULL_PLANAR)
+        assert full.settings.theta_a1 == 0.0
+        dist = convolve_counts(
+            joint_table(werner_correlators(full.settings, v)), n)
+        assert chsh_from_counts(dist, strategy).s == pytest.approx(
+            full.s_max, abs=1e-12)
+        assert full.s_max >= max_chsh(n, v, strategy).s_max - 1e-9
+
     def test_monotone_in_visibility(self):
         for strat in (Majority(), Parity()):
             values = [max_chsh(5, v, strat).s_max
@@ -138,6 +158,14 @@ class TestCriticalVisibility:
     def test_parity_12(self):
         assert critical_visibility(12, Parity()) == pytest.approx(
             0.9871, abs=0.001)
+
+    @pytest.mark.parametrize("width", BAD_TOLERANCES)
+    @pytest.mark.parametrize("strategy", [Majority(), Parity()],
+                             ids=["majority", "parity"])
+    def test_bad_width_rejected(self, monkeypatch, strategy, width):
+        monkeypatch.setattr(optimize, "max_chsh", _no_optimization)
+        with pytest.raises(InvalidArgumentError, match="width"):
+            critical_visibility(5, strategy, width=width)
 
     def test_parity_shortcut_vs_bisection(self):
         for n in (3, 12):
@@ -248,6 +276,33 @@ class TestScanAndComparison:
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidArgumentError):
             binning_comparison([], [2])
+
+    def test_crossover_matches_bisection(self):
+        v_values = list(np.linspace(0.988, 0.999, 23))
+        n_values = list(range(3, 40, 2))
+        cmp_ = binning_comparison(v_values, n_values, crossover_tol=1e-4)
+        expected = crossover_bisect(v_values, n_values, crossover_tol=1e-4)
+        assert cmp_.crossover is not None and expected is not None
+        assert abs(cmp_.crossover - expected) <= 1e-4
+
+    def test_each_maximum_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return max_chsh(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "max_chsh", counting)
+        v_values, n_values = [0.97, 0.975, 0.98], [2, 3, 5]
+        cmp_ = binning_comparison(v_values, n_values)
+        assert cmp_.crossover is None
+        assert len(calls) == 2 * len(v_values) * len(n_values)
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_bad_crossover_tol_rejected(self, monkeypatch, tol):
+        monkeypatch.setattr(optimize, "max_chsh", _no_optimization)
+        with pytest.raises(InvalidArgumentError, match="crossover_tol"):
+            binning_comparison([0.99, 0.995], [3, 5], crossover_tol=tol)
 
 
 class TestDecayLaws:
