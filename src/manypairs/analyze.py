@@ -9,7 +9,6 @@ cluster size that still shows a violation.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -292,70 +291,71 @@ def estimate_sn(clustered: dict, strategy: BinningStrategy,
     return chsh_value((es[0], es[1], es[2], es[3]), n=n)
 
 
-def bootstrap_sn(sequences: dict, n: int, strategy: BinningStrategy,
-                 resamples: int = 1000, seed: int = 0,
-                 threads: int = 1) -> tuple[float, float]:
-    """Shuffle-recluster bootstrap of S_n: (sample mean, sample std).
+def bootstrap_sn(sequences: dict, n_values, strategy: BinningStrategy,
+                 resamples: int = 1000, seed: int | tuple[int, ...] = 0
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Shuffle-recluster bootstrap of S_n: (sample means, sample stds).
 
-    Each iteration permutes every setting pair's event order with its own
-    generator (spawned deterministically from the seed), re-clusters and
-    re-estimates.  Results are reduced in iteration order, so serial and
-    threaded runs agree bit for bit.
+    Both arrays follow `n_values`.  Each resample permutes every setting
+    pair's event order once and re-clusters that order at every n.  The
+    shuffle generator is seeded from `seed` (an int or a sequence of
+    ints) and draws only permutations; randomized majority ties at n draw
+    from a generator seeded from (`seed`, n).  A row's values therefore
+    do not depend on the other n of the grid.
     """
     if resamples < 2:
         raise InvalidArgumentError(f"resamples must be >= 2, got {resamples}")
-    children = np.random.SeedSequence(seed).spawn(resamples)
+    n_values = [int(n) for n in n_values]
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence(seed))
+    tie_rngs = [np.random.default_rng(np.random.SeedSequence(
+        seed, spawn_key=(n,))) for n in n_values]
     # pack each pair's (a, b) bits into one code array so a resample is a
     # single in-C shuffle instead of an index permutation plus two gathers
     packed = {key: (sequences[key][0] | (sequences[key][1] << np.uint8(1)))
               for key in SETTING_PAIRS}
-
-    def one(i: int) -> float:
-        rng = np.random.default_rng(children[i])
-        clustered = {}
+    values = np.empty((len(n_values), resamples))
+    for i in range(resamples):
+        shuffled = {}
         for key in SETTING_PAIRS:
-            codes = rng.permuted(packed[key])
-            clustered[key] = cluster_events(
-                (codes & np.uint8(1), codes >> np.uint8(1)), n)
-        return estimate_sn(clustered, strategy, rng=rng).s
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(one, range(resamples)))
-    else:
-        values = [one(i) for i in range(resamples)]
-    arr = np.array(values)
-    return float(arr.mean()), float(arr.std(ddof=1))
+            codes = shuffle_rng.permuted(packed[key])
+            shuffled[key] = (codes & np.uint8(1), codes >> np.uint8(1))
+        for j, (n, tie_rng) in enumerate(zip(n_values, tie_rngs)):
+            clustered = {key: cluster_events(shuffled[key], n)
+                         for key in SETTING_PAIRS}
+            values[j, i] = estimate_sn(clustered, strategy, rng=tie_rng).s
+    # reduce each n's row on its own, so it sums as a lone n would
+    return values.mean(axis=1), values.std(axis=1, ddof=1)
 
 
 def find_nc(sequences_per_beta: dict, strategy: BinningStrategy, n_values,
-            criterion=PointEstimate(), resamples: int = 1000, seed: int = 0,
-            threads: int = 1) -> SnCurve:
+            criterion=PointEstimate(), resamples: int = 1000,
+            seed: int = 0) -> SnCurve:
     """S_n with error bars over a (beta, n) grid, plus the largest violating n.
 
-    The point estimate comes from the unshuffled ordering; sigma from the
-    bootstrap.  n_critical is the largest n at which any beta meets the
-    criterion (0, with a note, when none does).
+    The point estimate comes from the unshuffled ordering; sigma from one
+    `bootstrap_sn` call per beta, seeded from (seed, beta index).
+    n_critical is the largest n at which any beta meets the criterion (0,
+    with a note, when none does).
     """
     if not sequences_per_beta:
         raise InvalidArgumentError("need data for at least one beta")
     n_values = sorted({int(n) for n in n_values})
+    betas = sorted(sequences_per_beta)
+    sigmas = [bootstrap_sn(sequences_per_beta[beta], n_values, strategy,
+                           resamples=resamples, seed=(int(seed), bi))[1]
+              for bi, beta in enumerate(betas)]
     entries = []
     n_critical = 0
-    betas = sorted(sequences_per_beta)
-    for n in n_values:
+    for j, n in enumerate(n_values):
         for bi, beta in enumerate(betas):
             sequences = sequences_per_beta[beta]
             tie_rng = np.random.default_rng(
-                np.random.SeedSequence([int(seed), bi, int(n)]))
+                np.random.SeedSequence([int(seed), bi, n]))
             clustered = {key: cluster_events(sequences[key], n)
                          for key in SETTING_PAIRS}
             s = estimate_sn(clustered, strategy, rng=tie_rng).s
-            _, sigma = bootstrap_sn(sequences, n, strategy,
-                                    resamples=resamples,
-                                    seed=int(seed) + 7919 * (bi + 1) + n,
-                                    threads=threads)
-            entries.append((float(beta), int(n), float(s), float(sigma)))
+            sigma = float(sigmas[bi][j])
+            entries.append((float(beta), n, float(s), sigma))
             if isinstance(criterion, MinusKSigma):
                 violated = s - criterion.k * sigma > 2.0
             else:

@@ -62,15 +62,22 @@ _INT_RANGE = _text_of(_parse_int_range)
 _FLOAT_LIST = _text_of(_parse_float_list)
 
 
-def _points(text: str) -> int:
-    """argparse type for a grid size: an integer >= 1."""
-    try:
-        points = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed value {text!r}")
-    if points < 1:
-        raise argparse.ArgumentTypeError(f"need at least 1 point, got {text}")
-    return points
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo."""
+    def check(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"malformed value {text!r}")
+        if value < lo:
+            raise argparse.ArgumentTypeError(
+                f"need an integer >= {lo}, got {text}")
+        return value
+    return check
+
+
+_POINTS = _int_at_least(1)
+_SEED = _int_at_least(0)
 
 
 def _override(text: str) -> tuple[tuple[int, int], float]:
@@ -98,21 +105,26 @@ def _mode(args) -> opt.SettingsMode:
     return opt.SettingsMode(args.mode)
 
 
-def _resolve_out(path: str | None) -> Path | None:
-    if path is None:
-        return None
+def _write_out(path: str, write) -> None:
+    """Call write(resolved path), creating its directory first.
+
+    A relative path lands in $MANYPAIRS_OUTDIR when that is set.  Raises
+    ManyPairsError naming the path when it cannot be written.
+    """
     p = Path(path)
     outdir = os.environ.get(OUTDIR_ENV)
     if outdir and not p.is_absolute():
         p = Path(outdir) / p
-    p.parent.mkdir(parents=True, exist_ok=True)
-    return p
+    try:
+        p.parent.mkdir(parents=True, exist_ok=True)
+        write(p)
+    except OSError as exc:
+        raise ManyPairsError(f"{p}: cannot write ({exc.strerror})") from exc
 
 
 def _emit(config: dict, columns: list[str], rows: list[tuple],
           extra: dict, args) -> None:
     """Write a result table as CSV or JSON, embedding config for provenance."""
-    out = _resolve_out(args.out)
     if args.format == "json":
         doc = {"config": config, "columns": columns,
                "rows": [list(r) for r in rows]}
@@ -132,10 +144,10 @@ def _emit(config: dict, columns: list[str], rows: list[tuple],
                     cells.append(str(v))
             lines.append(",".join(cells))
         text = "\n".join(lines) + "\n"
-    if out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        out.write_text(text)
+        _write_out(args.out, lambda p: p.write_text(text))
 
 
 def _config_dict(args, keys) -> dict:
@@ -203,7 +215,7 @@ def cmd_simulate(args) -> int:
             streams.append(sim.generate_run(
                 pair_table, (x, y), args.events, detector, seed=args.seed,
                 discard_prob=args.discard_prob, extra_meta=extra))
-    sim.write_streams(streams, _resolve_out(args.out))
+    _write_out(args.out, lambda p: sim.write_streams(streams, p))
     return 0
 
 
@@ -222,11 +234,9 @@ def cmd_analyze(args) -> int:
     strategy = _strategy(args)
     criterion = _criterion(args.criterion)
     sequences_per_beta = ana.ingest(args.files)
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     curve = ana.find_nc(sequences_per_beta, strategy,
                         _parse_int_range(args.n), criterion=criterion,
-                        resamples=args.resamples, seed=args.seed,
-                        threads=threads)
+                        resamples=args.resamples, seed=args.seed)
     rows = list(curve.entries)
     config = _config_dict(args, ["command", "strategy", "tie", "n",
                                  "resamples", "seed", "criterion"])
@@ -294,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_INT_RANGE, required=True)
     p.add_argument("--beta", type=_FLOAT_LIST, required=True,
                    help="comma list or lo..hi (see --beta-points)")
-    p.add_argument("--beta-points", type=_points, default=64)
+    p.add_argument("--beta-points", type=_POINTS, default=64)
     p.add_argument("--v", type=float, default=1.0)
     p.set_defaults(func=cmd_max_s)
 
@@ -308,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
     p.add_argument("--events", type=int, default=sim.DEFAULT_EVENTS_PER_RUN)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--symmetrize", action="store_true",
                    help="emit all four 45-degree basis variants")
     p.add_argument("--eta-t-a", type=float, default=1.0)
@@ -327,17 +337,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--files", nargs="+", required=True)
     p.add_argument("--n", type=_INT_RANGE, required=True)
     p.add_argument("--resamples", type=int, default=1000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--criterion", default="point",
                    help="'point' or 'ksigma:K'")
-    p.add_argument("--threads", type=int, default=1,
-                   help="bootstrap worker threads (0 = auto)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("compare", help="majority vs parity over a (V, n) grid")
     _add_common(p, strategy=False)
     p.add_argument("--v", type=_FLOAT_LIST, required=True)
-    p.add_argument("--v-points", type=_points, default=11)
+    p.add_argument("--v-points", type=_POINTS, default=11)
     p.add_argument("--n", type=_INT_RANGE, required=True)
     p.add_argument("--mode", choices=[m.value for m in opt.SettingsMode],
                    default=opt.SettingsMode.BETA_FAMILY.value)
@@ -347,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ratio", help="remaining parity violation at n_c/2")
     _add_common(p, strategy=False)
     p.add_argument("--v", type=_FLOAT_LIST, required=True)
-    p.add_argument("--v-points", type=_points, default=11)
+    p.add_argument("--v-points", type=_POINTS, default=11)
     p.set_defaults(func=cmd_ratio)
 
     return parser

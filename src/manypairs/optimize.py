@@ -109,13 +109,19 @@ def family_chsh(beta, visibility: float, n: int, strategy: BinningStrategy):
     """CHSH value of the one-angle settings family (0, 2b, b, -b).
 
     beta may be a scalar (returns a float) or an array (returns an array).
-    Raises InvalidArgumentError for n < 1 or a visibility outside [0, 1].
+    Raises InvalidArgumentError for n < 1, a visibility outside [0, 1] or
+    a beta that is not finite.
     """
     if n < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n!r}")
     if not 0.0 <= visibility <= 1.0:
         raise InvalidArgumentError(f"visibility {visibility!r} outside [0, 1]")
     beta = np.asarray(beta, dtype=float)
+    # the optimizers make thousands of scalar calls, for which
+    # math.isfinite is far cheaper than a numpy reduction
+    if not (math.isfinite(beta) if beta.ndim == 0
+            else np.isfinite(beta).all()):
+        raise InvalidArgumentError("beta must be a finite number")
     f = binned_correlator_from_e(
         visibility * np.cos(np.stack([beta, 3.0 * beta])), n, strategy)
     s = 3.0 * f[0] - f[1]

@@ -109,6 +109,35 @@ def crossover_bisect(v_values, n_values,
     return None
 
 
+def finite_population_parity_sigma(sequences: dict, n: int) -> float:
+    """Limit of the shuffle bootstrap's parity sigma as resamples grow.
+
+    Reshuffling and clustering draws clusters without replacement.  A
+    parity cluster's sign is (-1)^d, with d the cluster's discordant
+    events, so for a pair with N events, D of them discordant, and m
+    clusters, Var(E) = (1 - E_n^2)/m + (1 - 1/m)(E_2n - E_n^2), where
+    E_k = E[(-1)^Hyp(N, D, k)].  The setting pairs are independent, so
+    their variances add.
+    """
+    from scipy.stats import hypergeom
+
+    def parity_moment(total, discordant, k):
+        d = np.arange(max(0, k - (total - discordant)),
+                      min(k, discordant) + 1)
+        return float(np.sum((-1.0) ** d
+                            * hypergeom.pmf(d, total, discordant, k)))
+
+    var = 0.0
+    for key in SETTING_PAIRS:
+        a, b = sequences[key]
+        total, discordant = len(a), int(np.count_nonzero(a != b))
+        m = total // n
+        e_n = parity_moment(total, discordant, n)
+        e_2n = parity_moment(total, discordant, 2 * n)
+        var += (1.0 - e_n ** 2) / m + (1.0 - 1.0 / m) * (e_2n - e_n ** 2)
+    return math.sqrt(max(var, 0.0))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

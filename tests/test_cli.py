@@ -1,9 +1,12 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from manypairs.cli import main
+from manypairs.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -219,7 +222,9 @@ class TestErrors:
         ("max-s", "--strategy", "majority", "--n", "3", "--beta", "0.3",
          "--v", "1.5"),
         ("max-s", "--strategy", "majority", "--n", "0", "--beta", "0.3"),
-    ], ids=["visibility-above-1", "zero-pairs"])
+        ("max-s", "--n", "3", "--beta", "nan"),
+        ("max-s", "--n", "3", "--beta", "inf"),
+    ], ids=["visibility-above-1", "zero-pairs", "beta-nan", "beta-inf"])
     def test_max_s_domain_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1
@@ -262,11 +267,17 @@ class TestErrors:
         ("max-s", "--n", "2", "--beta", "0.1..0.3", "--beta-points", "0"),
         ("scan-vc", "--n", "5..3"),
         ("scan-vc", "--n", ","),
+        ("simulate", "--beta", "0.2", "--v", "0.9", "--seed", "-1",
+         "--out", "e.jsonl"),
+        ("analyze", "--files", "e.jsonl", "--n", "1", "--seed", "-1"),
+        ("analyze", "--files", "e.jsonl", "--n", "1", "--seed", "0",
+         "--threads", "2"),
     ], ids=["malformed-n", "malformed-beta", "malformed-v",
             "malformed-override", "simulate-without-out",
             "format-contradicts-suffix", "ratio-negative-points",
             "ratio-zero-points", "compare-zero-points", "max-s-zero-points",
-            "empty-n-range", "empty-n-list"])
+            "empty-n-range", "empty-n-list", "simulate-negative-seed",
+            "analyze-negative-seed", "analyze-threads-gone"])
     def test_usage_error_exit_2(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -275,3 +286,46 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert not (tmp_path / "e.jsonl").exists()
+
+    @pytest.mark.parametrize("argv, path", [
+        (("max-s", "--n", "3", "--beta", "0.1", "--out", "adir"), "adir"),
+        (("simulate", "--beta", "0.2", "--v", "0.9", "--events", "10",
+          "--seed", "0", "--out", "adir"), "adir"),
+        (("ratio", "--v", "0.99", "--out", "afile/x.csv"), "afile/x.csv"),
+    ], ids=["emit-to-directory", "simulate-to-directory",
+            "parent-is-a-file"])
+    def test_unwritable_out_exit_1(self, tmp_path, monkeypatch, capsys, argv,
+                                   path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}: cannot write")
+        assert len(err.splitlines()) == 1
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """Every `manypairs ...` command in the README's sh blocks, as argv."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("manypairs "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_cli_examples_parse():
+    commands = readme_cli_examples()
+    assert {argv[0] for argv in commands} == {
+        "scan-vc", "max-s", "compare", "ratio", "simulate", "analyze"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: manypairs "
+                        f"{shlex.join(argv)}")

@@ -75,6 +75,14 @@ class TestFastCorrelatorPath:
         with pytest.raises(InvalidArgumentError):
             family_chsh(0.3, -0.1, 3, strategy)
 
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf,
+                                      np.array([0.1, math.nan])],
+                             ids=["nan", "inf", "-inf", "array-with-nan"])
+    def test_non_finite_beta_rejected(self, strategy, beta):
+        with pytest.raises(InvalidArgumentError, match="beta"):
+            family_chsh(beta, 0.9, 3, strategy)
+
     def test_matches_convolution(self, rng):
         strategies = (Majority(TiePolicy.TIE_TO_MINUS),
                       Majority(TiePolicy.TIE_TO_PLUS),
