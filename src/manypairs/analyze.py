@@ -9,6 +9,7 @@ cluster size that still shows a violation.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,11 +19,15 @@ from .binning import BinningStrategy, ChshEstimate, chsh_value, sign_vector
 from .errors import (IngestionError, InsufficientDataError,
                      InvalidArgumentError)
 from .pairstats import SETTING_PAIRS
-from .simulate import (CSV_STREAM_PREFIX, EventStream, event_format,
+from .simulate import (CSV_EVENT, CSV_HEADER, CSV_STREAM_PREFIX, JSONL_EVENT,
+                       EventStream, check_seed, event_format,
                        variant_inversions)
 
 #: Column names of the CSV event form.
 _CSV_COLUMNS = ("x", "y", "variant", "a", "b")
+
+#: First row of a run of CSV rows that the bulk reader takes.
+_CSV_FIRST_ROW = re.compile(rb"[0-9],[0-9],[0-3],[01],[01]\n")
 
 #: Stream metadata that must agree between streams pooled under one beta;
 #: "table" is compared per setting pair.  Seeds and event counts may differ.
@@ -71,23 +76,165 @@ def _stream_meta(header: dict) -> dict:
             if k not in ("settingPair", "basisVariant")}
 
 
-def read_jsonl(path) -> list[EventStream]:
-    """Parse a JSON-lines event file into streams (physical bits)."""
-    path = Path(path)
+def _stream_header(header: dict) -> tuple[tuple, int, dict]:
+    """Setting pair, basis variant and metadata of a JSON-lines header.
+
+    Raises ValueError saying what is malformed.
+    """
+    try:
+        variant = int(header.get("basisVariant", -1))
+    except (TypeError, ValueError, OverflowError):
+        variant = -1
+    if variant not in (0, 1, 2, 3):
+        raise ValueError("basis variant outside 0..3")
+    pair = header["settingPair"]
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(v, int) for v in pair)):
+        raise ValueError(f"setting pair {pair!r} is not two integers")
+    return tuple(pair), variant, _stream_meta(header)
+
+
+def _json_object(line: bytes) -> dict | None:
+    """The JSON object on one line of an event file, or None when the
+    line is not ASCII, holds a carriage return (which the line parser
+    reads as a line break) or is not a JSON object."""
+    if not line.isascii() or b"\r" in line:
+        return None
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError):
+        return None
+    return obj if isinstance(obj, dict) else None
+
+
+def _event_bits(block: np.ndarray, template: bytes, columns):
+    """(a, b) of a run of event lines, or None if any line departs from
+    `template` other than by a 0 or 1 bit at `columns`."""
+    width = len(template)
+    if len(block) % width:
+        return None
+    diff = block.reshape(-1, width) ^ np.frombuffer(template, np.uint8)
+    limit = np.zeros(width, dtype=np.uint8)
+    limit[list(columns)] = 1
+    if np.any(diff.max(axis=0, initial=0) > limit):
+        return None
+    return diff[:, columns[0]].copy(), diff[:, columns[1]].copy()
+
+
+def _bulk_jsonl(raw: bytes) -> list[EventStream] | None:
+    """Streams of a file in `write_jsonl`'s layout, or None for any other.
+
+    Header lines are found by their "settingPair" key and parsed with
+    json; the event lines between two headers are one zero-copy block.
+    """
+    template, columns = JSONL_EVENT
+    buf = np.frombuffer(raw, dtype=np.uint8)
     streams: list[EventStream] = []
-    header = None
+    fields = None
+    pos = 0
+    while True:
+        key = raw.find(b'"settingPair"', pos)
+        start = len(raw) if key < 0 else max(raw.rfind(b"\n", pos, key) + 1,
+                                               pos)
+        bits = _event_bits(buf[pos:start], template, columns)
+        if bits is None or (fields is None and len(bits[0])):
+            return None
+        if fields is not None:
+            pair, variant, meta = fields
+            streams.append(EventStream(setting_pair=pair,
+                                       basis_variant=variant, a=bits[0],
+                                       b=bits[1], meta=meta))
+        if key < 0:
+            return streams
+        end = raw.find(b"\n", key)
+        pos = len(raw) if end < 0 else end + 1
+        header = _json_object(raw[start:pos])
+        if header is None or "settingPair" not in header:
+            return None
+        try:
+            fields = _stream_header(header)
+        except ValueError:
+            return None
+
+
+def _bulk_csv(raw: bytes) -> list[EventStream] | None:
+    """Streams of a file in `write_csv`'s layout, or None for any other.
+
+    Every run of rows between two `# stream:` lines must hold one
+    (x, y, variant), with x, y <= 9 and variant <= 3 as single digits.
+    """
+    header = CSV_HEADER.encode()
+    prefix = CSV_STREAM_PREFIX.encode()
+    suffix, columns = CSV_EVENT
+    if not raw.startswith(header):
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    streams: list[EventStream] = []
+    meta: dict = {}
+    pos = len(header)
+    while True:
+        key = raw.find(prefix, pos)
+        start = len(raw) if key < 0 else key
+        if start > pos:
+            first = raw[pos:raw.find(b"\n", pos) + 1]
+            if not _CSV_FIRST_ROW.fullmatch(first):
+                return None
+            template = first[:-len(suffix)] + suffix
+            bits = _event_bits(buf[pos:start], template, columns)
+            if bits is None:
+                return None
+            x, y, variant = (int(c) for c in first[:5].split(b","))
+            streams.append(EventStream(setting_pair=(x, y),
+                                       basis_variant=variant, a=bits[0],
+                                       b=bits[1], meta=dict(meta)))
+        if key < 0:
+            return streams
+        end = raw.find(b"\n", key)
+        pos = len(raw) if end < 0 else end + 1
+        meta = _json_object(raw[key + len(prefix):pos])
+        if meta is None:
+            return None
+        meta = _stream_meta(meta)
+
+
+def read_jsonl(path) -> list[EventStream]:
+    """Parse a JSON-lines event file into streams (physical bits).
+
+    A file in `write_jsonl`'s layout is read in bulk; any other goes
+    through the line parser, which reports errors as `path:line`.
+    """
+    path = Path(path)
+    streams = _bulk_jsonl(path.read_bytes())
+    return _read_jsonl_lines(path) if streams is None else streams
+
+
+def read_csv(path) -> list[EventStream]:
+    """Parse the compact CSV form (x, y, variant, a, b) into streams.
+
+    A `# stream: {json}` comment line carries the metadata of the rows
+    after it; files without such lines read with empty metadata.  A file
+    in `write_csv`'s layout is read in bulk; any other goes through the
+    line parser, which reports errors as `path:line`.
+    """
+    path = Path(path)
+    streams = _bulk_csv(path.read_bytes())
+    return _read_csv_lines(path) if streams is None else streams
+
+
+def _read_jsonl_lines(path: Path) -> list[EventStream]:
+    streams: list[EventStream] = []
+    fields = None
     a_bits: list[int] = []
     b_bits: list[int] = []
 
     def flush():
-        if header is None:
+        if fields is None:
             return
+        pair, variant, meta = fields
         streams.append(EventStream(
-            setting_pair=tuple(header["settingPair"]),
-            basis_variant=int(header["basisVariant"]),
+            setting_pair=pair, basis_variant=variant,
             a=np.array(a_bits, dtype=np.uint8),
-            b=np.array(b_bits, dtype=np.uint8),
-            meta=_stream_meta(header)))
+            b=np.array(b_bits, dtype=np.uint8), meta=meta))
 
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -96,17 +243,19 @@ def read_jsonl(path) -> list[EventStream]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers JSONDecodeError and integers longer
+                # than Python converts; RecursionError, deep nesting
                 raise IngestionError(f"{path}:{lineno}: bad JSON ({exc})")
-            if "settingPair" in obj:
+            if isinstance(obj, dict) and "settingPair" in obj:
                 flush()
-                header = obj
+                try:
+                    fields = _stream_header(obj)
+                except ValueError as exc:
+                    raise IngestionError(f"{path}:{lineno}: {exc}")
                 a_bits, b_bits = [], []
-                if int(obj.get("basisVariant", -1)) not in (0, 1, 2, 3):
-                    raise IngestionError(
-                        f"{path}:{lineno}: basis variant outside 0..3")
-            elif "a" in obj and "b" in obj:
-                if header is None:
+            elif isinstance(obj, dict) and "a" in obj and "b" in obj:
+                if fields is None:
                     raise IngestionError(
                         f"{path}:{lineno}: event record before any header")
                 if obj["a"] not in (0, 1) or obj["b"] not in (0, 1):
@@ -121,13 +270,7 @@ def read_jsonl(path) -> list[EventStream]:
     return streams
 
 
-def read_csv(path) -> list[EventStream]:
-    """Parse the compact CSV form (x, y, variant, a, b) into streams.
-
-    A `# stream: {json}` comment line carries the metadata of the rows
-    after it; files without such lines read with empty metadata.
-    """
-    path = Path(path)
+def _read_csv_lines(path: Path) -> list[EventStream]:
     metas: list[dict] = [{}]
     chunks: dict[tuple, list] = {}
     with path.open() as fh:
@@ -140,9 +283,12 @@ def read_csv(path) -> list[EventStream]:
             if line.startswith(CSV_STREAM_PREFIX):
                 try:
                     header = json.loads(line[len(CSV_STREAM_PREFIX):])
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise IngestionError(
                         f"{path}:{lineno}: bad stream metadata ({exc})")
+                if not isinstance(header, dict):
+                    raise IngestionError(
+                        f"{path}:{lineno}: stream metadata is not an object")
                 metas.append(_stream_meta(header))
                 continue
             cells = line.strip().split(",")
@@ -245,17 +391,48 @@ def ingest(paths) -> dict:
             for beta, group in streams_by_beta(paths).items()}
 
 
-def cluster_events(sequence: tuple[np.ndarray, np.ndarray],
-                   n: int) -> ClusteredOutcomes:
-    """Sum bits over sequential non-overlapping windows of n events."""
+@dataclass(frozen=True)
+class RunningTotals:
+    """Cumulative a and b counts of one setting pair's events.
+
+    `counts[:, k]` sums the first k events (a shape (2, events + 1)
+    array), so the counts of any window are the difference of two of its
+    columns.  The totals are int32, half the memory of int64, unless
+    that could overflow.
+    """
+
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, sequence: tuple[np.ndarray, np.ndarray]) -> "RunningTotals":
+        a, b = sequence
+        dtype = np.int32 if len(a) < 2 ** 31 else np.int64
+        counts = np.empty((2, len(a) + 1), dtype=dtype)
+        counts[:, 0] = 0
+        np.cumsum(a, dtype=dtype, out=counts[0, 1:])
+        np.cumsum(b, dtype=dtype, out=counts[1, 1:])
+        return cls(counts)
+
+
+def cluster_events(sequence, n: int) -> ClusteredOutcomes:
+    """Sum bits over sequential non-overlapping windows of n events.
+
+    `sequence` is a setting pair's (a, b) bit arrays or their
+    `RunningTotals`; with the totals at hand each n costs O(events / n).
+    """
     if n < 1:
         raise InvalidArgumentError(f"cluster size must be >= 1, got {n!r}")
-    a, b = sequence
-    m = len(a) // n
-    a_counts = a[:m * n].reshape(m, n).sum(axis=1).astype(np.int64)
-    b_counts = b[:m * n].reshape(m, n).sum(axis=1).astype(np.int64)
+    if not isinstance(sequence, RunningTotals):
+        sequence = RunningTotals.of(sequence)
+    totals = sequence.counts
+    events = totals.shape[1] - 1
+    m = events // n
+    # int64 counts whatever the totals' width: numpy indexes with int64
+    # at about twice the speed of int32
+    a_counts, b_counts = np.subtract(totals[:, n:m * n + 1:n],
+                                     totals[:, :m * n:n], dtype=np.int64)
     return ClusteredOutcomes(n=int(n), a_counts=a_counts, b_counts=b_counts,
-                             discarded=int(len(a) - m * n))
+                             discarded=int(events - m * n))
 
 
 def _binned_signs(counts: np.ndarray, n: int, strategy: BinningStrategy,
@@ -297,12 +474,14 @@ def bootstrap_sn(sequences: dict, n_values, strategy: BinningStrategy,
     """Shuffle-recluster bootstrap of S_n: (sample means, sample stds).
 
     Both arrays follow `n_values`.  Each resample permutes every setting
-    pair's event order once and re-clusters that order at every n.  The
-    shuffle generator is seeded from `seed` (an int or a sequence of
-    ints) and draws only permutations; randomized majority ties at n draw
-    from a generator seeded from (`seed`, n).  A row's values therefore
-    do not depend on the other n of the grid.
+    pair's event order once and re-clusters that order at every n from
+    one running total per pair.  The shuffle generator is seeded from
+    `seed` (an int or a sequence of ints, each >= 0) and draws only
+    permutations; randomized majority ties at n draw from a generator
+    seeded from (`seed`, n).  A row's values therefore do not depend on
+    the other n of the grid.
     """
+    check_seed(seed)
     if resamples < 2:
         raise InvalidArgumentError(f"resamples must be >= 2, got {resamples}")
     n_values = [int(n) for n in n_values]
@@ -314,13 +493,14 @@ def bootstrap_sn(sequences: dict, n_values, strategy: BinningStrategy,
     packed = {key: (sequences[key][0] | (sequences[key][1] << np.uint8(1)))
               for key in SETTING_PAIRS}
     values = np.empty((len(n_values), resamples))
+    totals = {}
     for i in range(resamples):
-        shuffled = {}
         for key in SETTING_PAIRS:
             codes = shuffle_rng.permuted(packed[key])
-            shuffled[key] = (codes & np.uint8(1), codes >> np.uint8(1))
+            totals[key] = RunningTotals.of((codes & np.uint8(1),
+                                            codes >> np.uint8(1)))
         for j, (n, tie_rng) in enumerate(zip(n_values, tie_rngs)):
-            clustered = {key: cluster_events(shuffled[key], n)
+            clustered = {key: cluster_events(totals[key], n)
                          for key in SETTING_PAIRS}
             values[j, i] = estimate_sn(clustered, strategy, rng=tie_rng).s
     # reduce each n's row on its own, so it sums as a lone n would
@@ -337,31 +517,36 @@ def find_nc(sequences_per_beta: dict, strategy: BinningStrategy, n_values,
     n_critical is the largest n at which any beta meets the criterion (0,
     with a note, when none does).
     """
+    check_seed(seed)
     if not sequences_per_beta:
         raise InvalidArgumentError("need data for at least one beta")
     n_values = sorted({int(n) for n in n_values})
     betas = sorted(sequences_per_beta)
-    sigmas = [bootstrap_sn(sequences_per_beta[beta], n_values, strategy,
-                           resamples=resamples, seed=(int(seed), bi))[1]
-              for bi, beta in enumerate(betas)]
-    entries = []
-    n_critical = 0
-    for j, n in enumerate(n_values):
-        for bi, beta in enumerate(betas):
-            sequences = sequences_per_beta[beta]
+    rows = []  # rows[bi][j]: the (beta, n) entry of beta index bi, n_values[j]
+    for bi, beta in enumerate(betas):
+        sequences = sequences_per_beta[beta]
+        sigmas = bootstrap_sn(sequences, n_values, strategy,
+                              resamples=resamples, seed=(int(seed), bi))[1]
+        totals = {key: RunningTotals.of(sequences[key])
+                  for key in SETTING_PAIRS}
+        rows.append([])
+        for n, sigma in zip(n_values, sigmas):
             tie_rng = np.random.default_rng(
                 np.random.SeedSequence([int(seed), bi, n]))
-            clustered = {key: cluster_events(sequences[key], n)
+            clustered = {key: cluster_events(totals[key], n)
                          for key in SETTING_PAIRS}
             s = estimate_sn(clustered, strategy, rng=tie_rng).s
-            sigma = float(sigmas[bi][j])
-            entries.append((float(beta), n, float(s), sigma))
-            if isinstance(criterion, MinusKSigma):
-                violated = s - criterion.k * sigma > 2.0
-            else:
-                violated = s > 2.0
-            if violated:
-                n_critical = max(n_critical, n)
+            rows[-1].append((float(beta), n, float(s), float(sigma)))
+    entries = [beta_rows[j] for j in range(len(n_values))
+               for beta_rows in rows]
+    n_critical = 0
+    for _, n, s, sigma in entries:
+        if isinstance(criterion, MinusKSigma):
+            violated = s - criterion.k * sigma > 2.0
+        else:
+            violated = s > 2.0
+        if violated:
+            n_critical = max(n_critical, n)
     note = None if n_critical > 0 else "no n satisfied the criterion"
     return SnCurve(strategy=strategy, entries=tuple(entries),
                    n_critical=n_critical, criterion=criterion, note=note)

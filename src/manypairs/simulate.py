@@ -25,6 +25,15 @@ DEFAULT_EVENTS_PER_RUN = 16000
 #: Prefix of the CSV comment line that carries one stream's metadata.
 CSV_STREAM_PREFIX = "# stream: "
 
+#: First line of the CSV form, naming its columns.
+CSV_HEADER = "x,y,variant,a,b\n"
+
+#: An event line of each format with both bits 0, and the byte columns of
+#: its a and b bits.  A CSV event line starts with the stream's
+#: `x,y,variant,`; these are the bytes after it.
+JSONL_EVENT = (b'{"a": 0, "b": 0}\n', (6, 14))
+CSV_EVENT = (b"0,0\n", (-4, -2))
+
 
 @dataclass(frozen=True)
 class DetectorModel:
@@ -78,6 +87,14 @@ def setting_index(setting_pair: tuple[int, int]) -> int:
     return 2 * (x - 1) + (y - 1)
 
 
+def check_seed(seed) -> None:
+    """Raise InvalidArgumentError unless the seed, or each entry of a
+    sequence of seeds, is >= 0."""
+    for value in seed if isinstance(seed, (tuple, list)) else (seed,):
+        if value < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {seed!r}")
+
+
 def stream_seed(seed: int, variant: int, setting_pair: tuple[int, int]) -> int:
     """Fixed sub-stream seed splitting rule: seed + variant*1e9 + index."""
     return int(seed) + variant * 10 ** 9 + setting_index(setting_pair)
@@ -95,6 +112,7 @@ def generate_run(table: CorrelatorTable, setting_pair: tuple[int, int],
     and each event then survives thinning with probability
     eta_A(port) * eta_B(port).  Fully reproducible from the seed.
     """
+    check_seed(seed)
     if n_events < 1:
         raise InvalidArgumentError(f"n_events must be >= 1, got {n_events!r}")
     if not 0.0 <= discard_prob < 1.0:
@@ -170,14 +188,30 @@ def _header(stream: EventStream) -> dict:
     return header
 
 
+def _event_lines(template: bytes, columns, stream: EventStream):
+    """The stream's events as one (events, line width) uint8 block.
+
+    Each line is `template` with the a and b bits set at `columns`.
+    """
+    lines = np.empty((len(stream), len(template)), dtype=np.uint8)
+    lines[:] = np.frombuffer(template, dtype=np.uint8)
+    for column, bits in zip(columns, (stream.a, stream.b)):
+        bits = np.asarray(bits)
+        if np.any((bits != 0) & (bits != 1)):
+            raise InvalidArgumentError(
+                f"stream {stream.setting_pair}/{stream.basis_variant}: "
+                "outcomes must be bits")
+        lines[:, column] |= bits.astype(np.uint8)  # b"0" | 1 == b"1"
+    return lines
+
+
 def write_jsonl(streams, path) -> None:
     """Write streams as JSON lines: a header object, then one {a,b}/event."""
-    path = Path(path)
-    with path.open("w") as fh:
+    template, columns = JSONL_EVENT
+    with Path(path).open("wb") as fh:
         for stream in streams:
-            fh.write(json.dumps(_header(stream)) + "\n")
-            for a, b in zip(stream.a.tolist(), stream.b.tolist()):
-                fh.write(f'{{"a": {a}, "b": {b}}}\n')
+            fh.write(json.dumps(_header(stream)).encode() + b"\n")
+            fh.write(_event_lines(template, columns, stream))
 
 
 def write_csv(streams, path) -> None:
@@ -186,15 +220,15 @@ def write_csv(streams, path) -> None:
     Each stream's rows follow a `# stream: {json}` comment line holding
     the same header object as the JSON-lines form.
     """
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write("x,y,variant,a,b\n")
+    suffix, columns = CSV_EVENT
+    with Path(path).open("wb") as fh:
+        fh.write(CSV_HEADER.encode())
         for stream in streams:
-            fh.write(CSV_STREAM_PREFIX + json.dumps(_header(stream)) + "\n")
+            fh.write((CSV_STREAM_PREFIX + json.dumps(_header(stream))
+                      + "\n").encode())
             x, y = stream.setting_pair
-            v = stream.basis_variant
-            for a, b in zip(stream.a.tolist(), stream.b.tolist()):
-                fh.write(f"{x},{y},{v},{a},{b}\n")
+            prefix = f"{x},{y},{stream.basis_variant},".encode()
+            fh.write(_event_lines(prefix + suffix, columns, stream))
 
 
 def write_streams(streams, path) -> None:

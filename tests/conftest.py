@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from manypairs.analyze import ClusteredOutcomes
 from manypairs.binning import Majority, Parity
 from manypairs.errors import NoViolationError
 from manypairs.optimize import SettingsMode, max_chsh
 from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
                                  PairJointDistribution, joint_table)
+from manypairs.simulate import CSV_STREAM_PREFIX, _header
 
 
 def random_feasible_table(rng: np.random.Generator,
@@ -109,6 +113,29 @@ def crossover_bisect(v_values, n_values,
     return None
 
 
+def parity_moment(total: int, discordant: int, k: int) -> float:
+    """E[(-1)^d] for d ~ Hyp(total, discordant, k): the mean parity sign
+    of k events drawn without replacement from `total`, `discordant` of
+    them with a != b."""
+    from scipy.stats import hypergeom
+
+    d = np.arange(max(0, k - (total - discordant)), min(k, discordant) + 1)
+    return float(np.sum((-1.0) ** d * hypergeom.pmf(d, total, discordant, k)))
+
+
+def _parity_moments(sequences: dict, k: int) -> dict:
+    return {key: parity_moment(len(a), int(np.count_nonzero(a != b)), k)
+            for key, (a, b) in sequences.items()}
+
+
+def shuffle_parity_mean(sequences: dict, n: int) -> float:
+    """Expectation of the parity S_n over reshuffled orders: each cluster
+    of a pair has mean sign E_n, so S = E_n(11) + E_n(12) + E_n(21) -
+    E_n(22)."""
+    e = _parity_moments(sequences, n)
+    return e[(1, 1)] + e[(1, 2)] + e[(2, 1)] - e[(2, 2)]
+
+
 def finite_population_parity_sigma(sequences: dict, n: int) -> float:
     """Limit of the shuffle bootstrap's parity sigma as resamples grow.
 
@@ -119,23 +146,45 @@ def finite_population_parity_sigma(sequences: dict, n: int) -> float:
     E_k = E[(-1)^Hyp(N, D, k)].  The setting pairs are independent, so
     their variances add.
     """
-    from scipy.stats import hypergeom
-
-    def parity_moment(total, discordant, k):
-        d = np.arange(max(0, k - (total - discordant)),
-                      min(k, discordant) + 1)
-        return float(np.sum((-1.0) ** d
-                            * hypergeom.pmf(d, total, discordant, k)))
-
+    e_n, e_2n = _parity_moments(sequences, n), _parity_moments(sequences,
+                                                               2 * n)
     var = 0.0
-    for key in SETTING_PAIRS:
-        a, b = sequences[key]
-        total, discordant = len(a), int(np.count_nonzero(a != b))
-        m = total // n
-        e_n = parity_moment(total, discordant, n)
-        e_2n = parity_moment(total, discordant, 2 * n)
-        var += (1.0 - e_n ** 2) / m + (1.0 - 1.0 / m) * (e_2n - e_n ** 2)
+    for key, (a, _) in sequences.items():
+        m = len(a) // n
+        var += ((1.0 - e_n[key] ** 2) / m
+                + (1.0 - 1.0 / m) * (e_2n[key] - e_n[key] ** 2))
     return math.sqrt(max(var, 0.0))
+
+
+def reshape_cluster_events(sequence, n: int) -> ClusteredOutcomes:
+    """Window sums by reshaping the first m * n bits to (m, n)."""
+    a, b = sequence
+    m = len(a) // n
+    a_counts = a[:m * n].reshape(m, n).sum(axis=1).astype(np.int64)
+    b_counts = b[:m * n].reshape(m, n).sum(axis=1).astype(np.int64)
+    return ClusteredOutcomes(n=int(n), a_counts=a_counts, b_counts=b_counts,
+                             discarded=int(len(a) - m * n))
+
+
+def write_jsonl_lines(streams, path) -> None:
+    """Event writer of the JSON-lines form, one formatted line per event."""
+    with Path(path).open("w") as fh:
+        for stream in streams:
+            fh.write(json.dumps(_header(stream)) + "\n")
+            for a, b in zip(stream.a.tolist(), stream.b.tolist()):
+                fh.write(f'{{"a": {a}, "b": {b}}}\n')
+
+
+def write_csv_lines(streams, path) -> None:
+    """Event writer of the CSV form, one formatted line per event."""
+    with Path(path).open("w") as fh:
+        fh.write("x,y,variant,a,b\n")
+        for stream in streams:
+            fh.write(CSV_STREAM_PREFIX + json.dumps(_header(stream)) + "\n")
+            x, y = stream.setting_pair
+            v = stream.basis_variant
+            for a, b in zip(stream.a.tolist(), stream.b.tolist()):
+                fh.write(f"{x},{y},{v},{a},{b}\n")
 
 
 @pytest.fixture

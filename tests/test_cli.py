@@ -241,12 +241,31 @@ class TestErrors:
         ("scan-vc", "--n", "2..4", "--width", "nan"),
         ("analyze", "--files", "missing.jsonl", "--n", "1", "--seed", "0"),
         ("analyze", "--files", "binary.csv", "--n", "1", "--seed", "0"),
+        ("analyze", "--files", "stream5.csv", "--n", "1", "--seed", "0"),
+        ("analyze", "--files", "record5.jsonl", "--n", "1", "--seed", "0"),
+        ("analyze", "--files", "variantx.jsonl", "--n", "1", "--seed", "0"),
+        ("analyze", "--files", "pair3.jsonl", "--n", "1", "--seed", "0"),
+        ("analyze", "--files", "long.jsonl", "--n", "1", "--seed", "0"),
     ], ids=["compare-tol-0", "compare-tol-negative", "compare-tol-nan",
             "scan-vc-width-0", "scan-vc-width-nan", "analyze-missing-file",
-            "analyze-binary-file"])
+            "analyze-binary-file", "analyze-csv-stream-not-object",
+            "analyze-jsonl-record-not-object",
+            "analyze-jsonl-variant-not-integer",
+            "analyze-jsonl-pair-not-list", "analyze-jsonl-long-integer"])
     def test_bad_value_exit_1(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "binary.csv").write_bytes(b"x,y,variant,a,b\n\xff\xfe\n")
+        (tmp_path / "stream5.csv").write_text(
+            "x,y,variant,a,b\n# stream: 5\n1,1,0,1,0\n")
+        (tmp_path / "record5.jsonl").write_text(
+            '{"settingPair": [1, 1], "basisVariant": 0}\n5\n')
+        (tmp_path / "variantx.jsonl").write_text(
+            '{"settingPair": [1, 1], "basisVariant": "x"}\n')
+        (tmp_path / "pair3.jsonl").write_text(
+            '{"settingPair": 3, "basisVariant": 0}\n{"a": 0, "b": 1}\n')
+        (tmp_path / "long.jsonl").write_text(
+            '{"settingPair": [1, 1], "basisVariant": 0}\n{"a": '
+            + "1" * 5000 + ', "b": 1}\n')
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""

@@ -12,6 +12,8 @@ from manypairs.simulate import (DetectorModel, PERFECT_DETECTORS, EventStream,
                                 write_jsonl)
 from manypairs.analyze import logical_bits, read_csv, read_jsonl
 
+from conftest import write_csv_lines, write_jsonl_lines
+
 
 def empirical_correlator(stream: EventStream) -> float:
     agree = (stream.a == stream.b).mean()
@@ -54,6 +56,12 @@ class TestGenerateRun:
         t = CorrelatorTable(-1.0, 0, 0, 0, marg_a1=1.0)
         with pytest.raises(InfeasibleStatisticsError):
             generate_run(t, (1, 1), 10, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, -10 ** 9])
+    def test_negative_seed_rejected(self, seed):
+        t = CorrelatorTable(0, 0, 0, 0)
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            generate_run(t, (2, 1), 10, seed=seed, basis_variant=3)
 
     def test_invalid_event_count(self):
         t = CorrelatorTable(0, 0, 0, 0)
@@ -157,6 +165,30 @@ class TestRoundTrip:
             assert np.array_equal(rt.b, orig.b)
             assert rt.meta["beta"] == 0.5
             assert rt.meta["table"] == orig.meta["table"]
+
+    @pytest.mark.parametrize("write, oracle, suffix", [
+        (write_jsonl, write_jsonl_lines, ".jsonl"),
+        (write_csv, write_csv_lines, ".csv"),
+    ], ids=["jsonl", "csv"])
+    def test_bulk_writer_matches_line_writer(self, tmp_path, write, oracle,
+                                             suffix):
+        streams = self._streams()
+        t = werner_correlators(settings_from_beta(0.5), 0.97)
+        # a stream whose detectors keep no event
+        streams.append(generate_run(t, (2, 1), 30, DetectorModel(0, 0, 0, 0),
+                                    seed=9, extra_meta={"beta": 0.5}))
+        assert len(streams[-1]) == 0
+        got, want = tmp_path / f"got{suffix}", tmp_path / f"want{suffix}"
+        write(streams, got)
+        oracle(streams, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("write", [write_jsonl, write_csv])
+    def test_writer_rejects_non_bits(self, tmp_path, write):
+        stream = EventStream((1, 1), 0, a=np.array([0, 2], dtype=np.uint8),
+                             b=np.array([1, 1], dtype=np.uint8))
+        with pytest.raises(InvalidArgumentError, match="bits"):
+            write([stream], tmp_path / "e.out")
 
     def test_csv_without_stream_lines(self, tmp_path):
         path = tmp_path / "old.csv"
