@@ -2,15 +2,14 @@
 
 Exact and Monte Carlo reproduction of the many-pair Bell scenario:
 independent noisy singlet pairs measured collectively, counts binned by
-majority vote or parity, CHSH evaluated and optimized, and the critical
+majority vote or parity, the exact CHSH value of any correlator table
+(`table_chsh`), CHSH optimized over settings, and the critical
 visibility / critical pair-number landscape mapped.
 """
 
 from .binning import (PARITY_BETA_SCALE, PARITY_S_LIMIT, BinningStrategy,
-                      ChshEstimate, Majority, Parity, TiePolicy, bin_count,
-                      binned_correlator, chsh_from_counts, chsh_value,
-                      parity_chsh_analytic)
-from .collective import CountDistribution, combine_counts, convolve_counts
+                      ChshEstimate, Majority, Parity, TiePolicy, chsh_value,
+                      parity_chsh_analytic, table_chsh)
 from .errors import (FitError, InfeasibleStatisticsError, IngestionError,
                      InsufficientDataError, InvalidArgumentError,
                      ManyPairsError, NoViolationError)

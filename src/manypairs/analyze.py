@@ -9,6 +9,7 @@ cluster size that still shows a violation.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +26,9 @@ from .simulate import (CSV_EVENT, CSV_HEADER, CSV_STREAM_PREFIX, JSONL_EVENT,
 
 #: Column names of the CSV event form.
 _CSV_COLUMNS = ("x", "y", "variant", "a", "b")
+
+#: One cell of a CSV event row: a run of ASCII digits.
+_CSV_CELL = re.compile(r"[0-9]+")
 
 #: First row of a run of CSV rows that the bulk reader takes.
 _CSV_FIRST_ROW = re.compile(rb"[0-9],[0-9],[0-3],[01],[01]\n")
@@ -55,9 +59,17 @@ class PointEstimate:
 
 @dataclass(frozen=True)
 class MinusKSigma:
-    """Violation criterion: s - k*sigma exceeds 2."""
+    """Violation criterion: s - k*sigma exceeds 2.
+
+    Raises InvalidArgumentError unless k is a finite number >= 0.
+    """
 
     k: float = 1.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.k) and self.k >= 0.0):
+            raise InvalidArgumentError(
+                f"criterion k must be a finite number >= 0, got {self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -76,20 +88,23 @@ def _stream_meta(header: dict) -> dict:
             if k not in ("settingPair", "basisVariant")}
 
 
+def _is_json_int(value) -> bool:
+    """True for a JSON integer; json reads true/false as bool, an int."""
+    return type(value) is int
+
+
 def _stream_header(header: dict) -> tuple[tuple, int, dict]:
     """Setting pair, basis variant and metadata of a JSON-lines header.
 
-    Raises ValueError saying what is malformed.
+    Both must be JSON integers.  Raises ValueError saying what is
+    malformed.
     """
-    try:
-        variant = int(header.get("basisVariant", -1))
-    except (TypeError, ValueError, OverflowError):
-        variant = -1
-    if variant not in (0, 1, 2, 3):
+    variant = header.get("basisVariant")
+    if not (_is_json_int(variant) and variant in (0, 1, 2, 3)):
         raise ValueError("basis variant outside 0..3")
     pair = header["settingPair"]
     if not (isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(v, int) for v in pair)):
+            and all(_is_json_int(v) for v in pair)):
         raise ValueError(f"setting pair {pair!r} is not two integers")
     return tuple(pair), variant, _stream_meta(header)
 
@@ -258,7 +273,8 @@ def _read_jsonl_lines(path: Path) -> list[EventStream]:
                 if fields is None:
                     raise IngestionError(
                         f"{path}:{lineno}: event record before any header")
-                if obj["a"] not in (0, 1) or obj["b"] not in (0, 1):
+                if not all(_is_json_int(obj[k]) and obj[k] in (0, 1)
+                           for k in ("a", "b")):
                     raise IngestionError(
                         f"{path}:{lineno}: outcomes must be bits")
                 a_bits.append(obj["a"])
@@ -291,14 +307,18 @@ def _read_csv_lines(path: Path) -> list[EventStream]:
                         f"{path}:{lineno}: stream metadata is not an object")
                 metas.append(_stream_meta(header))
                 continue
-            cells = line.strip().split(",")
-            if cells == [""]:
+            row = line.rstrip("\n")
+            if not row.strip():
                 continue
+            cells = row.split(",")
             try:
+                if len(cells) != len(cols) or not all(
+                        _CSV_CELL.fullmatch(c) for c in cells):
+                    raise ValueError
                 x, y, v, a, b = (int(cells[i]) for i in cols)
-            except (IndexError, ValueError):
+            except ValueError:  # int() also refuses over 4300 digits
                 raise IngestionError(
-                    f"{path}:{lineno}: malformed row {line.strip()!r}")
+                    f"{path}:{lineno}: malformed row {row!r}")
             if v not in (0, 1, 2, 3):
                 raise IngestionError(
                     f"{path}:{lineno}: basis variant outside 0..3")

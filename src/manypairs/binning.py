@@ -3,7 +3,8 @@
 Two binnings map a count in {0..n} to a sign: majority vote against the
 threshold n/2 (with a configurable even-n tie policy) and parity of the
 count.  Binned correlators feed the CHSH combination
-S = E11 + E12 + E21 - E22.
+S = E11 + E12 + E21 - E22.  `table_chsh` gives the exact value for n
+independent pairs of any feasible correlator table.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln, xlog1py, xlogy
 
-from .collective import CountDistribution
 from .errors import InvalidArgumentError
+from .pairstats import SETTING_PAIRS, CorrelatorTable, joint_table
 
 #: Large-n ceiling of the parity-binned CHSH value at unit visibility.
 PARITY_S_LIMIT = 8.0 * 3.0 ** (-9.0 / 8.0)
@@ -65,28 +67,6 @@ def sign_vector(n: int, strategy: BinningStrategy) -> np.ndarray:
     return s
 
 
-def bin_count(a: int, n: int, strategy: BinningStrategy,
-              rng: np.random.Generator | None = None) -> int:
-    """Bin one count into +1/-1; randomized ties need an rng to draw from."""
-    if not 0 <= a <= n:
-        raise InvalidArgumentError(f"count {a} outside 0..{n}")
-    s = sign_vector(n, strategy)[int(a)]
-    if s == 0.0:
-        if rng is None:
-            raise InvalidArgumentError(
-                "randomized tie encountered but no rng supplied")
-        return 1 if rng.integers(2) else -1
-    return int(s)
-
-
-def binned_correlator(dist: CountDistribution, x: int, y: int,
-                      strategy: BinningStrategy) -> float:
-    """E^(n) = <sign_A * sign_B> under the count distribution."""
-    s = sign_vector(dist.n, strategy)
-    p = dist.matrix(x, y)
-    return float(s @ p @ s)
-
-
 @dataclass(frozen=True)
 class ChshEstimate:
     """A CHSH value with its four correlators and optional error bar."""
@@ -112,12 +92,70 @@ def chsh_value(correlators, n: int | None = None,
     return ChshEstimate(s=s, correlators=(e11, e12, e21, e22), n=n, sigma=sigma)
 
 
-def chsh_from_counts(dist: CountDistribution,
-                     strategy: BinningStrategy) -> ChshEstimate:
-    """CHSH value of a count distribution under the given binning."""
-    es = tuple(binned_correlator(dist, x, y, strategy)
-               for (x, y) in ((1, 1), (1, 2), (2, 1), (2, 2)))
-    return chsh_value(es, n=dist.n)
+def _log_factorial_remainder(c: np.ndarray) -> np.ndarray:
+    """log(c!) - c log(c) + c for counts c >= 0.
+
+    Stirling's series from c = 16 on avoids subtracting c log(c) from
+    log(c!), which at c = 1000 loses about 1e-12.
+    """
+    big = np.maximum(c, 16.0)
+    r = 1.0 / big
+    r2 = r * r
+    series = 0.5 * np.log(2.0 * math.pi * big) + r * (
+        1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 * (1 / 1680
+                                                       - r2 / 1188))))
+    return np.where(c < 16, gammaln(c + 1.0) - xlogy(c, c) + c, series)
+
+
+def table_chsh(table: CorrelatorTable, n: int,
+               strategy: BinningStrategy) -> ChshEstimate:
+    """Exact binned CHSH value of n independent pairs with this table.
+
+    Any feasible table works, biased marginals included.  Given that a
+    of Alice's n outcomes are 1, i of them with Bob's outcome 1, Bob's
+    count is i + Bin(n - a, q0), q0 = P(B=1 | A=0).  The recursion
+    H_0 = g, H_{r+1}(i) = (1 - q0) H_r(i) + q0 H_r(i + 1) gives
+    H_r(i) = E[g(i + Bin(r, q0))], so
+
+        E[f(A) g(B)] = sum_a f(a) sum_i P(a, i) H_{n-a}(i),
+
+    with P(a, i) the trinomial pmf of the counts (n - a, i, a - i) of
+    A = 0, (A, B) = (1, 1) and (A, B) = (1, 0).  This takes O(n^2) time
+    and O(n) memory, all four setting pairs at once, and every step of
+    H is a convex combination.  Raises InvalidArgumentError for n < 1
+    and InfeasibleStatisticsError for an infeasible table.
+    """
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidArgumentError(f"pair count n must be >= 1, got {n!r}")
+    n = int(n)
+    joint = joint_table(table)
+    p = np.array([joint.table(x, y) for (x, y) in SETTING_PAIRS])
+    p_a0 = p[:, 0, 0] + p[:, 0, 1]
+    q0 = np.divide(p[:, 0, 1], p_a0, out=np.zeros(4), where=p_a0 > 0.0)
+    # log P(a, i) = log(n!) - n log(n) + n + the terms of the three counts,
+    # each -(c log(c / (n prob)) + log(c!) - c log(c) + c); near the mean
+    # a term is of order sqrt(n), where log(c!) is of order n log(n)
+    c = np.arange(n + 1.0)
+    z = _log_factorial_remainder(c)
+    m = n * np.stack([p[:, 1, 1], p[:, 1, 0], p_a0])[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl = xlog1py(c, (c - m) / m)
+    kl[:, :, 0] = 0.0
+    up, down, rest = -(kl + z)
+    # log P(a, i) = up[i] + down[a - i] + shift[a]
+    shift = rest[:, ::-1] + z[n]
+    sign = sign_vector(n, strategy)
+    h = np.broadcast_to(sign, (4, n + 1))
+    stay, move = (1.0 - q0)[:, None], q0[:, None]
+    joint_g = np.empty((n + 1, 4))  # joint_g[a] = E[g(B); count_A = a]
+    for a in range(n, -1, -1):  # h is H_{n-a}, of length a + 1
+        w = up[:, :a + 1] + down[:, a::-1]
+        w += shift[:, a, None]
+        np.exp(w, out=w)
+        w *= h
+        np.add.reduce(w, axis=1, out=joint_g[a])
+        h = stay * h[:, :-1] + move * h[:, 1:]
+    return chsh_value(sign @ joint_g, n=n)
 
 
 def parity_chsh_analytic(beta: float, visibility: float, n: int) -> float:

@@ -224,9 +224,10 @@ def _criterion(text: str):
         return ana.PointEstimate()
     if text.startswith("ksigma:"):
         try:
-            return ana.MinusKSigma(k=float(text.split(":", 1)[1]))
+            k = float(text.split(":", 1)[1])
         except ValueError:
             raise ManyPairsError(f"malformed criterion {text!r}")
+        return ana.MinusKSigma(k=k)
     raise ManyPairsError(f"unknown criterion {text!r}")
 
 

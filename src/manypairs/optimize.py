@@ -10,7 +10,8 @@ with the Fourier weights W_k >= 0 of that function (R. O'Donnell,
 *Analysis of Boolean Functions*, 2014, ch. 2 and Thm 5.19):
 
 * parity: W_n = 1, so f(e) = e^n;
-* majority at odd n: the closed form of Thm 5.19, in O(n) via gammaln;
+* majority at odd n: the closed form of Thm 5.19, in O(n) as a running
+  product of level-to-level ratios;
 * majority at even n with ties to one side: the restriction
   Maj_{n+1}(x, -1), whose level-k weight is C(n, k) times the squared
   Maj_{n+1} coefficient at level k (k odd) or k + 1 (k even);
@@ -18,9 +19,9 @@ with the Fourier weights W_k >= 0 of that function (R. O'Donnell,
   the odd levels.
 
 The weights are cached per (n, binning) and only the nonzero levels are
-evaluated.  The generic convolution route in `collective`/`binning`
-remains the reference implementation; tests pin both routes against
-each other.
+evaluated.  `binning.table_chsh`, the exact route for any correlator
+table, biased marginals included, is the reference; tests pin this
+fast path against it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize as sciopt
-from scipy.special import gammaln
 
 from .binning import (PARITY_BETA_SCALE, BinningStrategy, Majority, Parity,
                       TiePolicy, parity_chsh_analytic)
@@ -66,29 +66,29 @@ _SIMPLEX_MAX_EVALS = 2000
 _CHSH_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
 
 
-def _log_binom(n, k):
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-
-
-def _log_majority_coefficient(m: int, k: np.ndarray) -> np.ndarray:
-    """log |Fourier coefficient| of Maj_m (m odd) on a set of odd size k."""
-    h = (m - 1) // 2
-    return (_log_binom(h, (k - 1) // 2) - _log_binom(m - 1, k - 1)
-            + _log_binom(m - 1, h) + (1 - m) * math.log(2.0))
-
-
 @functools.lru_cache(maxsize=1024)
 def _response_weights(n: int, strategy: BinningStrategy):
-    """Nonzero levels k and Fourier weights W_k of the binning, n >= 1."""
+    """Nonzero levels k and Fourier weights W_k of the binning, n >= 1.
+
+    Majority takes u_k = C(n, k) c_{k|1}^2 for k = 0..n, where c_j is the
+    level-j coefficient of Maj_m, m = n + 1 - n % 2 and h = n // 2, as a
+    running product: u_0 = c_1^2 with c_1 = C(2h, h) / 4^h, and
+    c_{j+2} / c_j = j / (2h - j).  Each factor is a single rounded
+    ratio, so W_k is exact to about k ulps.
+    """
     if isinstance(strategy, Parity):
         levels, weights = np.array([n]), np.array([1.0])
     else:
+        h = n // 2
+        k = np.arange(n)
+        ratio = (n - k) / (k + 1.0)
+        ratio[1::2] *= (k[1::2] / (2.0 * h - k[1::2])) ** 2
+        c1 = np.prod(np.arange(1.0, 2 * h, 2) / np.arange(2.0, 2 * h + 1, 2))
+        u = c1 ** 2 * np.cumprod(np.concatenate(([1.0], ratio)))
         one_sided_ties = (n % 2 == 0 and
                           strategy.tie_policy is not TiePolicy.RANDOMIZED)
         levels = np.arange(n + 1) if one_sided_ties else np.arange(1, n + 1, 2)
-        m = n + 1 - n % 2
-        weights = np.exp(_log_binom(n, levels)
-                         + 2.0 * _log_majority_coefficient(m, levels | 1))
+        weights = u[levels]
     levels.setflags(write=False)
     weights.setflags(write=False)
     return levels, weights

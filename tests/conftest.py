@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from manypairs.analyze import ClusteredOutcomes
-from manypairs.binning import Majority, Parity
+from manypairs.binning import Majority, Parity, sign_vector
 from manypairs.errors import NoViolationError
 from manypairs.optimize import SettingsMode, max_chsh
 from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
@@ -60,6 +60,34 @@ def brute_force_counts(pair: PairJointDistribution, n: int) -> dict:
             mat[a_total, b_total] += prob
         out[(x, y)] = mat
     return out
+
+
+def convolve_counts(pair: PairJointDistribution, n: int) -> dict:
+    """Count distribution by n-fold convolution of each 2x2 joint.
+
+    Entry [a, b] of each (n+1, n+1) matrix is Prob(count_A = a,
+    count_B = b); each step adds one pair as four shifted copies.
+    """
+    out = {}
+    for (x, y) in SETTING_PAIRS:
+        p2 = pair.table(x, y)
+        cur = p2.astype(float)
+        for k in range(1, n):
+            nxt = np.zeros((k + 2, k + 2))
+            nxt[:-1, :-1] += p2[0, 0] * cur
+            nxt[:-1, 1:] += p2[0, 1] * cur
+            nxt[1:, :-1] += p2[1, 0] * cur
+            nxt[1:, 1:] += p2[1, 1] * cur
+            cur = nxt
+        out[(x, y)] = cur
+    return out
+
+
+def counts_correlators(counts: dict, n: int, strategy) -> list:
+    """Binned correlators <sign_A sign_B>, in SETTING_PAIRS order, of the
+    count matrices of `convolve_counts` or `brute_force_counts`."""
+    s = sign_vector(n, strategy)
+    return [float(s @ counts[(x, y)] @ s) for (x, y) in SETTING_PAIRS]
 
 
 def critical_visibility_bisect(n: int, strategy,

@@ -11,16 +11,15 @@ import pytest
 
 from manypairs.analyze import find_nc, sequences_from_streams
 from manypairs.binning import (PARITY_BETA_SCALE, PARITY_S_LIMIT, Majority,
-                               Parity, binned_correlator, chsh_from_counts,
-                               parity_chsh_analytic)
-from manypairs.collective import CountDistribution, combine_counts, convolve_counts
+                               Parity, parity_chsh_analytic, table_chsh)
 from manypairs.optimize import (binning_comparison, critical_pairs,
                                 critical_visibility, fit_vc_curve, max_chsh)
 from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable, joint_table,
                                  settings_from_beta, werner_correlators)
 from manypairs.simulate import DetectorModel, generate_run, generate_symmetrized
 
-from conftest import brute_force_counts, random_feasible_table
+from conftest import (brute_force_counts, counts_correlators,
+                      random_feasible_table)
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -35,15 +34,10 @@ def test_criterion_01_parity_power_identity():
     worst = 0.0
     for _ in range(100):
         table = random_feasible_table(rng, with_marginals=True)
-        pair = joint_table(table)
-        dist = convolve_counts(pair, 1)
-        single = dist
+        es = np.array([table.correlator(x, y) for (x, y) in SETTING_PAIRS])
         for n in range(1, 65):
-            if n > 1:
-                dist = combine_counts(single, dist)
-            for (x, y) in SETTING_PAIRS:
-                got = binned_correlator(dist, x, y, Parity())
-                worst = max(worst, abs(got - table.correlator(x, y) ** n))
+            got = table_chsh(table, n, Parity()).correlators
+            worst = max(worst, float(np.abs(np.array(got) - es ** n).max()))
     report(1, "parity power identity", worst <= 1e-10, f"max err {worst:.2e}")
 
 
@@ -54,14 +48,14 @@ def test_criterion_02_brute_force_oracle():
         table = random_feasible_table(rng, with_marginals=True)
         pair = joint_table(table)
         for n in (1, 2, 3, 4):
-            dist = convolve_counts(pair, n)
-            oracle = CountDistribution(n, brute_force_counts(pair, n))
-            for (x, y) in SETTING_PAIRS:
-                worst = max(worst, float(np.abs(
-                    dist.matrix(x, y) - oracle.matrix(x, y)).max()))
+            oracle = brute_force_counts(pair, n)
             for strategy in (Majority(), Parity()):
-                worst = max(worst, abs(chsh_from_counts(dist, strategy).s
-                                       - chsh_from_counts(oracle, strategy).s))
+                got = table_chsh(table, n, strategy)
+                expected = counts_correlators(oracle, n, strategy)
+                worst = max(worst, float(np.abs(
+                    np.array(got.correlators) - expected).max()))
+                worst = max(worst, abs(got.s - (expected[0] + expected[1]
+                                                + expected[2] - expected[3])))
     report(2, "brute-force oracle n<=4", worst <= 1e-12,
            f"max err {worst:.2e}")
 

@@ -224,8 +224,20 @@ class TestBulkRead:
         (4, '{"a": 2, "b": 0}', "outcomes must be bits"),
         (5, '{"a": 1}', "unrecognized record {'a': 1}"),
         (1, '{"a": 1, "b": 0}', "event record before any header"),
+        (1, '{"settingPair": [1, 1], "basisVariant": 2.7}',
+         "basis variant outside 0..3"),
+        (7, '{"settingPair": [1, 2], "basisVariant": false}',
+         "basis variant outside 0..3"),
+        (1, '{"settingPair": [true, 1], "basisVariant": 0}',
+         "setting pair [True, 1] is not two integers"),
+        (7, '{"settingPair": [1, 2.0], "basisVariant": 0}',
+         "setting pair [1, 2.0] is not two integers"),
+        (4, '{"a": true, "b": 0}', "outcomes must be bits"),
+        (4, '{"a": 1, "b": 0.0}', "outcomes must be bits"),
     ], ids=["bad-json", "bad-variant", "bad-variant-later-header",
-            "not-bits", "unrecognized", "event-before-header"])
+            "not-bits", "unrecognized", "event-before-header",
+            "variant-float", "variant-bool", "pair-bool", "pair-float",
+            "bit-bool", "bit-float"])
     def test_jsonl_malformed_line(self, tmp_path, line, replacement,
                                   message):
         self._check_malformed(tmp_path / "e.jsonl", write_jsonl, line,
@@ -238,8 +250,15 @@ class TestBulkRead:
         (5, "1,1,0,1", "malformed row '1,1,0,1'"),
         (6, "1,1,4,1,0", "basis variant outside 0..3"),
         (9, "1,1,0,0,2", "outcomes must be bits"),
+        (5, "1,1,0,1,0,7", "malformed row '1,1,0,1,0,7'"),
+        (5, "1,1,0,0_1,0", "malformed row '1,1,0,0_1,0'"),
+        (5, "1,1,0,+1,0", "malformed row '1,1,0,+1,0'"),
+        (5, "1,1,0,1, 0", "malformed row '1,1,0,1, 0'"),
+        (5, " 1,1,0,1,0", "malformed row ' 1,1,0,1,0'"),
+        (5, "1,1,0,1,\u0661", "malformed row '1,1,0,1,\u0661'"),
     ], ids=["columns", "bad-metadata", "short-row", "bad-variant",
-            "not-bits"])
+            "not-bits", "six-cells", "underscore", "plus-sign",
+            "space-in-cell", "leading-space", "non-ascii-digit"])
     def test_csv_malformed_line(self, tmp_path, line, replacement, message):
         self._check_malformed(tmp_path / "e.csv", write_csv, line,
                               replacement, message)

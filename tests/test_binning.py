@@ -3,44 +3,35 @@ import math
 import numpy as np
 import pytest
 
-from manypairs.binning import (PARITY_BETA_SCALE, PARITY_S_LIMIT, ChshEstimate,
-                               Majority, Parity, TiePolicy, bin_count,
-                               binned_correlator, chsh_from_counts, chsh_value,
-                               parity_chsh_analytic, sign_vector)
-from manypairs.collective import convolve_counts
-from manypairs.errors import InvalidArgumentError
+from manypairs.binning import (PARITY_BETA_SCALE, PARITY_S_LIMIT, Majority,
+                               Parity, TiePolicy, chsh_value,
+                               parity_chsh_analytic, sign_vector, table_chsh)
 from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable, joint_table,
                                  settings_from_beta, werner_correlators)
 
-from conftest import brute_force_counts, random_feasible_table
+from conftest import (brute_force_counts, counts_correlators,
+                      random_feasible_table)
 
 
-class TestBinCount:
+class TestSignVector:
     def test_majority_single_pair_identity(self):
-        assert bin_count(1, 1, Majority()) == 1
-        assert bin_count(0, 1, Majority()) == -1
+        assert list(sign_vector(1, Majority())) == [-1.0, 1.0]
 
     def test_tie_to_minus_literal(self):
-        assert bin_count(2, 4, Majority(TiePolicy.TIE_TO_MINUS)) == -1
+        assert sign_vector(4, Majority(TiePolicy.TIE_TO_MINUS))[2] == -1.0
 
     def test_tie_to_plus(self):
-        assert bin_count(2, 4, Majority(TiePolicy.TIE_TO_PLUS)) == 1
+        assert sign_vector(4, Majority(TiePolicy.TIE_TO_PLUS))[2] == 1.0
 
-    def test_randomized_tie_needs_rng(self):
-        with pytest.raises(InvalidArgumentError):
-            bin_count(2, 4, Majority(TiePolicy.RANDOMIZED))
-        rng = np.random.default_rng(0)
-        draws = {bin_count(2, 4, Majority(TiePolicy.RANDOMIZED), rng)
-                 for _ in range(50)}
-        assert draws == {-1, 1}
+    def test_randomized_tie_is_zero(self):
+        # a fair coin contributes 0 to every correlator
+        s = sign_vector(4, Majority(TiePolicy.RANDOMIZED))
+        assert list(s) == [-1.0, -1.0, 0.0, 1.0, 1.0]
 
     def test_parity(self):
-        assert bin_count(5, 8, Parity()) == -1
-        assert bin_count(4, 8, Parity()) == 1
-
-    def test_out_of_range(self):
-        with pytest.raises(InvalidArgumentError):
-            bin_count(5, 4, Majority())
+        s = sign_vector(8, Parity())
+        assert s[5] == -1.0
+        assert s[4] == 1.0
 
     def test_odd_n_tie_free(self):
         for n in (1, 3, 5, 7):
@@ -50,28 +41,25 @@ class TestBinCount:
 
 class TestBinnedCorrelator:
     def test_parity_power_small(self):
-        pair = joint_table(CorrelatorTable(0.9, 0.9, 0.9, 0.9))
-        dist = convolve_counts(pair, 3)
-        assert binned_correlator(dist, 1, 1, Parity()) == pytest.approx(
-            0.9 ** 3, abs=1e-12)
+        table = CorrelatorTable(0.9, 0.9, 0.9, 0.9)
+        assert table_chsh(table, 3, Parity()).correlators[0] == \
+            pytest.approx(0.9 ** 3, abs=1e-12)
 
     def test_majority_perfect_even(self):
-        pair = joint_table(CorrelatorTable(1.0, 1.0, 1.0, 1.0))
-        dist = convolve_counts(pair, 2)
-        assert binned_correlator(dist, 1, 1, Majority()) == pytest.approx(
-            1.0, abs=1e-12)
+        table = CorrelatorTable(1.0, 1.0, 1.0, 1.0)
+        assert table_chsh(table, 2, Majority()).correlators[0] == \
+            pytest.approx(1.0, abs=1e-12)
 
     def test_majority_frozen_value(self):
         # brute-force oracle over the 64 outcome strings gives
         # P(agree) = 0.928625 for e = 0.9, n = 3
-        pair = joint_table(CorrelatorTable(0.9, 0.9, 0.9, 0.9))
-        oracle = brute_force_counts(pair, 3)[(1, 1)]
+        table = CorrelatorTable(0.9, 0.9, 0.9, 0.9)
+        oracle = brute_force_counts(joint_table(table), 3)[(1, 1)]
         s = sign_vector(3, Majority())
         expected = float(s @ oracle @ s)
         assert expected == pytest.approx(0.85725, abs=1e-12)
-        dist = convolve_counts(pair, 3)
-        assert binned_correlator(dist, 1, 1, Majority()) == pytest.approx(
-            expected, abs=1e-12)
+        assert table_chsh(table, 3, Majority()).correlators[0] == \
+            pytest.approx(expected, abs=1e-12)
 
     def test_brute_force_all_strategies(self, rng):
         strategies = (Majority(TiePolicy.TIE_TO_MINUS),
@@ -79,24 +67,19 @@ class TestBinnedCorrelator:
                       Majority(TiePolicy.RANDOMIZED), Parity())
         for n in (1, 2, 3, 4):
             table = random_feasible_table(rng)
-            pair = joint_table(table)
-            dist = convolve_counts(pair, n)
-            oracle = brute_force_counts(pair, n)
+            oracle = brute_force_counts(joint_table(table), n)
             for strat in strategies:
-                s = sign_vector(n, strat)
-                for (x, y) in SETTING_PAIRS:
-                    expected = float(s @ oracle[(x, y)] @ s)
-                    assert binned_correlator(dist, x, y, strat) == \
-                        pytest.approx(expected, abs=1e-12)
+                expected = counts_correlators(oracle, n, strat)
+                assert table_chsh(table, n, strat).correlators == \
+                    pytest.approx(expected, abs=1e-12)
 
     def test_parity_power_identity_to_64(self, rng):
         table = random_feasible_table(rng)
-        pair = joint_table(table)
         for n in (8, 33, 64):
-            dist = convolve_counts(pair, n)
-            for (x, y) in SETTING_PAIRS:
-                assert binned_correlator(dist, x, y, Parity()) == \
-                    pytest.approx(table.correlator(x, y) ** n, abs=1e-10)
+            got = table_chsh(table, n, Parity()).correlators
+            for (x, y), e in zip(SETTING_PAIRS, got):
+                assert e == pytest.approx(table.correlator(x, y) ** n,
+                                          abs=1e-10)
 
 
 class TestChshValue:
@@ -140,24 +123,22 @@ class TestParityAnalytic:
         assert parity_chsh_analytic(0.15130, 1.0, 12) == pytest.approx(
             2.3359, abs=5e-4)
 
-    def test_matches_convolution_path(self, rng):
+    def test_matches_table_chsh(self, rng):
         for _ in range(5):
             beta = rng.uniform(0.05, 1.4)
             v = rng.uniform(0.2, 1.0)
             n = int(rng.integers(1, 20))
             table = werner_correlators(settings_from_beta(beta), v)
-            dist = convolve_counts(joint_table(table), n)
-            assert chsh_from_counts(dist, Parity()).s == pytest.approx(
+            assert table_chsh(table, n, Parity()).s == pytest.approx(
                 parity_chsh_analytic(beta, v, n), abs=1e-10)
 
 
 class TestReductionsAndSymmetry:
     def test_n1_reduction_both_strategies(self, rng):
         table = random_feasible_table(rng)
-        dist = convolve_counts(joint_table(table), 1)
         raw = (table.e11 + table.e12 + table.e21 - table.e22)
         for strat in (Majority(), Parity()):
-            assert chsh_from_counts(dist, strat).s == pytest.approx(
+            assert table_chsh(table, 1, strat).s == pytest.approx(
                 raw, abs=1e-12)
 
     def test_exchange_symmetry(self, rng):
@@ -166,10 +147,8 @@ class TestReductionsAndSymmetry:
         t = random_feasible_table(rng, with_marginals=False)
         swapped = CorrelatorTable(e11=t.e11, e12=t.e21, e21=t.e12, e22=t.e22)
         for strat in (Majority(), Parity()):
-            d1 = convolve_counts(joint_table(t), 4)
-            d2 = convolve_counts(joint_table(swapped), 4)
-            assert chsh_from_counts(d1, strat).s == pytest.approx(
-                chsh_from_counts(d2, strat).s, abs=1e-12)
+            assert table_chsh(t, 4, strat).s == pytest.approx(
+                table_chsh(swapped, 4, strat).s, abs=1e-12)
 
     def test_constants_full_precision(self):
         assert PARITY_S_LIMIT == 8.0 * 3.0 ** (-9.0 / 8.0)

@@ -246,14 +246,24 @@ class TestErrors:
         ("analyze", "--files", "variantx.jsonl", "--n", "1", "--seed", "0"),
         ("analyze", "--files", "pair3.jsonl", "--n", "1", "--seed", "0"),
         ("analyze", "--files", "long.jsonl", "--n", "1", "--seed", "0"),
+        ("analyze", "--files", "ok.jsonl", "--n", "1", "--seed", "0",
+         "--criterion", "ksigma:nan"),
+        ("analyze", "--files", "ok.jsonl", "--n", "1", "--seed", "0",
+         "--criterion", "ksigma:-3"),
+        ("analyze", "--files", "ok.jsonl", "--n", "1", "--seed", "0",
+         "--criterion", "ksigma:inf"),
     ], ids=["compare-tol-0", "compare-tol-negative", "compare-tol-nan",
             "scan-vc-width-0", "scan-vc-width-nan", "analyze-missing-file",
             "analyze-binary-file", "analyze-csv-stream-not-object",
             "analyze-jsonl-record-not-object",
             "analyze-jsonl-variant-not-integer",
-            "analyze-jsonl-pair-not-list", "analyze-jsonl-long-integer"])
+            "analyze-jsonl-pair-not-list", "analyze-jsonl-long-integer",
+            "analyze-ksigma-nan", "analyze-ksigma-negative",
+            "analyze-ksigma-inf"])
     def test_bad_value_exit_1(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
+        run(capsys, "simulate", "--beta", "0.2", "--v", "0.9", "--events",
+            "40", "--seed", "0", "--out", "ok.jsonl")
         (tmp_path / "binary.csv").write_bytes(b"x,y,variant,a,b\n\xff\xfe\n")
         (tmp_path / "stream5.csv").write_text(
             "x,y,variant,a,b\n# stream: 5\n1,1,0,1,0\n")
@@ -270,6 +280,44 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    # A valid simulated file with one line edited; the unedited forms
+    # (exit 0) show that the edit alone makes the file malformed.
+    @pytest.mark.parametrize("name, line, old, new, message", [
+        ("e.csv", 3, None, "1,1,0,1,0", None),
+        ("e.csv", 3, None, "1,1,0,1,0,7", "malformed row '1,1,0,1,0,7'"),
+        ("e.csv", 3, None, "1,1,0,0_1,0", "malformed row '1,1,0,0_1,0'"),
+        ("e.csv", 3, None, "1,1,0,+1,0", "malformed row '1,1,0,+1,0'"),
+        ("e.csv", 3, None, "1,1,0,1, 0", "malformed row '1,1,0,1, 0'"),
+        ("e.jsonl", 1, '"basisVariant": 0', '"basisVariant": 2', None),
+        ("e.jsonl", 1, '"basisVariant": 0', '"basisVariant": 2.7',
+         "basis variant outside 0..3"),
+        ("e.jsonl", 1, "[1, 1]", "[true, 1]",
+         "setting pair [True, 1] is not two integers"),
+        ("e.jsonl", 2, None, '{"a": 1, "b": 0}', None),
+        ("e.jsonl", 2, None, '{"a": true, "b": 0}', "outcomes must be bits"),
+        ("e.jsonl", 2, None, '{"a": 1, "b": 0.0}', "outcomes must be bits"),
+    ], ids=["csv-valid", "csv-six-cells", "csv-underscore", "csv-plus-sign",
+            "csv-space", "jsonl-valid-variant", "jsonl-variant-float",
+            "jsonl-pair-bool", "jsonl-valid-bits", "jsonl-bit-bool",
+            "jsonl-bit-float"])
+    def test_malformed_event_line_exit_1(self, tmp_path, capsys, name, line,
+                                         old, new, message):
+        path = tmp_path / name
+        run(capsys, "simulate", "--beta", "0.2", "--v", "0.9", "--events",
+            "40", "--seed", "0", "--out", str(path))
+        lines = path.read_text().split("\n")
+        lines[line - 1] = (new if old is None
+                           else lines[line - 1].replace(old, new, 1))
+        path.write_text("\n".join(lines))
+        code, out, err = run(capsys, "analyze", "--files", str(path), "--n",
+                             "1", "--seed", "0", "--resamples", "2")
+        if message is None:
+            assert code == 0 and err == ""
+        else:
+            assert code == 1
+            assert out == ""
+            assert err == f"error: {path}:{line}: {message}\n"
 
     @pytest.mark.parametrize("argv", [
         ("scan-vc", "--n", "3..x"),
@@ -348,3 +396,13 @@ def test_readme_cli_examples_parse():
         except SystemExit:
             pytest.fail(f"README example does not parse: manypairs "
                         f"{shlex.join(argv)}")
+
+
+def test_readme_library_sketch_runs(capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 5
+    assert all(math.isfinite(float(v)) for v in printed)

@@ -5,9 +5,7 @@ import pytest
 
 from manypairs import optimize
 from manypairs.binning import (PARITY_BETA_SCALE, PARITY_S_LIMIT, Majority,
-                               Parity, TiePolicy, binned_correlator,
-                               chsh_from_counts, parity_chsh_analytic)
-from manypairs.collective import convolve_counts
+                               Parity, TiePolicy, table_chsh)
 from manypairs.errors import (FitError, InvalidArgumentError,
                               NoViolationError)
 from manypairs.optimize import (EXCEEDS_CAP, SettingsMode,
@@ -16,8 +14,8 @@ from manypairs.optimize import (EXCEEDS_CAP, SettingsMode,
                                 family_chsh, fit_vc_curve, max_chsh,
                                 parity_vc_approx, scan_critical_visibilities,
                                 violation_ratio)
-from manypairs.pairstats import (SETTING_PAIRS, joint_table,
-                                 settings_from_beta, werner_correlators)
+from manypairs.pairstats import (SETTING_PAIRS, settings_from_beta,
+                                 werner_correlators)
 
 from conftest import critical_visibility_bisect, crossover_bisect
 
@@ -34,23 +32,22 @@ def _no_optimization(*args, **kwargs):
 
 
 class TestFastCorrelatorPath:
-    """The O(n) response function must agree with the convolution route."""
+    """The O(n) response function must agree with `table_chsh`."""
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
-    def test_weights_match_convolution_grid(self, strategy):
-        # f(e) = sum_k W_k e^k against the exact count distribution
-        for n in range(1, 11):
-            for beta, v in ((0.2, 1.0), (0.7, 0.6), (1.3, 0.95)):
+    def test_weights_match_table_chsh_grid(self, strategy):
+        # f(e) = sum_k W_k e^k against the exact count statistics
+        for n in list(range(1, 11)) + [63, 64, 255, 256, 1023, 1024]:
+            for beta, v in ((0.2, 1.0), (0.7, 0.6), (1.3, 0.95),
+                            (0.03, 0.999)):
                 table = werner_correlators(settings_from_beta(beta), v)
-                dist = convolve_counts(joint_table(table), n)
+                exact = table_chsh(table, n, strategy)
                 es = np.array([table.correlator(x, y)
                                for (x, y) in SETTING_PAIRS])
                 got = binned_correlator_from_e(es, n, strategy)
-                for (x, y), fast in zip(SETTING_PAIRS, got):
-                    assert fast == pytest.approx(
-                        binned_correlator(dist, x, y, strategy), abs=1e-12)
+                assert got == pytest.approx(exact.correlators, abs=1e-12)
                 assert family_chsh(beta, v, n, strategy) == pytest.approx(
-                    chsh_from_counts(dist, strategy).s, abs=1e-12)
+                    exact.s, abs=1e-12)
 
     def test_majority_sheppard_limit(self):
         # large-n majority correlator tends to (2/pi) arcsin(e)
@@ -83,7 +80,7 @@ class TestFastCorrelatorPath:
         with pytest.raises(InvalidArgumentError, match="beta"):
             family_chsh(beta, 0.9, 3, strategy)
 
-    def test_matches_convolution(self, rng):
+    def test_matches_table_chsh(self, rng):
         strategies = (Majority(TiePolicy.TIE_TO_MINUS),
                       Majority(TiePolicy.TIE_TO_PLUS),
                       Majority(TiePolicy.RANDOMIZED), Parity())
@@ -92,10 +89,9 @@ class TestFastCorrelatorPath:
             v = rng.uniform(0.3, 1.0)
             n = int(rng.integers(1, 9))
             table = werner_correlators(settings_from_beta(beta), v)
-            dist = convolve_counts(joint_table(table), n)
             for strat in strategies:
                 assert family_chsh(beta, v, n, strat) == pytest.approx(
-                    chsh_from_counts(dist, strat).s, abs=1e-10)
+                    table_chsh(table, n, strat).s, abs=1e-10)
 
     def test_tie_policies_differ_at_even_n(self):
         e = 0.8
@@ -134,9 +130,8 @@ class TestMaxChsh:
         v = 0.98
         full = max_chsh(n, v, strategy, SettingsMode.FULL_PLANAR)
         assert full.settings.theta_a1 == 0.0
-        dist = convolve_counts(
-            joint_table(werner_correlators(full.settings, v)), n)
-        assert chsh_from_counts(dist, strategy).s == pytest.approx(
+        table = werner_correlators(full.settings, v)
+        assert table_chsh(table, n, strategy).s == pytest.approx(
             full.s_max, abs=1e-12)
         assert full.s_max >= max_chsh(n, v, strategy).s_max - 1e-9
 
