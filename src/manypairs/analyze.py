@@ -2,8 +2,11 @@
 
 Ingests simulated (or recorded) per-setting event files, undoes the basis
 variant inversions, clusters events into groups of n, bins, estimates the
-CHSH value with shuffle-bootstrap error bars, and extracts the largest
-cluster size that still shows a violation.
+CHSH value, and extracts the largest cluster size that still shows a
+violation.  The error bar is the closed-form limit of a shuffle-recluster
+bootstrap (`bootstrap_sn`, from `sampling`), so the analysis draws no
+resamples; only randomized majority ties in the point estimate draw
+from a seeded generator.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .binning import BinningStrategy, ChshEstimate, chsh_value, sign_vector
 from .errors import (IngestionError, InsufficientDataError,
                      InvalidArgumentError)
 from .pairstats import SETTING_PAIRS
+from .sampling import bootstrap_sn
 from .simulate import (CSV_EVENT, CSV_HEADER, CSV_STREAM_PREFIX, JSONL_EVENT,
                        EventStream, check_seed, event_format,
                        variant_inversions)
@@ -83,7 +87,23 @@ class SnCurve:
     note: str | None = None
 
 
+def _no_constant(token: str):
+    """json.loads hook: NaN and Infinity are not JSON numbers."""
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def _stream_meta(header: dict) -> dict:
+    """A stream header without its setting pair and basis variant.
+
+    Raises ValueError unless a "beta" it holds is a finite JSON number.
+    """
+    beta = header.get("beta", 0.0)
+    try:
+        finite = type(beta) in (int, float) and math.isfinite(beta)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"beta {beta!r} is not a finite number")
     return {k: v for k, v in header.items()
             if k not in ("settingPair", "basisVariant")}
 
@@ -96,8 +116,8 @@ def _is_json_int(value) -> bool:
 def _stream_header(header: dict) -> tuple[tuple, int, dict]:
     """Setting pair, basis variant and metadata of a JSON-lines header.
 
-    Both must be JSON integers.  Raises ValueError saying what is
-    malformed.
+    Both must be JSON integers, and a beta a finite number.  Raises
+    ValueError saying what is malformed.
     """
     variant = header.get("basisVariant")
     if not (_is_json_int(variant) and variant in (0, 1, 2, 3)):
@@ -112,11 +132,11 @@ def _stream_header(header: dict) -> tuple[tuple, int, dict]:
 def _json_object(line: bytes) -> dict | None:
     """The JSON object on one line of an event file, or None when the
     line is not ASCII, holds a carriage return (which the line parser
-    reads as a line break) or is not a JSON object."""
+    reads as a line break), NaN or Infinity, or is not a JSON object."""
     if not line.isascii() or b"\r" in line:
         return None
     try:
-        obj = json.loads(line)
+        obj = json.loads(line, parse_constant=_no_constant)
     except (ValueError, RecursionError):
         return None
     return obj if isinstance(obj, dict) else None
@@ -209,7 +229,10 @@ def _bulk_csv(raw: bytes) -> list[EventStream] | None:
         meta = _json_object(raw[key + len(prefix):pos])
         if meta is None:
             return None
-        meta = _stream_meta(meta)
+        try:
+            meta = _stream_meta(meta)
+        except ValueError:
+            return None
 
 
 def read_jsonl(path) -> list[EventStream]:
@@ -257,7 +280,7 @@ def _read_jsonl_lines(path: Path) -> list[EventStream]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line, parse_constant=_no_constant)
             except (ValueError, RecursionError) as exc:
                 # ValueError covers JSONDecodeError and integers longer
                 # than Python converts; RecursionError, deep nesting
@@ -298,14 +321,18 @@ def _read_csv_lines(path: Path) -> list[EventStream]:
         for lineno, line in enumerate(fh, start=2):
             if line.startswith(CSV_STREAM_PREFIX):
                 try:
-                    header = json.loads(line[len(CSV_STREAM_PREFIX):])
+                    header = json.loads(line[len(CSV_STREAM_PREFIX):],
+                                        parse_constant=_no_constant)
                 except (ValueError, RecursionError) as exc:
                     raise IngestionError(
                         f"{path}:{lineno}: bad stream metadata ({exc})")
                 if not isinstance(header, dict):
                     raise IngestionError(
                         f"{path}:{lineno}: stream metadata is not an object")
-                metas.append(_stream_meta(header))
+                try:
+                    metas.append(_stream_meta(header))
+                except ValueError as exc:
+                    raise IngestionError(f"{path}:{lineno}: {exc}")
                 continue
             row = line.rstrip("\n")
             if not row.strip():
@@ -488,52 +515,13 @@ def estimate_sn(clustered: dict, strategy: BinningStrategy,
     return chsh_value((es[0], es[1], es[2], es[3]), n=n)
 
 
-def bootstrap_sn(sequences: dict, n_values, strategy: BinningStrategy,
-                 resamples: int = 1000, seed: int | tuple[int, ...] = 0
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shuffle-recluster bootstrap of S_n: (sample means, sample stds).
-
-    Both arrays follow `n_values`.  Each resample permutes every setting
-    pair's event order once and re-clusters that order at every n from
-    one running total per pair.  The shuffle generator is seeded from
-    `seed` (an int or a sequence of ints, each >= 0) and draws only
-    permutations; randomized majority ties at n draw from a generator
-    seeded from (`seed`, n).  A row's values therefore do not depend on
-    the other n of the grid.
-    """
-    check_seed(seed)
-    if resamples < 2:
-        raise InvalidArgumentError(f"resamples must be >= 2, got {resamples}")
-    n_values = [int(n) for n in n_values]
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence(seed))
-    tie_rngs = [np.random.default_rng(np.random.SeedSequence(
-        seed, spawn_key=(n,))) for n in n_values]
-    # pack each pair's (a, b) bits into one code array so a resample is a
-    # single in-C shuffle instead of an index permutation plus two gathers
-    packed = {key: (sequences[key][0] | (sequences[key][1] << np.uint8(1)))
-              for key in SETTING_PAIRS}
-    values = np.empty((len(n_values), resamples))
-    totals = {}
-    for i in range(resamples):
-        for key in SETTING_PAIRS:
-            codes = shuffle_rng.permuted(packed[key])
-            totals[key] = RunningTotals.of((codes & np.uint8(1),
-                                            codes >> np.uint8(1)))
-        for j, (n, tie_rng) in enumerate(zip(n_values, tie_rngs)):
-            clustered = {key: cluster_events(totals[key], n)
-                         for key in SETTING_PAIRS}
-            values[j, i] = estimate_sn(clustered, strategy, rng=tie_rng).s
-    # reduce each n's row on its own, so it sums as a lone n would
-    return values.mean(axis=1), values.std(axis=1, ddof=1)
-
-
 def find_nc(sequences_per_beta: dict, strategy: BinningStrategy, n_values,
-            criterion=PointEstimate(), resamples: int = 1000,
-            seed: int = 0) -> SnCurve:
+            criterion=PointEstimate(), seed: int = 0) -> SnCurve:
     """S_n with error bars over a (beta, n) grid, plus the largest violating n.
 
-    The point estimate comes from the unshuffled ordering; sigma from one
-    `bootstrap_sn` call per beta, seeded from (seed, beta index).
+    The point estimate comes from the unshuffled ordering, with
+    randomized majority ties drawn from a generator seeded from (seed,
+    beta index, n); sigma from `bootstrap_sn`, which draws nothing.
     n_critical is the largest n at which any beta meets the criterion (0,
     with a note, when none does).
     """
@@ -545,8 +533,7 @@ def find_nc(sequences_per_beta: dict, strategy: BinningStrategy, n_values,
     rows = []  # rows[bi][j]: the (beta, n) entry of beta index bi, n_values[j]
     for bi, beta in enumerate(betas):
         sequences = sequences_per_beta[beta]
-        sigmas = bootstrap_sn(sequences, n_values, strategy,
-                              resamples=resamples, seed=(int(seed), bi))[1]
+        sigmas = bootstrap_sn(sequences, n_values, strategy)[1]
         totals = {key: RunningTotals.of(sequences[key])
                   for key in SETTING_PAIRS}
         rows.append([])

@@ -237,8 +237,9 @@ def cmd_analyze(args) -> int:
     sequences_per_beta = ana.ingest(args.files)
     curve = ana.find_nc(sequences_per_beta, strategy,
                         _parse_int_range(args.n), criterion=criterion,
-                        resamples=args.resamples, seed=args.seed)
+                        seed=args.seed)
     rows = list(curve.entries)
+    # --resamples is echoed, though the closed-form sigma draws none
     config = _config_dict(args, ["command", "strategy", "tie", "n",
                                  "resamples", "seed", "criterion"])
     extra = {"summary": {"strategy": args.strategy,
@@ -333,12 +334,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-setting-pair correlator override (colored noise)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("analyze", help="cluster, bin and bootstrap S_n")
+    p = sub.add_parser(
+        "analyze", help="cluster, bin and estimate S_n with its shuffle sigma")
     _add_common(p)
     p.add_argument("--files", nargs="+", required=True)
     p.add_argument("--n", type=_INT_RANGE, required=True)
-    p.add_argument("--resamples", type=int, default=1000)
-    p.add_argument("--seed", type=_SEED, required=True)
+    p.add_argument("--resamples", type=int, default=1000,
+                   help="accepted and echoed in the config, but unused: "
+                        "sigma is the closed-form limit of the shuffle "
+                        "bootstrap as resamples grow")
+    p.add_argument("--seed", type=_SEED, required=True,
+                   help="seeds the coins of randomized majority ties in "
+                        "the point estimate; sigma does not depend on it")
     p.add_argument("--criterion", default="point",
                    help="'point' or 'ksigma:K'")
     p.set_defaults(func=cmd_analyze)

@@ -146,28 +146,30 @@ class PairJointDistribution:
         return float(p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0])
 
 
+#: (-1)^a, (-1)^b and (-1)^(a+b) over the cells [a, b] of a 2x2 joint.
+_SIGN_A = np.array([[1.0, 1.0], [-1.0, -1.0]])
+_SIGN_B = _SIGN_A.T
+_SIGN_AB = _SIGN_A * _SIGN_B
+
+
 def joint_table(table: CorrelatorTable) -> PairJointDistribution:
     """Reconstruct the 2x2 joint p(a,b) per setting pair from the table.
 
     p(a,b) = (1 + (-1)^a margA + (-1)^b margB + (-1)^(a+b) e) / 4.
     Raises InfeasibleStatisticsError if any cell would be negative.
     """
-    tables = {}
-    for (x, y) in SETTING_PAIRS:
-        e = table.correlator(x, y)
-        ma = table.marginal_a(x)
-        mb = table.marginal_b(y)
-        p = np.empty((2, 2))
-        for a in (0, 1):
-            for b in (0, 1):
-                sa = 1.0 if a == 0 else -1.0
-                sb = 1.0 if b == 0 else -1.0
-                p[a, b] = (1.0 + sa * ma + sb * mb + sa * sb * e) / 4.0
-        if np.any(p < -ATOL):
-            raise InfeasibleStatisticsError(
-                f"setting pair ({x},{y}): e={e}, margA={ma}, margB={mb} "
-                f"imply a negative probability ({p.min():.3e})")
-        p = np.clip(p, 0.0, None)
-        p.setflags(write=False)
-        tables[(x, y)] = p
-    return PairJointDistribution(tables=tables)
+    e = [table.correlator(x, y) for (x, y) in SETTING_PAIRS]
+    ma = [table.marginal_a(x) for (x, _) in SETTING_PAIRS]
+    mb = [table.marginal_b(y) for (_, y) in SETTING_PAIRS]
+    corr, marg_a, marg_b = np.array([e, ma, mb])[:, :, None, None]
+    p = (1.0 + _SIGN_A * marg_a + _SIGN_B * marg_b + _SIGN_AB * corr) / 4.0
+    lowest = p.min(axis=(1, 2))
+    if lowest.min() < -ATOL:
+        i = int(np.argmax(lowest < -ATOL))  # the first infeasible pair
+        x, y = SETTING_PAIRS[i]
+        raise InfeasibleStatisticsError(
+            f"setting pair ({x},{y}): e={e[i]}, margA={ma[i]}, "
+            f"margB={mb[i]} imply a negative probability ({lowest[i]:.3e})")
+    p = np.maximum(p, 0.0)
+    p.setflags(write=False)
+    return PairJointDistribution(tables=dict(zip(SETTING_PAIRS, p)))

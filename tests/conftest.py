@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from manypairs.analyze import ClusteredOutcomes
+from manypairs.analyze import (ClusteredOutcomes, RunningTotals,
+                               cluster_events, estimate_sn)
 from manypairs.binning import Majority, Parity, sign_vector
 from manypairs.errors import NoViolationError
 from manypairs.optimize import SettingsMode, max_chsh
@@ -181,6 +182,81 @@ def finite_population_parity_sigma(sequences: dict, n: int) -> float:
         m = len(a) // n
         var += ((1.0 - e_n[key] ** 2) / m
                 + (1.0 - 1.0 / m) * (e_2n[key] - e_n[key] ** 2))
+    return math.sqrt(max(var, 0.0))
+
+
+def monte_carlo_bootstrap_sn(sequences: dict, n_values, strategy,
+                             resamples: int, seed) -> tuple:
+    """Shuffle-recluster bootstrap of S_n: (sample means, sample stds).
+
+    Both arrays follow `n_values`.  Each resample permutes every setting
+    pair's event order once and re-clusters that order at every n from
+    one running total per pair.  The shuffle generator is seeded from
+    `seed` and draws only permutations; randomized majority ties at n
+    draw from a generator seeded from (`seed`, n).
+    """
+    n_values = [int(n) for n in n_values]
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence(seed))
+    tie_rngs = [np.random.default_rng(np.random.SeedSequence(
+        seed, spawn_key=(n,))) for n in n_values]
+    # pack each pair's (a, b) bits into one code array so a resample is a
+    # single shuffle instead of an index permutation plus two gathers
+    packed = {key: (sequences[key][0] | (sequences[key][1] << np.uint8(1)))
+              for key in SETTING_PAIRS}
+    values = np.empty((len(n_values), resamples))
+    totals = {}
+    for i in range(resamples):
+        for key in SETTING_PAIRS:
+            codes = shuffle_rng.permuted(packed[key])
+            totals[key] = RunningTotals.of((codes & np.uint8(1),
+                                            codes >> np.uint8(1)))
+        for j, (n, tie_rng) in enumerate(zip(n_values, tie_rngs)):
+            clustered = {key: cluster_events(totals[key], n)
+                         for key in SETTING_PAIRS}
+            values[j, i] = estimate_sn(clustered, strategy, rng=tie_rng).s
+    return values.mean(axis=1), values.std(axis=1, ddof=1)
+
+
+def _compositions(n: int):
+    """Every (k00, k01, k10, k11) of non-negative counts summing to n."""
+    for k00 in range(n + 1):
+        for k01 in range(n + 1 - k00):
+            for k10 in range(n + 1 - k00 - k01):
+                yield k00, k01, k10, n - k00 - k01 - k10
+
+
+def exact_shuffle_sigma(sequences: dict, n: int, strategy) -> float:
+    """Limit of the shuffle bootstrap's sigma for any binning, by exact sums.
+
+    For a pair with category sizes N_c (c = 2a + b) and m = N // n
+    clusters, Var(E) = (1 - g(N)^2)/m + (1 - 1/m)(E[X1 X2] - g(N)^2),
+    where g(N) = E[X] under the multivariate hypergeometric and
+    E[X1 X2] = sum over the first cluster's composition k1 of
+    P(k1) X(k1) g(N - k1).  A randomized tie draws a +-1 coin, so
+    E[X^2] = 1 and tied clusters enter X with sign 0.  O(n^6) per pair.
+    """
+    sign = sign_vector(n, strategy)
+
+    def prob(population, k):
+        ways = math.prod(math.comb(p, c) for p, c in zip(population, k))
+        return ways / math.comb(sum(population), n)
+
+    def x(k):
+        return sign[k[2] + k[3]] * sign[k[1] + k[3]]
+
+    def g(population):
+        return sum(prob(population, k) * x(k) for k in _compositions(n))
+
+    var = 0.0
+    for a, b in sequences.values():
+        population = [int(v) for v in np.bincount(2 * a.astype(np.int64) + b,
+                                                  minlength=4)]
+        m = sum(population) // n
+        mean = g(population)
+        joint = sum(prob(population, k) * x(k)
+                    * g([p - c for p, c in zip(population, k)])
+                    for k in _compositions(n) if prob(population, k) > 0.0)
+        var += (1.0 - mean ** 2) / m + (1.0 - 1.0 / m) * (joint - mean ** 2)
     return math.sqrt(max(var, 0.0))
 
 

@@ -17,7 +17,8 @@ from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
 from manypairs.simulate import (DetectorModel, EventStream, generate_run,
                                 generate_symmetrized, write_csv, write_jsonl)
 
-from conftest import (finite_population_parity_sigma, reshape_cluster_events,
+from conftest import (exact_shuffle_sigma, finite_population_parity_sigma,
+                      monte_carlo_bootstrap_sn, reshape_cluster_events,
                       shuffle_parity_mean)
 
 
@@ -107,8 +108,28 @@ class TestIngest:
          "1: basis variant outside 0..3"),
         ("bad.jsonl", '{"settingPair": 3, "basisVariant": 0}\n'
          '{"a": 0, "b": 1}\n', "1: setting pair 3 is not two integers"),
+        ("bad.jsonl", '{"settingPair": [1, 1], "basisVariant": 0, '
+         '"beta": "a"}\n', "1: beta 'a' is not a finite number"),
+        ("bad.jsonl", '{"settingPair": [1, 1], "basisVariant": 0}\n'
+         '{"a": 0, "b": 1}\n{"settingPair": [1, 2], "basisVariant": 0, '
+         '"beta": NaN}\n', "3: bad JSON (NaN is not a JSON number)"),
+        ("bad.jsonl", '{"settingPair": [1, 1], "basisVariant": 0, '
+         '"beta": 1e400}\n', "1: beta inf is not a finite number"),
+        ("bad.jsonl", '{"settingPair": [1, 1], "basisVariant": 0, '
+         '"beta": 1' + "0" * 400 + '}\n',
+         "1: beta 1" + "0" * 400 + " is not a finite number"),
+        ("bad.csv", 'x,y,variant,a,b\n# stream: {"beta": true}\n'
+         '1,1,0,1,0\n', "2: beta True is not a finite number"),
+        ("bad.csv", 'x,y,variant,a,b\n# stream: {"beta": null}\n'
+         '1,1,0,1,0\n', "2: beta None is not a finite number"),
+        ("bad.csv", 'x,y,variant,a,b\n# stream: {"beta": 0.2}\n'
+         '1,1,0,1,0\n# stream: {"visibility": -Infinity}\n1,1,0,1,0\n',
+         "4: bad stream metadata (-Infinity is not a JSON number)"),
     ], ids=["csv-stream-not-object", "jsonl-record-not-object",
-            "jsonl-variant-not-integer", "jsonl-pair-not-list"])
+            "jsonl-variant-not-integer", "jsonl-pair-not-list",
+            "jsonl-beta-string", "jsonl-beta-nan", "jsonl-beta-overflow",
+            "jsonl-beta-huge-integer", "csv-beta-bool", "csv-beta-null",
+            "csv-visibility-infinity"])
     def test_malformed_header_names_location(self, tmp_path, name, text,
                                              message):
         p = tmp_path / name
@@ -358,45 +379,43 @@ class TestEstimateSn:
 class TestBootstrap:
     def test_constant_data_zero_sigma(self):
         seqs = constant_sequences(40)
-        means, sigmas = bootstrap_sn(seqs, [1, 2, 4], Majority(),
-                                     resamples=20, seed=0)
+        means, sigmas = bootstrap_sn(seqs, [1, 2, 4], Majority())
         assert np.array_equal(sigmas, np.zeros(3))
         assert np.array_equal(means, np.full(3, 2.0))
 
-    def test_determinism(self):
-        t = werner_correlators(settings_from_beta(0.4), 0.97)
-        seqs = make_sequences(t, 4000, seed=6)
-        r1 = bootstrap_sn(seqs, [2, 5], Parity(), resamples=50, seed=99)
-        r2 = bootstrap_sn(seqs, [2, 5], Parity(), resamples=50, seed=99)
-        assert np.array_equal(r1[0], r2[0])
-        assert np.array_equal(r1[1], r2[1])
+    @pytest.mark.parametrize("strategy", [
+        Parity(), Majority(), Majority(TiePolicy.TIE_TO_PLUS),
+        Majority(TiePolicy.RANDOMIZED)], ids=repr)
+    def test_sigma_exactly_zero_at_n1(self, strategy):
+        t = werner_correlators(settings_from_beta(0.3), 0.9)
+        seqs = make_sequences(t, 30_001, seed=13)
+        _, sigmas = bootstrap_sn(seqs, [1, 2], strategy)
+        assert sigmas[0] == 0.0
+        assert sigmas[1] > 0.0
 
     def test_row_independent_of_grid(self):
         t = werner_correlators(settings_from_beta(0.4), 0.97)
         seqs = make_sequences(t, 4000, seed=6)
         strategy = Majority(TiePolicy.RANDOMIZED)
-        alone = bootstrap_sn(seqs, [4], strategy, resamples=30, seed=(3, 1))
-        grid = bootstrap_sn(seqs, [1, 2, 4, 6], strategy, resamples=30,
-                            seed=(3, 1))
+        alone = bootstrap_sn(seqs, [4], strategy)
+        grid = bootstrap_sn(seqs, [1, 2, 4, 6], strategy)
         assert alone[0][0] == grid[0][2]
         assert alone[1][0] == grid[1][2]
 
     def test_shuffle_invariance_of_expectation(self):
         t = werner_correlators(settings_from_beta(0.3), 0.95)
         seqs = make_sequences(t, 30_000, seed=12)
-        resamples = 200
-        means, sigmas = bootstrap_sn(seqs, [2, 4], Parity(),
-                                     resamples=resamples, seed=1)
-        for n, mean, sigma in zip([2, 4], means, sigmas):
-            exact = shuffle_parity_mean(seqs, n)
-            assert abs(mean - exact) < 6.0 * sigma / math.sqrt(resamples), n
+        means, _ = bootstrap_sn(seqs, [1, 2, 4, 12], Parity())
+        for n, mean in zip([1, 2, 4, 12], means):
+            assert mean == pytest.approx(shuffle_parity_mean(seqs, n),
+                                         abs=1e-12), n
 
     def test_sigma_near_binomial_propagation(self):
-        # compare bootstrap sigma against analytic error propagation
+        # compare the shuffle sigma against analytic error propagation
         beta, v, n = 0.234, 0.99, 5
         t = werner_correlators(settings_from_beta(beta), v)
         seqs = make_sequences(t, 100_000, seed=8)
-        _, sigmas = bootstrap_sn(seqs, [n], Parity(), resamples=300, seed=2)
+        _, sigmas = bootstrap_sn(seqs, [n], Parity())
         m = 100_000 // n
         var = 0.0
         for sp in SETTING_PAIRS:
@@ -410,39 +429,76 @@ class TestBootstrap:
         t = werner_correlators(settings_from_beta(0.25), 0.99)
         seqs = make_sequences(t, 20_000, seed=21)
         n_values = [2, 4, 12]
-        resamples = 400
-        _, sigmas = bootstrap_sn(seqs, n_values, Parity(),
-                                 resamples=resamples, seed=5)
+        _, sigmas = bootstrap_sn(seqs, n_values, Parity())
         for n, sigma in zip(n_values, sigmas):
             exact = finite_population_parity_sigma(seqs, n)
-            mc_error = exact / math.sqrt(2.0 * (resamples - 1))
-            assert abs(sigma - exact) < 5.0 * mc_error, n
+            assert sigma == pytest.approx(exact, rel=1e-4), n
 
-    def test_resamples_validated(self):
+    @pytest.mark.parametrize("tie", [TiePolicy.TIE_TO_MINUS,
+                                     TiePolicy.RANDOMIZED], ids=repr)
+    def test_majority_matches_monte_carlo(self, tie):
+        t = werner_correlators(settings_from_beta(0.3), 0.97)
+        seqs = make_sequences(t, 20_000, seed=5)
+        n_values = [3, 4, 12]
+        resamples = 400
+        strategy = Majority(tie)
+        _, sigmas = bootstrap_sn(seqs, n_values, strategy)
+        _, drawn = monte_carlo_bootstrap_sn(seqs, n_values, strategy,
+                                            resamples, seed=2)
+        for n, sigma, mc in zip(n_values, sigmas, drawn):
+            mc_error = sigma / math.sqrt(2.0 * (resamples - 1))
+            assert abs(mc - sigma) < 5.0 * mc_error, n
+
+    @pytest.mark.parametrize("events", [200, 1000])
+    @pytest.mark.parametrize("strategy", [
+        Parity(), Majority(), Majority(TiePolicy.TIE_TO_PLUS),
+        Majority(TiePolicy.RANDOMIZED)], ids=repr)
+    def test_matches_exact_composition_sum(self, strategy, events):
+        t = werner_correlators(settings_from_beta(0.3), 0.9)
+        seqs = make_sequences(t, events, seed=events + 1)
+        n_values = [2, 3, 4, 5]
+        _, sigmas = bootstrap_sn(seqs, n_values, strategy)
+        for n, sigma in zip(n_values, sigmas):
+            exact = exact_shuffle_sigma(seqs, n, strategy)
+            assert sigma == pytest.approx(exact, rel=0.01), n
+
+    @pytest.mark.parametrize("strategy", [Parity(), Majority(),
+                                          Majority(TiePolicy.TIE_TO_PLUS)],
+                             ids=repr)
+    def test_no_discordant_events(self, strategy):
+        rng = np.random.default_rng(3)
+        seqs = {}
+        for sp in SETTING_PAIRS:
+            a = rng.integers(0, 2, size=5000, dtype=np.uint8)
+            seqs[sp] = (a, a.copy())
+        _, sigmas = bootstrap_sn(seqs, range(1, 9), strategy)
+        assert np.all(sigmas < 1e-6)
+
+    def test_too_few_events(self):
         seqs = constant_sequences(10)
-        with pytest.raises(Exception):
-            bootstrap_sn(seqs, [2], Parity(), resamples=1)
+        with pytest.raises(InsufficientDataError, match="n=11"):
+            bootstrap_sn(seqs, [2, 11], Parity())
 
-    @pytest.mark.parametrize("seed", [-1, (3, -1)])
-    def test_negative_seed_rejected(self, seed):
-        with pytest.raises(InvalidArgumentError, match="seed"):
-            bootstrap_sn(constant_sequences(10), [2], Parity(),
-                         resamples=5, seed=seed)
+    def test_draws_nothing(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a generator was created")
+        t = werner_correlators(settings_from_beta(0.3), 0.95)
+        seqs = make_sequences(t, 2000, seed=2)
+        monkeypatch.setattr(np.random, "default_rng", fail)
+        bootstrap_sn(seqs, [1, 2, 4], Majority(TiePolicy.RANDOMIZED))
 
 
 class TestFindNc:
     def test_local_deterministic_data(self):
         seqs = constant_sequences(200)
-        curve = find_nc({0.0: seqs}, Majority(), [1, 2, 4], resamples=20,
-                        seed=0)
+        curve = find_nc({0.0: seqs}, Majority(), [1, 2, 4], seed=0)
         assert curve.n_critical == 0  # S = 2 exactly, strict criterion
         assert curve.note is not None
 
     def test_n1_reduces_to_plain_chsh_decision(self):
         t = werner_correlators(settings_from_beta(math.pi / 4), 0.9)
         seqs = make_sequences(t, 50_000, seed=4)
-        curve = find_nc({math.pi / 4: seqs}, Parity(), [1], resamples=50,
-                        seed=0)
+        curve = find_nc({math.pi / 4: seqs}, Parity(), [1], seed=0)
         beta, n, s, sigma = curve.entries[0]
         assert n == 1
         assert s > 2.0  # 0.9 * 2*sqrt(2) = 2.55
@@ -451,17 +507,17 @@ class TestFindNc:
     def test_minus_k_sigma_stricter(self):
         t = werner_correlators(settings_from_beta(0.23), 0.99)
         seqs = make_sequences(t, 20_000, seed=10)
-        point = find_nc({0.23: seqs}, Parity(), range(1, 8), resamples=50,
-                        seed=1, criterion=PointEstimate())
-        strict = find_nc({0.23: seqs}, Parity(), range(1, 8), resamples=50,
-                         seed=1, criterion=MinusKSigma(k=3.0))
+        point = find_nc({0.23: seqs}, Parity(), range(1, 8), seed=1,
+                        criterion=PointEstimate())
+        strict = find_nc({0.23: seqs}, Parity(), range(1, 8), seed=1,
+                         criterion=MinusKSigma(k=3.0))
         assert strict.n_critical <= point.n_critical
 
     def test_entries_sorted(self):
         t = werner_correlators(settings_from_beta(0.3), 0.95)
         seqs = make_sequences(t, 5000, seed=2)
         curve = find_nc({0.3: seqs, 0.2: seqs}, Parity(), [3, 1, 2],
-                        resamples=10, seed=0)
+                        seed=0)
         keys = [(n, beta) for beta, n, _, _ in curve.entries]
         assert keys == sorted(keys)
 
@@ -472,9 +528,8 @@ class TestFindNc:
         t = werner_correlators(settings_from_beta(0.3), 0.95)
         per_beta = {0.3: make_sequences(t, 5000, seed=2),
                     0.2: make_sequences(t, 5000, seed=3)}
-        alone = find_nc(per_beta, strategy, [4], resamples=20, seed=8)
-        grid = find_nc(per_beta, strategy, range(1, 9), resamples=20,
-                       seed=8)
+        alone = find_nc(per_beta, strategy, [4], seed=8)
+        grid = find_nc(per_beta, strategy, range(1, 9), seed=8)
         assert alone.entries == tuple(e for e in grid.entries if e[1] == 4)
 
     def test_negative_seed_rejected_before_bootstrap(self, monkeypatch):
@@ -482,8 +537,7 @@ class TestFindNc:
             raise AssertionError("bootstrap ran")
         monkeypatch.setattr(analyze, "bootstrap_sn", fail)
         with pytest.raises(InvalidArgumentError, match="seed"):
-            find_nc({0.0: constant_sequences(20)}, Parity(), [1],
-                    resamples=5, seed=-1)
+            find_nc({0.0: constant_sequences(20)}, Parity(), [1], seed=-1)
 
     @pytest.mark.parametrize("strategy", [Parity(),
                                           Majority(TiePolicy.RANDOMIZED)],
@@ -493,8 +547,7 @@ class TestFindNc:
         t = werner_correlators(settings_from_beta(0.3), 0.95)
         per_beta = {0.3: make_sequences(t, 3000, seed=2),
                     0.2: make_sequences(t, 3000, seed=3)}
-        fast = find_nc(per_beta, strategy, range(1, 9), resamples=15,
-                       seed=8)
+        fast = find_nc(per_beta, strategy, range(1, 9), seed=8)
 
         def reshape(sequence, n):
             if isinstance(sequence, RunningTotals):
@@ -502,6 +555,6 @@ class TestFindNc:
             return reshape_cluster_events(sequence, n)
 
         monkeypatch.setattr(analyze, "cluster_events", reshape)
-        slow = find_nc(per_beta, strategy, range(1, 9), resamples=15, seed=8)
+        slow = find_nc(per_beta, strategy, range(1, 9), seed=8)
         assert fast.entries == slow.entries
         assert fast.n_critical == slow.n_critical

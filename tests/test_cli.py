@@ -89,6 +89,23 @@ class TestSimulateAnalyze:
         # V = 0.99 single-pair CHSH at beta = 0.25 is comfortably above 2
         assert s1 > 2.0
 
+    def test_sigma_independent_of_resamples_and_seed(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        run(capsys, "simulate", "--beta", "0.25", "--v", "0.99", "--events",
+            "2000", "--seed", "5", "--out", str(events))
+        docs = []
+        for resamples, seed in (("2", "0"), ("1000", "7")):
+            code, out, _ = run(capsys, "analyze", "--files", str(events),
+                               "--n", "1..6", "--tie", "randomized",
+                               "--resamples", resamples, "--seed", seed,
+                               "--format", "json")
+            assert code == 0
+            docs.append(json.loads(out))
+            assert docs[-1]["config"]["resamples"] == int(resamples)
+        sigmas = [[r[3] for r in doc["rows"]] for doc in docs]
+        assert sigmas[0] == sigmas[1]
+        assert sigmas[0][0] == 0.0 and all(s > 0.0 for s in sigmas[0][1:])
+
     def test_symmetrize_and_csv(self, tmp_path, capsys):
         events = tmp_path / "events.csv"
         code, _, _ = run(capsys, "simulate", "--beta", "0.2", "--v", "0.9",
@@ -252,6 +269,9 @@ class TestErrors:
          "--criterion", "ksigma:-3"),
         ("analyze", "--files", "ok.jsonl", "--n", "1", "--seed", "0",
          "--criterion", "ksigma:inf"),
+        ("analyze", "--files", "betaa.jsonl", "--n", "1", "--seed", "0"),
+        ("analyze", "--files", "betanan.jsonl", "--n", "1", "--seed", "0"),
+        ("analyze", "--files", "visnan.jsonl", "--n", "1", "--seed", "0"),
     ], ids=["compare-tol-0", "compare-tol-negative", "compare-tol-nan",
             "scan-vc-width-0", "scan-vc-width-nan", "analyze-missing-file",
             "analyze-binary-file", "analyze-csv-stream-not-object",
@@ -259,7 +279,8 @@ class TestErrors:
             "analyze-jsonl-variant-not-integer",
             "analyze-jsonl-pair-not-list", "analyze-jsonl-long-integer",
             "analyze-ksigma-nan", "analyze-ksigma-negative",
-            "analyze-ksigma-inf"])
+            "analyze-ksigma-inf", "analyze-beta-string", "analyze-beta-nan",
+            "analyze-visibility-nan"])
     def test_bad_value_exit_1(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         run(capsys, "simulate", "--beta", "0.2", "--v", "0.9", "--events",
@@ -276,6 +297,13 @@ class TestErrors:
         (tmp_path / "long.jsonl").write_text(
             '{"settingPair": [1, 1], "basisVariant": 0}\n{"a": '
             + "1" * 5000 + ', "b": 1}\n')
+        ok = (tmp_path / "ok.jsonl").read_text()
+        (tmp_path / "betaa.jsonl").write_text(
+            ok.replace('"beta": 0.2', '"beta": "a"', 1))
+        (tmp_path / "betanan.jsonl").write_text(
+            ok.replace('"beta": 0.2', '"beta": NaN', 1))
+        (tmp_path / "visnan.jsonl").write_text(
+            ok.replace('"visibility": 0.9', '"visibility": NaN'))
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""

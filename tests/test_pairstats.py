@@ -96,6 +96,37 @@ class TestJointTable:
         with pytest.raises(InfeasibleStatisticsError):
             joint_table(t)
 
+    def test_infeasible_message_names_first_pair(self):
+        t = CorrelatorTable(0.2, 0.9, 0.9, -0.9, marg_a2=0.9, marg_b1=-0.5)
+        with pytest.raises(InfeasibleStatisticsError) as exc:
+            joint_table(t)
+        assert str(exc.value) == ("setting pair (2,1): e=0.9, margA=0.9, "
+                                  "margB=-0.5 imply a negative probability "
+                                  "(-3.250e-01)")
+
+    def test_matches_cell_by_cell_formula(self, rng):
+        tables = [random_feasible_table(rng) for _ in range(100)]
+        # on the feasibility boundary e = 1 - |mA - mB|, cell (1, 0) of
+        # pair (1, 1) rounds to -2.8e-17 and is clipped to 0
+        tables.append(CorrelatorTable(1.0 - (0.3 - 0.1), 0.3, 0.1, 0.9,
+                                      marg_a1=0.3, marg_b1=0.1))
+        for t in tables:
+            joint = joint_table(t)
+            for (x, y) in SETTING_PAIRS:
+                e = t.correlator(x, y)
+                ma, mb = t.marginal_a(x), t.marginal_b(y)
+                want = np.empty((2, 2))
+                for a in (0, 1):
+                    for b in (0, 1):
+                        sa = 1.0 if a == 0 else -1.0
+                        sb = 1.0 if b == 0 else -1.0
+                        want[a, b] = max((1.0 + sa * ma + sb * mb
+                                          + sa * sb * e) / 4.0, 0.0)
+                p = joint.table(x, y)
+                assert np.array_equal(p, want)
+                assert np.all(p >= 0.0)
+                assert not p.flags.writeable
+
     def test_round_trip_random_tables(self, rng):
         for _ in range(50):
             t = random_feasible_table(rng)
