@@ -4,9 +4,9 @@ Ingests simulated (or recorded) per-setting event files, undoes the basis
 variant inversions, clusters events into groups of n, bins, estimates the
 CHSH value, and extracts the largest cluster size that still shows a
 violation.  The error bar is the closed-form limit of a shuffle-recluster
-bootstrap (`bootstrap_sn`, from `sampling`), so the analysis draws no
-resamples; only randomized majority ties in the point estimate draw
-from a seeded generator.
+bootstrap (`bootstrap_sn`, from `sampling`), and a randomized majority
+tie counts as its coin's expectation, sign 0, so the analysis draws no
+random number at all.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ import numpy as np
 from .binning import BinningStrategy, ChshEstimate, chsh_value, sign_vector
 from .errors import (IngestionError, InsufficientDataError,
                      InvalidArgumentError)
-from .pairstats import SETTING_PAIRS
+from .pairstats import SETTING_PAIRS, CorrelatorTable
 from .sampling import bootstrap_sn
 from .simulate import (CSV_EVENT, CSV_HEADER, CSV_STREAM_PREFIX, JSONL_EVENT,
-                       EventStream, check_seed, event_format,
-                       variant_inversions)
+                       EventStream, event_format, variant_inversions)
 
 #: Column names of the CSV event form.
 _CSV_COLUMNS = ("x", "y", "variant", "a", "b")
@@ -92,18 +91,45 @@ def _no_constant(token: str):
     raise ValueError(f"{token} is not a JSON number")
 
 
+def _finite(value) -> bool:
+    """True for a finite JSON number; json reads true/false as bool."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _stream_meta(header: dict) -> dict:
     """A stream header without its setting pair and basis variant.
 
-    Raises ValueError unless a "beta" it holds is a finite JSON number.
+    Raises ValueError unless the provenance it holds is well formed: a
+    finite JSON number for "beta", one in [0, 1] for "visibility" and
+    each "detector" efficiency, one in [0, 1) for "discardProb", and a
+    "table" that `CorrelatorTable.from_json_dict` takes.
     """
     beta = header.get("beta", 0.0)
-    try:
-        finite = type(beta) in (int, float) and math.isfinite(beta)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
+    if not _finite(beta):
         raise ValueError(f"beta {beta!r} is not a finite number")
+    units = {"visibility": "[0, 1]", "discardProb": "[0, 1)"}
+    fields = [(name, header[name], units[name]) for name in units
+              if name in header]
+    if "detector" in header:
+        detector = header["detector"]
+        if not isinstance(detector, dict):
+            raise ValueError(f"detector {detector!r} is not an object")
+        fields += [(f"detector {key}", detector.get(key), "[0, 1]")
+                   for key in ("etaT_A", "etaR_A", "etaT_B", "etaR_B")]
+    for name, value, unit in fields:
+        if not (_finite(value) and 0.0 <= value <= 1.0
+                and (value < 1.0 or unit.endswith("]"))):
+            raise ValueError(f"{name} {value!r} is not a finite number "
+                             f"in {unit}")
+    if "table" in header:
+        try:
+            CorrelatorTable.from_json_dict(header["table"])
+        except (TypeError, KeyError, OverflowError, InvalidArgumentError):
+            raise ValueError(
+                f"table {header['table']!r} is not a correlator table")
     return {k: v for k, v in header.items()
             if k not in ("settingPair", "basisVariant")}
 
@@ -116,8 +142,8 @@ def _is_json_int(value) -> bool:
 def _stream_header(header: dict) -> tuple[tuple, int, dict]:
     """Setting pair, basis variant and metadata of a JSON-lines header.
 
-    Both must be JSON integers, and a beta a finite number.  Raises
-    ValueError saying what is malformed.
+    Both must be JSON integers, and the metadata well formed
+    (`_stream_meta`).  Raises ValueError saying what is malformed.
     """
     variant = header.get("basisVariant")
     if not (_is_json_int(variant) and variant in (0, 1, 2, 3)):
@@ -482,78 +508,52 @@ def cluster_events(sequence, n: int) -> ClusteredOutcomes:
                              discarded=int(events - m * n))
 
 
-def _binned_signs(counts: np.ndarray, n: int, strategy: BinningStrategy,
-                  rng: np.random.Generator | None) -> np.ndarray:
-    s = sign_vector(n, strategy)[counts]
-    ties = s == 0.0
-    if np.any(ties):
-        if rng is None:
-            raise InvalidArgumentError(
-                "randomized ties present but no rng supplied")
-        s = s.copy()
-        s[ties] = rng.choice([-1.0, 1.0], size=int(ties.sum()))
-    return s
+def estimate_sn(clustered: dict, strategy: BinningStrategy) -> ChshEstimate:
+    """Empirical binned correlators and CHSH value from clustered counts.
 
-
-def estimate_sn(clustered: dict, strategy: BinningStrategy,
-                rng: np.random.Generator | None = None) -> ChshEstimate:
-    """Empirical binned correlators and CHSH value from clustered counts."""
+    A randomized majority tie counts as sign 0, the expectation of its
+    fair +-1 coin, so the estimate is deterministic.
+    """
     es = []
-    n = None
+    n = clustered[SETTING_PAIRS[0]].n
     for key in SETTING_PAIRS:
         c = clustered[key]
         if c.clusters < 1:
             raise InsufficientDataError(
                 f"no clusters for setting pair {key} (n={c.n})")
-        if n is None:
-            n = c.n
-        elif c.n != n:
+        if c.n != n:
             raise InvalidArgumentError("inconsistent cluster sizes")
-        sa = _binned_signs(c.a_counts, c.n, strategy, rng)
-        sb = _binned_signs(c.b_counts, c.n, strategy, rng)
-        es.append(float(np.mean(sa * sb)))
+        sign = sign_vector(c.n, strategy)
+        es.append(float(np.mean(sign[c.a_counts] * sign[c.b_counts])))
     return chsh_value((es[0], es[1], es[2], es[3]), n=n)
 
 
 def find_nc(sequences_per_beta: dict, strategy: BinningStrategy, n_values,
-            criterion=PointEstimate(), seed: int = 0) -> SnCurve:
+            criterion=PointEstimate()) -> SnCurve:
     """S_n with error bars over a (beta, n) grid, plus the largest violating n.
 
-    The point estimate comes from the unshuffled ordering, with
-    randomized majority ties drawn from a generator seeded from (seed,
-    beta index, n); sigma from `bootstrap_sn`, which draws nothing.
-    n_critical is the largest n at which any beta meets the criterion (0,
-    with a note, when none does).
+    The point estimate comes from the unshuffled ordering (`estimate_sn`),
+    sigma from `bootstrap_sn`; neither draws a random number, so a row
+    depends only on the data.  n_critical is the largest n at which any
+    beta meets the criterion (0, with a note, when none does).
     """
-    check_seed(seed)
     if not sequences_per_beta:
         raise InvalidArgumentError("need data for at least one beta")
     n_values = sorted({int(n) for n in n_values})
-    betas = sorted(sequences_per_beta)
-    rows = []  # rows[bi][j]: the (beta, n) entry of beta index bi, n_values[j]
-    for bi, beta in enumerate(betas):
-        sequences = sequences_per_beta[beta]
+    entries = []
+    for beta, sequences in sorted(sequences_per_beta.items()):
         sigmas = bootstrap_sn(sequences, n_values, strategy)[1]
         totals = {key: RunningTotals.of(sequences[key])
                   for key in SETTING_PAIRS}
-        rows.append([])
         for n, sigma in zip(n_values, sigmas):
-            tie_rng = np.random.default_rng(
-                np.random.SeedSequence([int(seed), bi, n]))
             clustered = {key: cluster_events(totals[key], n)
                          for key in SETTING_PAIRS}
-            s = estimate_sn(clustered, strategy, rng=tie_rng).s
-            rows[-1].append((float(beta), n, float(s), float(sigma)))
-    entries = [beta_rows[j] for j in range(len(n_values))
-               for beta_rows in rows]
-    n_critical = 0
-    for _, n, s, sigma in entries:
-        if isinstance(criterion, MinusKSigma):
-            violated = s - criterion.k * sigma > 2.0
-        else:
-            violated = s > 2.0
-        if violated:
-            n_critical = max(n_critical, n)
+            s = estimate_sn(clustered, strategy).s
+            entries.append((float(beta), n, float(s), float(sigma)))
+    entries.sort(key=lambda entry: (entry[1], entry[0]))
+    k = criterion.k if isinstance(criterion, MinusKSigma) else 0.0
+    n_critical = max((n for _, n, s, sigma in entries
+                      if s - k * sigma > 2.0), default=0)
     note = None if n_critical > 0 else "no n satisfied the criterion"
     return SnCurve(strategy=strategy, entries=tuple(entries),
                    n_critical=n_critical, criterion=criterion, note=note)

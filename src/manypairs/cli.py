@@ -2,7 +2,8 @@
 
 Outputs are plot-ready CSV (6 significant digits, config embedded as a
 leading comment line) or full-precision JSON (config embedded in the
-document).  All stochastic subcommands require an explicit seed.
+document).  `simulate`, the only stochastic subcommand, requires an
+explicit seed; `analyze` draws nothing, so a row depends only on the data.
 """
 
 from __future__ import annotations
@@ -236,10 +237,9 @@ def cmd_analyze(args) -> int:
     criterion = _criterion(args.criterion)
     sequences_per_beta = ana.ingest(args.files)
     curve = ana.find_nc(sequences_per_beta, strategy,
-                        _parse_int_range(args.n), criterion=criterion,
-                        seed=args.seed)
+                        _parse_int_range(args.n), criterion=criterion)
     rows = list(curve.entries)
-    # --resamples is echoed, though the closed-form sigma draws none
+    # --resamples and a given --seed are echoed, though nothing is drawn
     config = _config_dict(args, ["command", "strategy", "tie", "n",
                                  "resamples", "seed", "criterion"])
     extra = {"summary": {"strategy": args.strategy,
@@ -343,9 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted and echoed in the config, but unused: "
                         "sigma is the closed-form limit of the shuffle "
                         "bootstrap as resamples grow")
-    p.add_argument("--seed", type=_SEED, required=True,
-                   help="seeds the coins of randomized majority ties in "
-                        "the point estimate; sigma does not depend on it")
+    p.add_argument("--seed", type=_SEED, default=None,
+                   help="accepted and echoed in the config, but unused: "
+                        "a randomized majority tie counts as sign 0, its "
+                        "coin's expectation")
     p.add_argument("--criterion", default="point",
                    help="'point' or 'ksigma:K'")
     p.set_defaults(func=cmd_analyze)

@@ -104,9 +104,11 @@ def bootstrap_sn(sequences: dict, n_values, strategy: BinningStrategy
     For one setting pair the m clusters are drawn without replacement,
     so the correlator estimate E has
     Var(E) = Var(X)/m + (1 - 1/m) Cov(X1, X2) (W. G. Cochran, Sampling
-    Techniques, 1977), with X = sA sB of one cluster.  E[X^2] = 1, since
-    a randomized majority tie draws a +-1 coin.  Given the first
-    cluster's composition k1, the second is drawn from N - k1, so
+    Techniques, 1977), with X = sA sB of one cluster.  A randomized
+    majority tie has sign 0, as in `estimate_sn`, so E[X^2] is the
+    probability that neither side of a cluster ties; without a tie sign
+    it is exactly 1.  Given the first cluster's composition k1, the
+    second is drawn from N - k1, so
     Cov(X1, X2) = Cov(X1, g(N - k1)) with g(N) = E[X]; to first order
     (the Hajek projection, W. Hoeffding, Ann. Math. Statist. 19, 1948)
     it is -sum_c Cov(X, k_c) dg/dN_c, the derivative taken at
@@ -139,13 +141,15 @@ def bootstrap_sn(sequences: dict, n_values, strategy: BinningStrategy
         counts = np.broadcast_to(np.arange(n + 1.0), population.shape
                                  + (n + 1,))
         g, x_k, k_mean = _cluster_moments(population, n, sign, counts)
+        x_sq = 1.0 if sign.all() else _cluster_moments(
+            population, n, sign * sign, counts)[0]
         cov_x_k = x_k - g[:, None] * k_mean
         rest = population * (1.0 - n / events)[:, None]
         g_rest, x_slope, slope = _cluster_moments(
             rest, n, sign, _binomial_rows(rest, n)[1])
         dg = x_slope - g_rest[:, None] * slope
         cov_12 = -(cov_x_k * dg).sum(axis=1)
-        var = (1.0 - g * g) / m + (1.0 - 1.0 / m) * cov_12
+        var = (x_sq - g * g) / m + (1.0 - 1.0 / m) * cov_12
         means[j] = g[0] + g[1] + g[2] - g[3]
         # at n = 1 the two terms cancel exactly, but not in floating point
         sigmas[j] = 0.0 if n == 1 else math.sqrt(max(float(var.sum()), 0.0))

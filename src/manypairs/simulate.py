@@ -87,12 +87,10 @@ def setting_index(setting_pair: tuple[int, int]) -> int:
     return 2 * (x - 1) + (y - 1)
 
 
-def check_seed(seed) -> None:
-    """Raise InvalidArgumentError unless the seed, or each entry of a
-    sequence of seeds, is >= 0."""
-    for value in seed if isinstance(seed, (tuple, list)) else (seed,):
-        if value < 0:
-            raise InvalidArgumentError(f"seed must be >= 0, got {seed!r}")
+def check_seed(seed: int) -> None:
+    """Raise InvalidArgumentError unless the seed is >= 0."""
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed!r}")
 
 
 def stream_seed(seed: int, variant: int, setting_pair: tuple[int, int]) -> int:

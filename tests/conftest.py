@@ -191,14 +191,11 @@ def monte_carlo_bootstrap_sn(sequences: dict, n_values, strategy,
 
     Both arrays follow `n_values`.  Each resample permutes every setting
     pair's event order once and re-clusters that order at every n from
-    one running total per pair.  The shuffle generator is seeded from
-    `seed` and draws only permutations; randomized majority ties at n
-    draw from a generator seeded from (`seed`, n).
+    one running total per pair.  The generator is seeded from `seed` and
+    draws only permutations.
     """
     n_values = [int(n) for n in n_values]
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(seed))
-    tie_rngs = [np.random.default_rng(np.random.SeedSequence(
-        seed, spawn_key=(n,))) for n in n_values]
     # pack each pair's (a, b) bits into one code array so a resample is a
     # single shuffle instead of an index permutation plus two gathers
     packed = {key: (sequences[key][0] | (sequences[key][1] << np.uint8(1)))
@@ -210,11 +207,31 @@ def monte_carlo_bootstrap_sn(sequences: dict, n_values, strategy,
             codes = shuffle_rng.permuted(packed[key])
             totals[key] = RunningTotals.of((codes & np.uint8(1),
                                             codes >> np.uint8(1)))
-        for j, (n, tie_rng) in enumerate(zip(n_values, tie_rngs)):
+        for j, n in enumerate(n_values):
             clustered = {key: cluster_events(totals[key], n)
                          for key in SETTING_PAIRS}
-            values[j, i] = estimate_sn(clustered, strategy, rng=tie_rng).s
+            values[j, i] = estimate_sn(clustered, strategy).s
     return values.mean(axis=1), values.std(axis=1, ddof=1)
+
+
+def coin_estimate_sn(clustered: dict, strategy,
+                     rng: np.random.Generator) -> float:
+    """S_n with each randomized majority tie drawn as a fair +-1 coin.
+
+    The estimator `estimate_sn` replaced by the coin's expectation, sign
+    0; kept to show that the expectation has the lower variance.
+    """
+    es = []
+    for key in SETTING_PAIRS:
+        c = clustered[key]
+        signs = []
+        for counts in (c.a_counts, c.b_counts):
+            s = sign_vector(c.n, strategy)[counts]
+            ties = s == 0.0
+            s[ties] = rng.choice([-1.0, 1.0], size=int(ties.sum()))
+            signs.append(s)
+        es.append(float(np.mean(signs[0] * signs[1])))
+    return es[0] + es[1] + es[2] - es[3]
 
 
 def _compositions(n: int):
@@ -229,11 +246,12 @@ def exact_shuffle_sigma(sequences: dict, n: int, strategy) -> float:
     """Limit of the shuffle bootstrap's sigma for any binning, by exact sums.
 
     For a pair with category sizes N_c (c = 2a + b) and m = N // n
-    clusters, Var(E) = (1 - g(N)^2)/m + (1 - 1/m)(E[X1 X2] - g(N)^2),
+    clusters, Var(E) = Var(X)/m + (1 - 1/m)(E[X1 X2] - g(N)^2),
     where g(N) = E[X] under the multivariate hypergeometric and
     E[X1 X2] = sum over the first cluster's composition k1 of
-    P(k1) X(k1) g(N - k1).  A randomized tie draws a +-1 coin, so
-    E[X^2] = 1 and tied clusters enter X with sign 0.  O(n^6) per pair.
+    P(k1) X(k1) g(N - k1).  A randomized tie has sign 0, so E[X^2] is
+    the probability that neither side ties, and Var(X) = E[X^2] - g^2.
+    O(n^6) per pair.
     """
     sign = sign_vector(n, strategy)
 
@@ -244,8 +262,9 @@ def exact_shuffle_sigma(sequences: dict, n: int, strategy) -> float:
     def x(k):
         return sign[k[2] + k[3]] * sign[k[1] + k[3]]
 
-    def g(population):
-        return sum(prob(population, k) * x(k) for k in _compositions(n))
+    def g(population, power=1):
+        return sum(prob(population, k) * x(k) ** power
+                   for k in _compositions(n))
 
     var = 0.0
     for a, b in sequences.values():
@@ -256,7 +275,8 @@ def exact_shuffle_sigma(sequences: dict, n: int, strategy) -> float:
         joint = sum(prob(population, k) * x(k)
                     * g([p - c for p, c in zip(population, k)])
                     for k in _compositions(n) if prob(population, k) > 0.0)
-        var += (1.0 - mean ** 2) / m + (1.0 - 1.0 / m) * (joint - mean ** 2)
+        var += ((g(population, 2) - mean ** 2) / m
+                + (1.0 - 1.0 / m) * (joint - mean ** 2))
     return math.sqrt(max(var, 0.0))
 
 

@@ -123,7 +123,7 @@ def test_criterion_09_end_to_end_loop():
                    for sp in SETTING_PAIRS]
         sequences[beta] = sequences_from_streams(streams)
     n_values = list(range(9, 16))
-    curve = find_nc(sequences, Parity(), n_values, seed=0)
+    curve = find_nc(sequences, Parity(), n_values)
     worst_pull = 0.0
     for beta, n, s, sigma in curve.entries:
         expected = parity_chsh_analytic(beta, v, n)
@@ -163,8 +163,8 @@ def test_criterion_11_determinism():
     streams_ok = all(np.array_equal(x.a, y.a) and np.array_equal(x.b, y.b)
                      for x, y in zip(streams_a, streams_b))
     seqs = sequences_from_streams(streams_a)
-    first = find_nc({0.3: seqs}, Parity(), [2, 6], seed=5)
-    second = find_nc({0.3: seqs}, Parity(), [2, 6], seed=5)
+    first = find_nc({0.3: seqs}, Parity(), [2, 6])
+    second = find_nc({0.3: seqs}, Parity(), [2, 6])
     analysis_ok = first.entries == second.entries
     with tempfile.TemporaryDirectory() as tmp:
         p1 = Path(tmp) / "r1.jsonl"

@@ -9,7 +9,8 @@ from manypairs.analyze import (ClusteredOutcomes, MinusKSigma, PointEstimate,
                                RunningTotals, bootstrap_sn, cluster_events,
                                estimate_sn, find_nc, ingest, logical_bits,
                                read_csv, read_jsonl, sequences_from_streams)
-from manypairs.binning import Majority, Parity, TiePolicy, parity_chsh_analytic
+from manypairs.binning import (Majority, Parity, TiePolicy,
+                               parity_chsh_analytic, table_chsh)
 from manypairs.errors import (IngestionError, InsufficientDataError,
                               InvalidArgumentError)
 from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
@@ -17,7 +18,8 @@ from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
 from manypairs.simulate import (DetectorModel, EventStream, generate_run,
                                 generate_symmetrized, write_csv, write_jsonl)
 
-from conftest import (exact_shuffle_sigma, finite_population_parity_sigma,
+from conftest import (coin_estimate_sn, exact_shuffle_sigma,
+                      finite_population_parity_sigma,
                       monte_carlo_bootstrap_sn, reshape_cluster_events,
                       shuffle_parity_mean)
 
@@ -125,11 +127,46 @@ class TestIngest:
         ("bad.csv", 'x,y,variant,a,b\n# stream: {"beta": 0.2}\n'
          '1,1,0,1,0\n# stream: {"visibility": -Infinity}\n1,1,0,1,0\n',
          "4: bad stream metadata (-Infinity is not a JSON number)"),
+        ("bad.jsonl", '{"settingPair": [1, 1], "basisVariant": 0, '
+         '"visibility": "a"}\n',
+         "1: visibility 'a' is not a finite number in [0, 1]"),
+        ("bad.csv", 'x,y,variant,a,b\n# stream: {"visibility": -3}\n'
+         '1,1,0,1,0\n', "2: visibility -3 is not a finite number in [0, 1]"),
+        ("bad.jsonl", '{"settingPair": [1, 1], "basisVariant": 0, '
+         '"visibility": false}\n',
+         "1: visibility False is not a finite number in [0, 1]"),
+        ("bad.jsonl", '{"settingPair": [1, 1], "basisVariant": 0, '
+         '"table": 5}\n', "1: table 5 is not a correlator table"),
+        ("bad.csv", 'x,y,variant,a,b\n# stream: {"table": {"e11": 0.5}}\n'
+         '1,1,0,1,0\n', "2: table {'e11': 0.5} is not a correlator table"),
+        ("bad.jsonl", '{"settingPair": [1, 1], "basisVariant": 0, "table": '
+         '{"e11": 2, "e12": 0, "e21": 0, "e22": 0}}\n',
+         "1: table {'e11': 2, 'e12': 0, 'e21': 0, 'e22': 0} is not a "
+         "correlator table"),
+        ("bad.jsonl", '{"settingPair": [1, 1], "basisVariant": 0, '
+         '"detector": "x"}\n', "1: detector 'x' is not an object"),
+        ("bad.csv", 'x,y,variant,a,b\n# stream: {"detector": {"etaT_A": '
+         '1, "etaR_A": 1, "etaT_B": 1.5, "etaR_B": 1}}\n1,1,0,1,0\n',
+         "2: detector etaT_B 1.5 is not a finite number in [0, 1]"),
+        ("bad.jsonl", '{"settingPair": [1, 1], "basisVariant": 0, '
+         '"detector": {"etaT_A": 1}}\n',
+         "1: detector etaR_A None is not a finite number in [0, 1]"),
+        ("bad.jsonl", '{"settingPair": [1, 1], "basisVariant": 0, '
+         '"discardProb": 7}\n',
+         "1: discardProb 7 is not a finite number in [0, 1)"),
+        ("bad.csv", 'x,y,variant,a,b\n# stream: {"discardProb": 1.0}\n'
+         '1,1,0,1,0\n', "2: discardProb 1.0 is not a finite number in "
+         "[0, 1)"),
     ], ids=["csv-stream-not-object", "jsonl-record-not-object",
             "jsonl-variant-not-integer", "jsonl-pair-not-list",
             "jsonl-beta-string", "jsonl-beta-nan", "jsonl-beta-overflow",
             "jsonl-beta-huge-integer", "csv-beta-bool", "csv-beta-null",
-            "csv-visibility-infinity"])
+            "csv-visibility-infinity", "jsonl-visibility-string",
+            "csv-visibility-negative", "jsonl-visibility-bool",
+            "jsonl-table-number", "csv-table-incomplete",
+            "jsonl-table-out-of-range", "jsonl-detector-string",
+            "csv-detector-efficiency-above-1", "jsonl-detector-incomplete",
+            "jsonl-discard-above-1", "csv-discard-1"])
     def test_malformed_header_names_location(self, tmp_path, name, text,
                                              message):
         p = tmp_path / name
@@ -137,6 +174,20 @@ class TestIngest:
         with pytest.raises(IngestionError) as exc:
             ingest([p])
         assert str(exc.value) == f"{p}:{message}"
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+    def test_valid_metadata_reads(self, tmp_path, suffix):
+        t = werner_correlators(settings_from_beta(0.2), 0.9)
+        streams = [s for sp in SETTING_PAIRS for s in generate_symmetrized(
+            t, sp, 20, DetectorModel(eta_t_a=0.0, eta_r_b=0.5), seed=1,
+            discard_prob=0.25, extra_meta={"beta": 0.2, "visibility": 1})]
+        p = tmp_path / f"e{suffix}"
+        write, bulk = ((write_jsonl, analyze._bulk_jsonl)
+                       if suffix == ".jsonl" else
+                       (write_csv, analyze._bulk_csv))
+        write(streams, p)
+        assert bulk(p.read_bytes()) is not None
+        assert list(ingest([p])) == [0.2]
 
     @pytest.mark.parametrize("name, text", [
         ("big.jsonl", '{"settingPair": [1, 1], "basisVariant": 0}\n'
@@ -368,6 +419,35 @@ class TestEstimateSn:
         sigma = 4.0 / math.sqrt(300_000 / n)  # generous correlator bound
         assert abs(est.s - expected) < sigma
 
+    def test_randomized_tie_counts_zero(self):
+        # n = 2 signs: count 0 -> -1, 1 (a tie) -> 0, 2 -> +1
+        def clusters(a, b):
+            return ClusteredOutcomes(2, np.array(a), np.array(b), 0)
+        clustered = {sp: clusters([0, 1, 2, 1], [0, 1, 2, 2])
+                     for sp in SETTING_PAIRS[:3]}
+        clustered[(2, 2)] = clusters([2, 2, 1, 0], [0, 2, 1, 0])
+        est = estimate_sn(clustered, Majority(TiePolicy.RANDOMIZED))
+        # (1 + 0 + 1 + 0)/4 three times, minus (-1 + 1 + 0 + 1)/4
+        assert est.correlators == (0.5, 0.5, 0.5, 0.25)
+        assert est.s == 1.25
+
+    def test_randomized_ties_unbiased_with_less_variance(self):
+        beta, v, n = 0.3, 0.97, 4
+        strategy = Majority(TiePolicy.RANDOMIZED)
+        t = werner_correlators(settings_from_beta(beta), v)
+        exact = table_chsh(t, n, strategy).s
+        coin_rng = np.random.default_rng(99)
+        expectation, coin = [], []
+        for seed in range(100):
+            seqs = make_sequences(t, 20_000, seed=seed)
+            clustered = {sp: cluster_events(seqs[sp], n)
+                         for sp in SETTING_PAIRS}
+            expectation.append(estimate_sn(clustered, strategy).s)
+            coin.append(coin_estimate_sn(clustered, strategy, coin_rng))
+        mean_error = np.std(expectation, ddof=1) / math.sqrt(100)
+        assert abs(np.mean(expectation) - exact) < 4.0 * mean_error
+        assert np.var(expectation) < np.var(coin)
+
     def test_insufficient_data(self):
         empty = {sp: ClusteredOutcomes(5, np.array([], dtype=np.int64),
                                        np.array([], dtype=np.int64), 3)
@@ -491,14 +571,14 @@ class TestBootstrap:
 class TestFindNc:
     def test_local_deterministic_data(self):
         seqs = constant_sequences(200)
-        curve = find_nc({0.0: seqs}, Majority(), [1, 2, 4], seed=0)
+        curve = find_nc({0.0: seqs}, Majority(), [1, 2, 4])
         assert curve.n_critical == 0  # S = 2 exactly, strict criterion
         assert curve.note is not None
 
     def test_n1_reduces_to_plain_chsh_decision(self):
         t = werner_correlators(settings_from_beta(math.pi / 4), 0.9)
         seqs = make_sequences(t, 50_000, seed=4)
-        curve = find_nc({math.pi / 4: seqs}, Parity(), [1], seed=0)
+        curve = find_nc({math.pi / 4: seqs}, Parity(), [1])
         beta, n, s, sigma = curve.entries[0]
         assert n == 1
         assert s > 2.0  # 0.9 * 2*sqrt(2) = 2.55
@@ -507,17 +587,16 @@ class TestFindNc:
     def test_minus_k_sigma_stricter(self):
         t = werner_correlators(settings_from_beta(0.23), 0.99)
         seqs = make_sequences(t, 20_000, seed=10)
-        point = find_nc({0.23: seqs}, Parity(), range(1, 8), seed=1,
+        point = find_nc({0.23: seqs}, Parity(), range(1, 8),
                         criterion=PointEstimate())
-        strict = find_nc({0.23: seqs}, Parity(), range(1, 8), seed=1,
+        strict = find_nc({0.23: seqs}, Parity(), range(1, 8),
                          criterion=MinusKSigma(k=3.0))
         assert strict.n_critical <= point.n_critical
 
     def test_entries_sorted(self):
         t = werner_correlators(settings_from_beta(0.3), 0.95)
         seqs = make_sequences(t, 5000, seed=2)
-        curve = find_nc({0.3: seqs, 0.2: seqs}, Parity(), [3, 1, 2],
-                        seed=0)
+        curve = find_nc({0.3: seqs, 0.2: seqs}, Parity(), [3, 1, 2])
         keys = [(n, beta) for beta, n, _, _ in curve.entries]
         assert keys == sorted(keys)
 
@@ -528,16 +607,20 @@ class TestFindNc:
         t = werner_correlators(settings_from_beta(0.3), 0.95)
         per_beta = {0.3: make_sequences(t, 5000, seed=2),
                     0.2: make_sequences(t, 5000, seed=3)}
-        alone = find_nc(per_beta, strategy, [4], seed=8)
-        grid = find_nc(per_beta, strategy, range(1, 9), seed=8)
+        alone = find_nc(per_beta, strategy, [4])
+        grid = find_nc(per_beta, strategy, range(1, 9))
         assert alone.entries == tuple(e for e in grid.entries if e[1] == 4)
 
-    def test_negative_seed_rejected_before_bootstrap(self, monkeypatch):
+    def test_draws_nothing(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("bootstrap ran")
-        monkeypatch.setattr(analyze, "bootstrap_sn", fail)
-        with pytest.raises(InvalidArgumentError, match="seed"):
-            find_nc({0.0: constant_sequences(20)}, Parity(), [1], seed=-1)
+            raise AssertionError("a generator was created")
+        t = werner_correlators(settings_from_beta(0.3), 0.95)
+        seqs = make_sequences(t, 2000, seed=2)
+        monkeypatch.setattr(np.random, "default_rng", fail)
+        monkeypatch.setattr(np.random, "SeedSequence", fail)
+        curve = find_nc({0.3: seqs}, Majority(TiePolicy.RANDOMIZED),
+                        [1, 2, 4])
+        assert [n for _, n, _, _ in curve.entries] == [1, 2, 4]
 
     @pytest.mark.parametrize("strategy", [Parity(),
                                           Majority(TiePolicy.RANDOMIZED)],
@@ -547,7 +630,7 @@ class TestFindNc:
         t = werner_correlators(settings_from_beta(0.3), 0.95)
         per_beta = {0.3: make_sequences(t, 3000, seed=2),
                     0.2: make_sequences(t, 3000, seed=3)}
-        fast = find_nc(per_beta, strategy, range(1, 9), seed=8)
+        fast = find_nc(per_beta, strategy, range(1, 9))
 
         def reshape(sequence, n):
             if isinstance(sequence, RunningTotals):
@@ -555,6 +638,6 @@ class TestFindNc:
             return reshape_cluster_events(sequence, n)
 
         monkeypatch.setattr(analyze, "cluster_events", reshape)
-        slow = find_nc(per_beta, strategy, range(1, 9), seed=8)
+        slow = find_nc(per_beta, strategy, range(1, 9))
         assert fast.entries == slow.entries
         assert fast.n_critical == slow.n_critical

@@ -106,6 +106,22 @@ class TestSimulateAnalyze:
         assert sigmas[0] == sigmas[1]
         assert sigmas[0][0] == 0.0 and all(s > 0.0 for s in sigmas[0][1:])
 
+    def test_randomized_rows_independent_of_seed(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        run(capsys, "simulate", "--beta", "0.25", "--v", "0.99", "--events",
+            "2000", "--seed", "5", "--out", str(events))
+        outputs = []
+        for seed in (("--seed", "0"), ("--seed", "7"), ()):
+            code, out, _ = run(capsys, "analyze", "--files", str(events),
+                               "--n", "1..8", "--tie", "randomized", *seed)
+            assert code == 0
+            config, rows = out.split("\n", 1)
+            assert json.loads(config.removeprefix("# config: ")).get(
+                "seed") == (int(seed[1]) if seed else None)
+            outputs.append(rows)
+        # everything after the config line, which echoes the seed
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_symmetrize_and_csv(self, tmp_path, capsys):
         events = tmp_path / "events.csv"
         code, _, _ = run(capsys, "simulate", "--beta", "0.2", "--v", "0.9",
@@ -272,6 +288,11 @@ class TestErrors:
         ("analyze", "--files", "betaa.jsonl", "--n", "1", "--seed", "0"),
         ("analyze", "--files", "betanan.jsonl", "--n", "1", "--seed", "0"),
         ("analyze", "--files", "visnan.jsonl", "--n", "1", "--seed", "0"),
+        ("analyze", "--files", "visa.jsonl", "--n", "1"),
+        ("analyze", "--files", "visneg.jsonl", "--n", "1"),
+        ("analyze", "--files", "table5.jsonl", "--n", "1"),
+        ("analyze", "--files", "detx.jsonl", "--n", "1"),
+        ("analyze", "--files", "discard7.jsonl", "--n", "1"),
     ], ids=["compare-tol-0", "compare-tol-negative", "compare-tol-nan",
             "scan-vc-width-0", "scan-vc-width-nan", "analyze-missing-file",
             "analyze-binary-file", "analyze-csv-stream-not-object",
@@ -280,7 +301,9 @@ class TestErrors:
             "analyze-jsonl-pair-not-list", "analyze-jsonl-long-integer",
             "analyze-ksigma-nan", "analyze-ksigma-negative",
             "analyze-ksigma-inf", "analyze-beta-string", "analyze-beta-nan",
-            "analyze-visibility-nan"])
+            "analyze-visibility-nan", "analyze-visibility-string",
+            "analyze-visibility-negative", "analyze-table-number",
+            "analyze-detector-string", "analyze-discard-above-1"])
     def test_bad_value_exit_1(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         run(capsys, "simulate", "--beta", "0.2", "--v", "0.9", "--events",
@@ -304,6 +327,15 @@ class TestErrors:
             ok.replace('"beta": 0.2', '"beta": NaN', 1))
         (tmp_path / "visnan.jsonl").write_text(
             ok.replace('"visibility": 0.9', '"visibility": NaN'))
+        for name, pattern, value in (
+                ("visa", r'"visibility": [^,}]*', '"visibility": "a"'),
+                ("visneg", r'"visibility": [^,}]*', '"visibility": -3'),
+                ("table5", r'"table": \{[^}]*\}', '"table": 5'),
+                ("detx", r'"detector": \{[^}]*\}', '"detector": "x"'),
+                ("discard7", r'"discardProb": [^,}]*', '"discardProb": 7')):
+            edited = re.sub(pattern, value, ok, count=1)
+            assert edited != ok
+            (tmp_path / f"{name}.jsonl").write_text(edited)
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""

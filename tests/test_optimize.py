@@ -49,6 +49,18 @@ class TestFastCorrelatorPath:
                 assert family_chsh(beta, v, n, strategy) == pytest.approx(
                     exact.s, abs=1e-12)
 
+    @pytest.mark.parametrize("n, strategy", [
+        (4095, Majority()), (4096, Majority(TiePolicy.TIE_TO_MINUS)),
+        (4096, Majority(TiePolicy.RANDOMIZED)), (4096, Parity())], ids=str)
+    def test_matches_table_chsh_at_cap(self, n, strategy):
+        # n = 4096 is the largest pair count that critical_pairs probes
+        beta, v = 0.01, 0.9999
+        table = werner_correlators(settings_from_beta(beta), v)
+        exact = table_chsh(table, n, strategy).s
+        assert abs(exact) > 0.1
+        assert family_chsh(beta, v, n, strategy) == pytest.approx(
+            exact, abs=1e-12)
+
     def test_majority_sheppard_limit(self):
         # large-n majority correlator tends to (2/pi) arcsin(e)
         e = np.linspace(-0.99, 0.99, 199)
