@@ -24,8 +24,8 @@ from .errors import (IngestionError, InsufficientDataError,
                      InvalidArgumentError)
 from .pairstats import SETTING_PAIRS, CorrelatorTable
 from .sampling import bootstrap_sn
-from .simulate import (CSV_EVENT, CSV_HEADER, CSV_STREAM_PREFIX, JSONL_EVENT,
-                       EventStream, event_format, variant_inversions)
+from .simulate import (CSV_EVENT, CSV_STREAM_PREFIX, JSONL_EVENT, EventStream,
+                       event_format, variant_inversions)
 
 #: Column names of the CSV event form.
 _CSV_COLUMNS = ("x", "y", "variant", "a", "b")
@@ -33,7 +33,7 @@ _CSV_COLUMNS = ("x", "y", "variant", "a", "b")
 #: One cell of a CSV event row: a run of ASCII digits.
 _CSV_CELL = re.compile(r"[0-9]+")
 
-#: First row of a run of CSV rows that the bulk reader takes.
+#: First row of a run of CSV rows that `read_csv` checks as one block.
 _CSV_FIRST_ROW = re.compile(rb"[0-9],[0-9],[0-3],[01],[01]\n")
 
 #: Stream metadata that must agree between streams pooled under one beta;
@@ -127,7 +127,7 @@ def _stream_meta(header: dict) -> dict:
     if "table" in header:
         try:
             CorrelatorTable.from_json_dict(header["table"])
-        except (TypeError, KeyError, OverflowError, InvalidArgumentError):
+        except InvalidArgumentError:
             raise ValueError(
                 f"table {header['table']!r} is not a correlator table")
     return {k: v for k, v in header.items()
@@ -155,17 +155,47 @@ def _stream_header(header: dict) -> tuple[tuple, int, dict]:
     return tuple(pair), variant, _stream_meta(header)
 
 
-def _json_object(line: bytes) -> dict | None:
-    """The JSON object on one line of an event file, or None when the
-    line is not ASCII, holds a carriage return (which the line parser
-    reads as a line break), NaN or Infinity, or is not a JSON object."""
-    if not line.isascii() or b"\r" in line:
-        return None
-    try:
-        obj = json.loads(line, parse_constant=_no_constant)
-    except (ValueError, RecursionError):
-        return None
-    return obj if isinstance(obj, dict) else None
+def _error(path: Path, raw: bytes, offset: int, message: str):
+    """IngestionError naming `path:line` for the line at byte `offset`,
+    counting line breaks as text mode does: LF, CR LF and a lone CR.
+
+    Raises UnicodeDecodeError instead if `raw` is not UTF-8.  A reader
+    decodes every line it parses and checks every other byte against an
+    ASCII template, so a file that is not UTF-8 is refused as such
+    whichever of its lines is also malformed.
+    """
+    raw.decode()
+    line = (raw.count(b"\n", 0, offset) + raw.count(b"\r", 0, offset)
+            - raw.count(b"\r\n", 0, offset) + 1)
+    return IngestionError(f"{path}:{line}: {message}")
+
+
+#: One line and its line break, as text mode splits a file.
+_LINE = re.compile(rb"([^\r\n]*)(\r\n|\r|\n)?")
+
+
+def _lines(raw: bytes, lo: int, hi: int):
+    """(offset, text, line break) of each line of raw[lo:hi]; the line
+    break is normalised to LF, or is "" for a last line without one."""
+    for match in _LINE.finditer(raw, lo, hi):
+        if match.end() > match.start():
+            yield (match.start(), match[1].decode(),
+                   "\n" if match[2] else "")
+
+
+def _runs(raw: bytes, pos: int, marker: bytes):
+    """Cut raw[pos:] before and after each line holding `marker`.
+
+    Yields (lo, start, end): raw[lo:start] is the run of lines before
+    such a line and raw[start:end] the line itself (empty at the end).
+    """
+    while pos < len(raw):
+        key = raw.find(marker, pos)
+        start = (len(raw) if key < 0
+                 else max(raw.rfind(b"\n", pos, key) + 1, pos))
+        end = len(raw) if key < 0 else raw.find(b"\n", key) + 1 or len(raw)
+        yield pos, start, end
+        pos = end
 
 
 def _event_bits(block: np.ndarray, template: bytes, columns):
@@ -182,126 +212,38 @@ def _event_bits(block: np.ndarray, template: bytes, columns):
     return diff[:, columns[0]].copy(), diff[:, columns[1]].copy()
 
 
-def _bulk_jsonl(raw: bytes) -> list[EventStream] | None:
-    """Streams of a file in `write_jsonl`'s layout, or None for any other.
+class _Events:
+    """One stream under assembly: its a and b bits, in file order."""
 
-    Header lines are found by their "settingPair" key and parsed with
-    json; the event lines between two headers are one zero-copy block.
-    """
-    template, columns = JSONL_EVENT
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    streams: list[EventStream] = []
-    fields = None
-    pos = 0
-    while True:
-        key = raw.find(b'"settingPair"', pos)
-        start = len(raw) if key < 0 else max(raw.rfind(b"\n", pos, key) + 1,
-                                               pos)
-        bits = _event_bits(buf[pos:start], template, columns)
-        if bits is None or (fields is None and len(bits[0])):
-            return None
-        if fields is not None:
-            pair, variant, meta = fields
-            streams.append(EventStream(setting_pair=pair,
-                                       basis_variant=variant, a=bits[0],
-                                       b=bits[1], meta=meta))
-        if key < 0:
-            return streams
-        end = raw.find(b"\n", key)
-        pos = len(raw) if end < 0 else end + 1
-        header = _json_object(raw[start:pos])
-        if header is None or "settingPair" not in header:
-            return None
-        try:
-            fields = _stream_header(header)
-        except ValueError:
-            return None
+    def __init__(self, pair: tuple, variant: int, meta: dict):
+        self.fields = (pair, variant, meta)
+        self.a, self.b = bytearray(), bytearray()
 
+    def extend(self, a, b) -> None:
+        self.a.extend(a)  # a uint8 array is copied as one buffer
+        self.b.extend(b)
 
-def _bulk_csv(raw: bytes) -> list[EventStream] | None:
-    """Streams of a file in `write_csv`'s layout, or None for any other.
-
-    Every run of rows between two `# stream:` lines must hold one
-    (x, y, variant), with x, y <= 9 and variant <= 3 as single digits.
-    """
-    header = CSV_HEADER.encode()
-    prefix = CSV_STREAM_PREFIX.encode()
-    suffix, columns = CSV_EVENT
-    if not raw.startswith(header):
-        return None
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    streams: list[EventStream] = []
-    meta: dict = {}
-    pos = len(header)
-    while True:
-        key = raw.find(prefix, pos)
-        start = len(raw) if key < 0 else key
-        if start > pos:
-            first = raw[pos:raw.find(b"\n", pos) + 1]
-            if not _CSV_FIRST_ROW.fullmatch(first):
-                return None
-            template = first[:-len(suffix)] + suffix
-            bits = _event_bits(buf[pos:start], template, columns)
-            if bits is None:
-                return None
-            x, y, variant = (int(c) for c in first[:5].split(b","))
-            streams.append(EventStream(setting_pair=(x, y),
-                                       basis_variant=variant, a=bits[0],
-                                       b=bits[1], meta=dict(meta)))
-        if key < 0:
-            return streams
-        end = raw.find(b"\n", key)
-        pos = len(raw) if end < 0 else end + 1
-        meta = _json_object(raw[key + len(prefix):pos])
-        if meta is None:
-            return None
-        try:
-            meta = _stream_meta(meta)
-        except ValueError:
-            return None
+    def stream(self) -> EventStream:
+        pair, variant, meta = self.fields
+        return EventStream(pair, variant, np.frombuffer(self.a, np.uint8),
+                           np.frombuffer(self.b, np.uint8), meta)
 
 
 def read_jsonl(path) -> list[EventStream]:
     """Parse a JSON-lines event file into streams (physical bits).
 
-    A file in `write_jsonl`'s layout is read in bulk; any other goes
-    through the line parser, which reports errors as `path:line`.
+    Each stream's run of event lines is checked as one block against
+    `write_jsonl`'s layout; only the lines of a run that departs from it,
+    and the header lines, are parsed one by one.  Errors name `path:line`.
     """
     path = Path(path)
-    streams = _bulk_jsonl(path.read_bytes())
-    return _read_jsonl_lines(path) if streams is None else streams
+    raw = path.read_bytes()
+    template, columns = JSONL_EVENT
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    streams: list[_Events] = []
 
-
-def read_csv(path) -> list[EventStream]:
-    """Parse the compact CSV form (x, y, variant, a, b) into streams.
-
-    A `# stream: {json}` comment line carries the metadata of the rows
-    after it; files without such lines read with empty metadata.  A file
-    in `write_csv`'s layout is read in bulk; any other goes through the
-    line parser, which reports errors as `path:line`.
-    """
-    path = Path(path)
-    streams = _bulk_csv(path.read_bytes())
-    return _read_csv_lines(path) if streams is None else streams
-
-
-def _read_jsonl_lines(path: Path) -> list[EventStream]:
-    streams: list[EventStream] = []
-    fields = None
-    a_bits: list[int] = []
-    b_bits: list[int] = []
-
-    def flush():
-        if fields is None:
-            return
-        pair, variant, meta = fields
-        streams.append(EventStream(
-            setting_pair=pair, basis_variant=variant,
-            a=np.array(a_bits, dtype=np.uint8),
-            b=np.array(b_bits, dtype=np.uint8), meta=meta))
-
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
+    def parse_lines(lo: int, hi: int) -> None:
+        for offset, line, _ in _lines(raw, lo, hi):
             line = line.strip()
             if not line:
                 continue
@@ -310,57 +252,79 @@ def _read_jsonl_lines(path: Path) -> list[EventStream]:
             except (ValueError, RecursionError) as exc:
                 # ValueError covers JSONDecodeError and integers longer
                 # than Python converts; RecursionError, deep nesting
-                raise IngestionError(f"{path}:{lineno}: bad JSON ({exc})")
+                raise _error(path, raw, offset, f"bad JSON ({exc})")
             if isinstance(obj, dict) and "settingPair" in obj:
-                flush()
                 try:
-                    fields = _stream_header(obj)
+                    streams.append(_Events(*_stream_header(obj)))
                 except ValueError as exc:
-                    raise IngestionError(f"{path}:{lineno}: {exc}")
-                a_bits, b_bits = [], []
+                    raise _error(path, raw, offset, str(exc))
             elif isinstance(obj, dict) and "a" in obj and "b" in obj:
-                if fields is None:
-                    raise IngestionError(
-                        f"{path}:{lineno}: event record before any header")
+                if not streams:
+                    raise _error(path, raw, offset,
+                                 "event record before any header")
                 if not all(_is_json_int(obj[k]) and obj[k] in (0, 1)
                            for k in ("a", "b")):
-                    raise IngestionError(
-                        f"{path}:{lineno}: outcomes must be bits")
-                a_bits.append(obj["a"])
-                b_bits.append(obj["b"])
+                    raise _error(path, raw, offset, "outcomes must be bits")
+                streams[-1].extend((obj["a"],), (obj["b"],))
             else:
-                raise IngestionError(
-                    f"{path}:{lineno}: unrecognized record {obj!r}")
-    flush()
-    return streams
+                raise _error(path, raw, offset, f"unrecognized record {obj!r}")
+
+    for lo, start, end in _runs(raw, 0, b'"settingPair"'):
+        bits = streams and _event_bits(buf[lo:start], template, columns)
+        if bits:
+            streams[-1].extend(*bits)
+        else:
+            parse_lines(lo, start)
+        parse_lines(start, end)
+    return [events.stream() for events in streams]
 
 
-def _read_csv_lines(path: Path) -> list[EventStream]:
+def read_csv(path) -> list[EventStream]:
+    """Parse the compact CSV form (x, y, variant, a, b) into streams.
+
+    A `# stream: {json}` comment line carries the metadata of the rows
+    after it; files without such lines read with empty metadata.  Under
+    `write_csv`'s column line, each run of rows between two such lines is
+    checked as one block against the layout of its first row; only the
+    rows of a run that departs from it, and the comment lines, are parsed
+    one by one.  Errors name `path:line`.
+    """
+    path = Path(path)
+    raw = path.read_bytes()
+    suffix, columns = CSV_EVENT
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    first = _LINE.match(raw)
+    names = first[1].decode().strip().split(",")
+    if sorted(names) != sorted(_CSV_COLUMNS):
+        raise _error(path, raw, 0, "expected columns x,y,variant,a,b")
+    cols = [names.index(c) for c in _CSV_COLUMNS]
     metas: list[dict] = [{}]
-    chunks: dict[tuple, list] = {}
-    with path.open() as fh:
-        names = fh.readline().strip().split(",")
-        if sorted(names) != sorted(_CSV_COLUMNS):
-            raise IngestionError(
-                f"{path}:1: expected columns x,y,variant,a,b")
-        cols = [names.index(c) for c in _CSV_COLUMNS]
-        for lineno, line in enumerate(fh, start=2):
-            if line.startswith(CSV_STREAM_PREFIX):
+    streams: dict[tuple, _Events] = {}
+
+    def events(pair: tuple, variant: int) -> _Events:
+        key = (len(metas) - 1, pair, variant)
+        if key not in streams:
+            streams[key] = _Events(pair, variant, dict(metas[-1]))
+        return streams[key]
+
+    def parse_lines(lo: int, hi: int) -> None:
+        for offset, row, newline in _lines(raw, lo, hi):
+            if row.startswith(CSV_STREAM_PREFIX):
                 try:
-                    header = json.loads(line[len(CSV_STREAM_PREFIX):],
-                                        parse_constant=_no_constant)
+                    header = json.loads(
+                        row[len(CSV_STREAM_PREFIX):] + newline,
+                        parse_constant=_no_constant)
                 except (ValueError, RecursionError) as exc:
-                    raise IngestionError(
-                        f"{path}:{lineno}: bad stream metadata ({exc})")
+                    raise _error(path, raw, offset,
+                                 f"bad stream metadata ({exc})")
                 if not isinstance(header, dict):
-                    raise IngestionError(
-                        f"{path}:{lineno}: stream metadata is not an object")
+                    raise _error(path, raw, offset,
+                                 "stream metadata is not an object")
                 try:
                     metas.append(_stream_meta(header))
                 except ValueError as exc:
-                    raise IngestionError(f"{path}:{lineno}: {exc}")
+                    raise _error(path, raw, offset, str(exc))
                 continue
-            row = line.rstrip("\n")
             if not row.strip():
                 continue
             cells = row.split(",")
@@ -370,21 +334,26 @@ def _read_csv_lines(path: Path) -> list[EventStream]:
                     raise ValueError
                 x, y, v, a, b = (int(cells[i]) for i in cols)
             except ValueError:  # int() also refuses over 4300 digits
-                raise IngestionError(
-                    f"{path}:{lineno}: malformed row {row!r}")
+                raise _error(path, raw, offset, f"malformed row {row!r}")
             if v not in (0, 1, 2, 3):
-                raise IngestionError(
-                    f"{path}:{lineno}: basis variant outside 0..3")
+                raise _error(path, raw, offset, "basis variant outside 0..3")
             if a not in (0, 1) or b not in (0, 1):
-                raise IngestionError(f"{path}:{lineno}: outcomes must be bits")
-            chunks.setdefault((len(metas) - 1, (x, y), v), []).append((a, b))
-    streams = []
-    for (block, setting_pair, variant), rows in chunks.items():
-        pairs = np.array(rows, dtype=np.uint8)
-        streams.append(EventStream(setting_pair=setting_pair,
-                                   basis_variant=variant, a=pairs[:, 0],
-                                   b=pairs[:, 1], meta=dict(metas[block])))
-    return streams
+                raise _error(path, raw, offset, "outcomes must be bits")
+            events((x, y), v).extend((a,), (b,))
+
+    in_order = names == list(_CSV_COLUMNS)
+    for lo, start, end in _runs(raw, first.end(),
+                                CSV_STREAM_PREFIX.encode()):
+        row = raw[lo:raw.find(b"\n", lo, start) + 1]
+        bits = (in_order and _CSV_FIRST_ROW.fullmatch(row) and _event_bits(
+            buf[lo:start], row[:-len(suffix)] + suffix, columns))
+        if bits:
+            x, y, variant = map(int, row[:5].split(b","))
+            events((x, y), variant).extend(*bits)
+        else:
+            parse_lines(lo, start)
+        parse_lines(start, end)
+    return [stream.stream() for stream in streams.values()]
 
 
 def read_streams(path) -> list[EventStream]:

@@ -110,7 +110,7 @@ def family_chsh(beta, visibility: float, n: int, strategy: BinningStrategy):
 
     beta may be a scalar (returns a float) or an array (returns an array).
     Raises InvalidArgumentError for n < 1, a visibility outside [0, 1] or
-    a beta that is not finite.
+    a beta for which 3 * beta is not finite.
     """
     if n < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n!r}")
@@ -119,9 +119,9 @@ def family_chsh(beta, visibility: float, n: int, strategy: BinningStrategy):
     beta = np.asarray(beta, dtype=float)
     # the optimizers make thousands of scalar calls, for which
     # math.isfinite is far cheaper than a numpy reduction
-    if not (math.isfinite(beta) if beta.ndim == 0
-            else np.isfinite(beta).all()):
-        raise InvalidArgumentError("beta must be a finite number")
+    peak = float(beta if beta.ndim == 0 else np.abs(beta).max(initial=0.0))
+    if not math.isfinite(3.0 * peak):
+        raise InvalidArgumentError("beta and 3 * beta must be finite")
     f = binned_correlator_from_e(
         visibility * np.cos(np.stack([beta, 3.0 * beta])), n, strategy)
     s = 3.0 * f[0] - f[1]

@@ -84,7 +84,8 @@ class CorrelatorTable:
         for name in ("e11", "e12", "e21", "e22",
                      "marg_a1", "marg_a2", "marg_b1", "marg_b2"):
             v = getattr(self, name)
-            if not math.isfinite(v) or abs(v) > 1.0 + ATOL:
+            # false for NaN, and exact for an integer too large for a float
+            if not abs(v) <= 1.0 + ATOL:
                 raise InvalidArgumentError(f"{name}={v!r} must lie in [-1, 1]")
 
     def correlator(self, x: int, y: int) -> float:
@@ -105,9 +106,20 @@ class CorrelatorTable:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CorrelatorTable":
-        return cls(e11=d["e11"], e12=d["e12"], e21=d["e21"], e22=d["e22"],
-                   marg_a1=d.get("margA1", 0.0), marg_a2=d.get("margA2", 0.0),
-                   marg_b1=d.get("margB1", 0.0), marg_b2=d.get("margB2", 0.0))
+        """Inverse of `to_json_dict`; absent marginals are 0.  Raises
+        InvalidArgumentError unless `d` is a dict of numbers in [-1, 1]."""
+        if not isinstance(d, dict):
+            raise InvalidArgumentError(f"correlator table {d!r} is not a dict")
+        keys = ("e11", "e12", "e21", "e22", "margA1", "margA2", "margB1",
+                "margB2")
+        values = [d.get(k, 0.0 if k.startswith("marg") else None)
+                  for k in keys]
+        for key, value in zip(keys, values):
+            # a bool is an int to Python
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InvalidArgumentError(
+                    f"correlator table {key} {value!r} is not a number")
+        return cls(*values)
 
 
 def werner_correlators(settings: MeasurementSettings,

@@ -10,14 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from manypairs.analyze import (ClusteredOutcomes, RunningTotals,
-                               cluster_events, estimate_sn)
+from manypairs.analyze import (_CSV_CELL, _CSV_COLUMNS, ClusteredOutcomes,
+                               RunningTotals, _is_json_int, _no_constant,
+                               _stream_header, _stream_meta, cluster_events,
+                               estimate_sn)
 from manypairs.binning import Majority, Parity, sign_vector
-from manypairs.errors import NoViolationError
+from manypairs.errors import IngestionError, NoViolationError
 from manypairs.optimize import SettingsMode, max_chsh
 from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
                                  PairJointDistribution, joint_table)
-from manypairs.simulate import CSV_STREAM_PREFIX, _header
+from manypairs.simulate import CSV_STREAM_PREFIX, EventStream, _header
 
 
 def random_feasible_table(rng: np.random.Generator,
@@ -309,6 +311,110 @@ def write_csv_lines(streams, path) -> None:
             v = stream.basis_variant
             for a, b in zip(stream.a.tolist(), stream.b.tolist()):
                 fh.write(f"{x},{y},{v},{a},{b}\n")
+
+
+def read_jsonl_lines(path: Path) -> list[EventStream]:
+    """JSON-lines event reader that parses every line on its own."""
+    streams: list[EventStream] = []
+    fields = None
+    a_bits: list[int] = []
+    b_bits: list[int] = []
+
+    def flush():
+        if fields is None:
+            return
+        pair, variant, meta = fields
+        streams.append(EventStream(
+            setting_pair=pair, basis_variant=variant,
+            a=np.array(a_bits, dtype=np.uint8),
+            b=np.array(b_bits, dtype=np.uint8), meta=meta))
+
+    with path.open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line, parse_constant=_no_constant)
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers JSONDecodeError and integers longer
+                # than Python converts; RecursionError, deep nesting
+                raise IngestionError(f"{path}:{lineno}: bad JSON ({exc})")
+            if isinstance(obj, dict) and "settingPair" in obj:
+                flush()
+                try:
+                    fields = _stream_header(obj)
+                except ValueError as exc:
+                    raise IngestionError(f"{path}:{lineno}: {exc}")
+                a_bits, b_bits = [], []
+            elif isinstance(obj, dict) and "a" in obj and "b" in obj:
+                if fields is None:
+                    raise IngestionError(
+                        f"{path}:{lineno}: event record before any header")
+                if not all(_is_json_int(obj[k]) and obj[k] in (0, 1)
+                           for k in ("a", "b")):
+                    raise IngestionError(
+                        f"{path}:{lineno}: outcomes must be bits")
+                a_bits.append(obj["a"])
+                b_bits.append(obj["b"])
+            else:
+                raise IngestionError(
+                    f"{path}:{lineno}: unrecognized record {obj!r}")
+    flush()
+    return streams
+
+
+def read_csv_lines(path: Path) -> list[EventStream]:
+    """CSV event reader that parses every line on its own."""
+    metas: list[dict] = [{}]
+    chunks: dict[tuple, list] = {}
+    with path.open() as fh:
+        names = fh.readline().strip().split(",")
+        if sorted(names) != sorted(_CSV_COLUMNS):
+            raise IngestionError(
+                f"{path}:1: expected columns x,y,variant,a,b")
+        cols = [names.index(c) for c in _CSV_COLUMNS]
+        for lineno, line in enumerate(fh, start=2):
+            if line.startswith(CSV_STREAM_PREFIX):
+                try:
+                    header = json.loads(line[len(CSV_STREAM_PREFIX):],
+                                        parse_constant=_no_constant)
+                except (ValueError, RecursionError) as exc:
+                    raise IngestionError(
+                        f"{path}:{lineno}: bad stream metadata ({exc})")
+                if not isinstance(header, dict):
+                    raise IngestionError(
+                        f"{path}:{lineno}: stream metadata is not an object")
+                try:
+                    metas.append(_stream_meta(header))
+                except ValueError as exc:
+                    raise IngestionError(f"{path}:{lineno}: {exc}")
+                continue
+            row = line.rstrip("\n")
+            if not row.strip():
+                continue
+            cells = row.split(",")
+            try:
+                if len(cells) != len(cols) or not all(
+                        _CSV_CELL.fullmatch(c) for c in cells):
+                    raise ValueError
+                x, y, v, a, b = (int(cells[i]) for i in cols)
+            except ValueError:  # int() also refuses over 4300 digits
+                raise IngestionError(
+                    f"{path}:{lineno}: malformed row {row!r}")
+            if v not in (0, 1, 2, 3):
+                raise IngestionError(
+                    f"{path}:{lineno}: basis variant outside 0..3")
+            if a not in (0, 1) or b not in (0, 1):
+                raise IngestionError(f"{path}:{lineno}: outcomes must be bits")
+            chunks.setdefault((len(metas) - 1, (x, y), v), []).append((a, b))
+    streams = []
+    for (block, setting_pair, variant), rows in chunks.items():
+        pairs = np.array(rows, dtype=np.uint8)
+        streams.append(EventStream(setting_pair=setting_pair,
+                                   basis_variant=variant, a=pairs[:, 0],
+                                   b=pairs[:, 1], meta=dict(metas[block])))
+    return streams
 
 
 @pytest.fixture

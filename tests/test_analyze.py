@@ -20,7 +20,8 @@ from manypairs.simulate import (DetectorModel, EventStream, generate_run,
 
 from conftest import (coin_estimate_sn, exact_shuffle_sigma,
                       finite_population_parity_sigma,
-                      monte_carlo_bootstrap_sn, reshape_cluster_events,
+                      monte_carlo_bootstrap_sn, read_csv_lines,
+                      read_jsonl_lines, reshape_cluster_events,
                       shuffle_parity_mean)
 
 
@@ -143,6 +144,10 @@ class TestIngest:
          '{"e11": 2, "e12": 0, "e21": 0, "e22": 0}}\n',
          "1: table {'e11': 2, 'e12': 0, 'e21': 0, 'e22': 0} is not a "
          "correlator table"),
+        ("bad.jsonl", '{"settingPair": [1, 1], "basisVariant": 0, "table": '
+         '{"e11": true, "e12": 0, "e21": 0, "e22": 0}}\n',
+         "1: table {'e11': True, 'e12': 0, 'e21': 0, 'e22': 0} is not a "
+         "correlator table"),
         ("bad.jsonl", '{"settingPair": [1, 1], "basisVariant": 0, '
          '"detector": "x"}\n', "1: detector 'x' is not an object"),
         ("bad.csv", 'x,y,variant,a,b\n# stream: {"detector": {"etaT_A": '
@@ -164,7 +169,8 @@ class TestIngest:
             "csv-visibility-infinity", "jsonl-visibility-string",
             "csv-visibility-negative", "jsonl-visibility-bool",
             "jsonl-table-number", "csv-table-incomplete",
-            "jsonl-table-out-of-range", "jsonl-detector-string",
+            "jsonl-table-out-of-range", "jsonl-table-bool",
+            "jsonl-detector-string",
             "csv-detector-efficiency-above-1", "jsonl-detector-incomplete",
             "jsonl-discard-above-1", "csv-discard-1"])
     def test_malformed_header_names_location(self, tmp_path, name, text,
@@ -176,18 +182,16 @@ class TestIngest:
         assert str(exc.value) == f"{p}:{message}"
 
     @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
-    def test_valid_metadata_reads(self, tmp_path, suffix):
+    def test_valid_metadata_reads(self, tmp_path, suffix, parsed_lines):
         t = werner_correlators(settings_from_beta(0.2), 0.9)
         streams = [s for sp in SETTING_PAIRS for s in generate_symmetrized(
             t, sp, 20, DetectorModel(eta_t_a=0.0, eta_r_b=0.5), seed=1,
             discard_prob=0.25, extra_meta={"beta": 0.2, "visibility": 1})]
         p = tmp_path / f"e{suffix}"
-        write, bulk = ((write_jsonl, analyze._bulk_jsonl)
-                       if suffix == ".jsonl" else
-                       (write_csv, analyze._bulk_csv))
-        write(streams, p)
-        assert bulk(p.read_bytes()) is not None
+        (write_jsonl if suffix == ".jsonl" else write_csv)(streams, p)
         assert list(ingest([p])) == [0.2]
+        assert len(parsed_lines) == len(streams)
+        assert not any(_is_event_line(line) for line in parsed_lines)
 
     @pytest.mark.parametrize("name, text", [
         ("big.jsonl", '{"settingPair": [1, 1], "basisVariant": 0}\n'
@@ -235,24 +239,111 @@ def _same_streams(got, want):
         assert np.array_equal(g.a, w.a) and np.array_equal(g.b, w.b)
 
 
+#: Replacement bytes of the mutation test's byte flips.
+_FLIPS = b'01 2,{}[]":#\t\r\n-.eN'
+
+#: Non-ASCII insertions: UTF-8 text, Unicode line breaks and whitespace
+#: that text mode does not split at, a byte order mark, and bytes that
+#: are not UTF-8.
+_NON_ASCII = [s.encode() for s in ("\u00e9", "\u0661", "\x85", "\u2028",
+                                   "\u3000", "\ufeff")] + [b"\xff", b"\xc3"]
+
+
+def _mutate(raw, rng):
+    """`raw` with 1-4 random edits: byte flips, inserted line breaks,
+    spliced fragments of its lines, non-ASCII bytes and deletions.  Half
+    the edits insert line breaks or whole lines at a line boundary, which
+    leaves more files valid."""
+    data = bytearray(raw)
+    lines = raw.splitlines(keepends=True)
+    for _ in range(int(rng.integers(1, 5))):
+        i = int(rng.integers(0, len(data) + 1))
+        kind = int(rng.integers(0, 10))
+        if kind < 5:
+            ends = [0] + [m.end() for m in re.finditer(b"\n", data)]
+            i = max(ends[rng.integers(len(ends))] - (kind == 1), 0)
+        if kind in (0, 1, 2):
+            data[i:i] = (b"\r", b"\r\n", b"\n", b"\n \n")[rng.integers(4)]
+        elif kind in (3, 4):
+            data[i:i] = lines[rng.integers(len(lines))]
+        elif kind == 5 and i < len(data):
+            data[i] = _FLIPS[rng.integers(len(_FLIPS))]
+        elif kind == 6:
+            line = lines[rng.integers(len(lines))]
+            data[i:i] = line[slice(*sorted(rng.integers(0, len(line), 2)))]
+        elif kind == 7:
+            data[i:i] = _NON_ASCII[rng.integers(len(_NON_ASCII))]
+        else:
+            del data[i:i + int(rng.integers(1, 12))]
+    return bytes(data)
+
+
+def _outcome(read, path):
+    """What `read_streams` makes of a reader's result: the streams, or
+    the message of the error it raises."""
+    try:
+        return [(s.setting_pair, s.basis_variant, _meta(s), s.a.dtype,
+                 s.a.tolist(), s.b.dtype, s.b.tolist()) for s in read(path)]
+    except IngestionError as exc:
+        return str(exc)
+    except UnicodeDecodeError:
+        return "not UTF-8 text"
+
+
+@pytest.fixture
+def parsed_lines(monkeypatch):
+    """The text of every line that the readers parse one by one."""
+    seen = []
+    lines = analyze._lines
+
+    def spy(raw, lo, hi):
+        for item in lines(raw, lo, hi):
+            seen.append(item[1])
+            yield item
+
+    monkeypatch.setattr(analyze, "_lines", spy)
+    return seen
+
+
+def _is_event_line(line):
+    return not ("settingPair" in line or line.startswith("# stream: "))
+
+
 class TestBulkRead:
     @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
-    def test_bulk_matches_line_parser(self, tmp_path, suffix):
+    def test_bulk_matches_line_parser(self, tmp_path, suffix, parsed_lines):
         streams = _streams_with_empty()
         p = tmp_path / f"e{suffix}"
         if suffix == ".csv":
             write_csv(streams, p)
-            bulk, lines = analyze._bulk_csv, analyze._read_csv_lines
-            back = read_csv(p)
+            back, lines = read_csv(p), read_csv_lines(p)
             # CSV keeps no stream without rows
-            streams = [s for s in streams if len(s)]
+            written, streams = len(streams), [s for s in streams if len(s)]
         else:
             write_jsonl(streams, p)
-            bulk, lines = analyze._bulk_jsonl, analyze._read_jsonl_lines
-            back = read_jsonl(p)
-        assert bulk(p.read_bytes()) is not None
-        _same_streams(back, lines(p))
+            back, lines = read_jsonl(p), read_jsonl_lines(p)
+            written = len(streams)
+        # only the header lines, one per stream written, went line by line
+        assert len(parsed_lines) == written
+        assert not any(_is_event_line(line) for line in parsed_lines)
+        _same_streams(back, lines)
         _same_streams(back, streams)
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+    def test_crlf_stream_alone_parsed_by_line(self, tmp_path, suffix,
+                                              parsed_lines):
+        streams = [s for s in _streams_with_empty(40) if len(s)]
+        p = tmp_path / f"e{suffix}"
+        (write_csv if suffix == ".csv" else write_jsonl)(streams, p)
+        marker = b"# stream: " if suffix == ".csv" else b'{"settingPair"'
+        head, *sections = p.read_bytes().split(marker)
+        sections[3] = sections[3].replace(b"\n", b"\r\n")
+        p.write_bytes(head + b"".join(marker + s for s in sections))
+        _same_streams((read_csv if suffix == ".csv" else read_jsonl)(p),
+                      streams)
+        events = [line for line in parsed_lines if _is_event_line(line)]
+        assert len(parsed_lines) - len(events) == len(streams)
+        assert len(events) == len(streams[3])
 
     @pytest.mark.parametrize("edit", [
         lambda text: text.replace("\n", "\r\n"),
@@ -260,14 +351,16 @@ class TestBulkRead:
         lambda text: text.replace('{"a": 1, "b": 0}', '{"a":1,"b":0}'),
         lambda text: "\n" + text + "\n",
     ], ids=["crlf", "blank-lines", "compact-records", "leading-blank-line"])
-    def test_jsonl_fallback_reads_the_same(self, tmp_path, edit):
+    def test_jsonl_fallback_reads_the_same(self, tmp_path, edit,
+                                           parsed_lines):
         streams = _streams_with_empty(40)
         p = tmp_path / "e.jsonl"
         write_jsonl(streams, p)
         p.write_bytes(edit(p.read_text()).encode())
-        assert analyze._bulk_jsonl(p.read_bytes()) is None
-        _same_streams(read_jsonl(p), analyze._read_jsonl_lines(p))
-        _same_streams(read_jsonl(p), streams)
+        back = read_jsonl(p)
+        assert any(_is_event_line(line) for line in parsed_lines)
+        _same_streams(back, read_jsonl_lines(p))
+        _same_streams(back, streams)
 
     @pytest.mark.parametrize("edit", [
         lambda text: text.replace("\n", "\r\n"),
@@ -275,14 +368,47 @@ class TestBulkRead:
         lambda text: re.sub(r"(?m)^([^,#\n]+),([^,]+),([^,]+),([^,]+),(.+)$",
                             r"\4,\5,\1,\2,\3", text),
     ], ids=["crlf", "blank-lines", "permuted-columns"])
-    def test_csv_fallback_reads_the_same(self, tmp_path, edit):
+    def test_csv_fallback_reads_the_same(self, tmp_path, edit, parsed_lines):
         streams = [s for s in _streams_with_empty(40) if len(s)]
         p = tmp_path / "e.csv"
         write_csv(streams, p)
         p.write_bytes(edit(p.read_text()).encode())
-        assert analyze._bulk_csv(p.read_bytes()) is None
-        _same_streams(read_csv(p), analyze._read_csv_lines(p))
-        _same_streams(read_csv(p), streams)
+        back = read_csv(p)
+        assert any(_is_event_line(line) for line in parsed_lines)
+        _same_streams(back, read_csv_lines(p))
+        _same_streams(back, streams)
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+    def test_mutated_files_read_as_line_parser(self, tmp_path, suffix):
+        # each file is valid writer output with 1-4 random edits; the
+        # reader must return the line parser's streams or raise its error
+        rng = np.random.default_rng(14)
+        t = werner_correlators(settings_from_beta(0.2), 0.97)
+        pool = [generate_run(t, sp, int(rng.integers(1, 7)),
+                             DetectorModel(eta_t_a=i % 2), seed=i,
+                             basis_variant=i % 4, extra_meta={"beta": 0.2})
+                for i, sp in enumerate(SETTING_PAIRS * 2)]
+        write, read, oracle = ((write_csv, read_csv, read_csv_lines)
+                               if suffix == ".csv" else
+                               (write_jsonl, read_jsonl, read_jsonl_lines))
+        p = tmp_path / f"e{suffix}"
+        refused = 0
+        for _ in range(300):
+            picks = rng.choice(len(pool), size=int(rng.integers(1, 5)))
+            write([pool[i] for i in picks], p)
+            p.write_bytes(_mutate(p.read_bytes(), rng))
+            got, want = _outcome(read, p), _outcome(oracle, p)
+            if got != want:
+                # the line parser decodes as it reads, so it meets an
+                # unfinished UTF-8 sequence at the end of the file only
+                # after the lines before it; the reader decodes the whole
+                # file before it reports any malformed line
+                assert got == "not UTF-8 text" and isinstance(want, str)
+                with pytest.raises(UnicodeDecodeError,
+                                   match="unexpected end of data"):
+                    p.read_bytes().decode()
+            refused += isinstance(got, str)
+        assert 30 < refused < 270
 
     # Messages and line numbers as the line parser reported them before
     # the bulk reader existed; each file is valid up to the broken line.

@@ -257,7 +257,9 @@ class TestErrors:
         ("max-s", "--strategy", "majority", "--n", "0", "--beta", "0.3"),
         ("max-s", "--n", "3", "--beta", "nan"),
         ("max-s", "--n", "3", "--beta", "inf"),
-    ], ids=["visibility-above-1", "zero-pairs", "beta-nan", "beta-inf"])
+        ("max-s", "--n", "3", "--beta", "1e308"),
+    ], ids=["visibility-above-1", "zero-pairs", "beta-nan", "beta-inf",
+            "beta-triple-overflows"])
     def test_max_s_domain_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1

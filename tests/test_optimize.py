@@ -86,8 +86,11 @@ class TestFastCorrelatorPath:
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf,
-                                      np.array([0.1, math.nan])],
-                             ids=["nan", "inf", "-inf", "array-with-nan"])
+                                      np.array([0.1, math.nan]), 1e308,
+                                      -1e308, np.array([0.1, 1e308])],
+                             ids=["nan", "inf", "-inf", "array-with-nan",
+                                  "triple-overflows", "-triple-overflows",
+                                  "array-triple-overflows"])
     def test_non_finite_beta_rejected(self, strategy, beta):
         with pytest.raises(InvalidArgumentError, match="beta"):
             family_chsh(beta, 0.9, 3, strategy)

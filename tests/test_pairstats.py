@@ -159,6 +159,19 @@ class TestSerialization:
         d = json.loads(json.dumps(t.to_json_dict()))
         assert CorrelatorTable.from_json_dict(d) == t
 
+    @pytest.mark.parametrize("d", [
+        5, [0.5, 0.5, 0.5, 0.5], {}, {"e11": 0.5, "e12": 0, "e21": 0},
+        {"e11": 10 ** 400, "e12": 0, "e21": 0, "e22": 0},
+        {"e11": "0.5", "e12": 0, "e21": 0, "e22": 0},
+        {"e11": True, "e12": 0, "e21": 0, "e22": 0},
+        {"e11": 0.5, "e12": 0, "e21": 0, "e22": 0, "margA1": None},
+        {"e11": 2, "e12": 0, "e21": 0, "e22": 0},
+    ], ids=["number", "list", "empty", "missing-e22", "huge-integer",
+            "string", "bool", "null-marginal", "out-of-range"])
+    def test_malformed_json_dict_rejected(self, d):
+        with pytest.raises(InvalidArgumentError):
+            CorrelatorTable.from_json_dict(d)
+
     def test_json_keys(self):
         keys = set(CorrelatorTable(0, 0, 0, 0).to_json_dict())
         assert keys == {"e11", "e12", "e21", "e22",
