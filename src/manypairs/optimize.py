@@ -19,9 +19,11 @@ with the Fourier weights W_k >= 0 of that function (R. O'Donnell,
   the odd levels.
 
 The weights are cached per (n, binning) and only the nonzero levels are
-evaluated.  `binning.table_chsh`, the exact route for any correlator
-table, biased marginals included, is the reference; tests pin this
-fast path against it.
+evaluated, as f(e) = f_even(|e|) + sign(e) f_odd(|e|): every power is
+taken of |e| (np.power is many times slower on a negative base) and the
+odd levels carry the sign.  `binning.table_chsh`, the exact route for
+any correlator table, biased marginals included, is the reference;
+tests pin this fast path against it.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ _CHSH_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
 
 @functools.lru_cache(maxsize=1024)
 def _response_weights(n: int, strategy: BinningStrategy):
-    """Nonzero levels k and Fourier weights W_k of the binning, n >= 1.
+    """Nonzero levels k of the binning, n >= 1, and an (L, 2) matrix whose
+    columns hold the Fourier weights W_k of the even and the odd levels.
 
     Majority takes u_k = C(n, k) c_{k|1}^2 for k = 0..n, where c_j is the
     level-j coefficient of Maj_m, m = n + 1 - n % 2 and h = n // 2, as a
@@ -89,9 +92,11 @@ def _response_weights(n: int, strategy: BinningStrategy):
                           strategy.tie_policy is not TiePolicy.RANDOMIZED)
         levels = np.arange(n + 1) if one_sided_ties else np.arange(1, n + 1, 2)
         weights = u[levels]
+    split = np.zeros((len(levels), 2))
+    split[np.arange(len(levels)), levels % 2] = weights
     levels.setflags(write=False)
-    weights.setflags(write=False)
-    return levels, weights
+    split.setflags(write=False)
+    return levels, split
 
 
 def binned_correlator_from_e(e, n: int, strategy: BinningStrategy):
@@ -101,7 +106,9 @@ def binned_correlator_from_e(e, n: int, strategy: BinningStrategy):
     the same shape).
     """
     levels, weights = _response_weights(n, strategy)
-    out = np.power.outer(np.asarray(e, dtype=float), levels) @ weights
+    e = np.asarray(e, dtype=float)
+    r = np.power.outer(np.abs(e), levels) @ weights
+    out = r[..., 0] + np.copysign(r[..., 1], e)
     return float(out) if out.ndim == 0 else out
 
 
@@ -361,8 +368,11 @@ class BinningComparison:
 def _crossover_n_grid(n_values):
     # Tie-free majority only: even-n tie losses let parity win at n = 2
     # for every visibility, which would hide the genuine crossover.
+    # A grid of n = 1 alone keeps it: both binnings are then the identity
+    # and tie, where an empty grid would make majority win.
     odd = [n for n in n_values if n % 2 == 1 and n >= 3]
-    return odd if odd else [n for n in n_values if n >= 2]
+    multi = [n for n in n_values if n >= 2]
+    return odd or multi or n_values
 
 
 def _maxima(n: int, visibility: float, mode: SettingsMode) -> tuple:
@@ -382,7 +392,8 @@ def binning_comparison(v_values, n_values,
     """Tabulate both strategies on a grid and locate the parity crossover.
 
     The crossover V* is where, for some tie-free (odd) n in the grid, the
-    parity maximum first exceeds the majority maximum.  The winners come
+    parity maximum first exceeds the majority maximum; a grid without
+    such n uses its n >= 2, and one of n = 1 alone ties.  The winners come
     from the table; V* is refined by Brent's method between the first
     bracketing pair of grid visibilities, to within crossover_tol / 2.
     """

@@ -204,6 +204,15 @@ class TestCompareRatio:
         assert doc["columns"] == ["v", "n", "s_majority", "s_parity"]
         assert len(doc["rows"]) == 2
 
+    @pytest.mark.parametrize("n, winner", [("1", "tie"), ("1,2", "parity")])
+    def test_compare_winner(self, capsys, n, winner):
+        code, out, _ = run(capsys, "compare", "--v", "0.99", "--n", n,
+                           "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["winners"] == [[0.99, winner]]
+        assert doc["crossover"] is None
+
     def test_compare_config_echo(self, capsys):
         code, out, _ = run(capsys, "compare", "--v", "0.98..0.985",
                            "--v-points", "2", "--n", "3", "--tol", "1e-3")

@@ -61,6 +61,37 @@ class TestFastCorrelatorPath:
         assert family_chsh(beta, v, n, strategy) == pytest.approx(
             exact, abs=1e-12)
 
+    @pytest.mark.parametrize("n, strategy", [
+        (4095, Majority()), (4096, Majority(TiePolicy.TIE_TO_MINUS)),
+        (4096, Majority(TiePolicy.RANDOMIZED)), (4096, Parity())], ids=str)
+    def test_negative_correlator_at_cap(self, n, strategy):
+        # cos(3 beta) is near -1, so the (a2, b2) correlator is negative
+        # and the odd levels must carry its sign
+        beta, v = math.pi / 3.0 - 0.01, 0.9999
+        table = werner_correlators(settings_from_beta(beta), v)
+        es = np.array([table.correlator(x, y) for (x, y) in SETTING_PAIRS])
+        assert es.min() < -0.99
+        exact = table_chsh(table, n, strategy)
+        got = binned_correlator_from_e(es, n, strategy)
+        assert got == pytest.approx(exact.correlators, abs=1e-12)
+        assert family_chsh(beta, v, n, strategy) == pytest.approx(
+            exact.s, abs=1e-12)
+
+    @pytest.mark.parametrize("strategy, ns", [
+        (Majority(), range(1, 1025, 2)),
+        (Majority(TiePolicy.RANDOMIZED), range(2, 1025, 2)),
+        (Parity(), range(1, 1025))], ids=["majority", "randomized", "parity"])
+    def test_exact_sign_symmetry(self, strategy, ns):
+        # the odd levels carry the sign, so f(-e) = -f(e) for an odd
+        # function and (-1)^n f(e) for parity, bit for bit
+        e = np.linspace(0.0, 1.0, 17)
+        for n in ns:
+            sign = (-1.0) ** n if isinstance(strategy, Parity) else -1.0
+            np.testing.assert_array_equal(
+                binned_correlator_from_e(-e, n, strategy),
+                sign * binned_correlator_from_e(e, n, strategy),
+                err_msg=f"n = {n}")
+
     def test_majority_sheppard_limit(self):
         # large-n majority correlator tends to (2/pi) arcsin(e)
         e = np.linspace(-0.99, 0.99, 199)
@@ -286,6 +317,10 @@ class TestScanAndComparison:
         (v, n, s_maj, s_par), = cmp_.rows
         assert s_maj == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-8)
         assert s_par == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-8)
+        # at n = 1 both binnings are the identity, so neither can win
+        assert s_maj == s_par
+        assert cmp_.winners == ((1.0, "tie"),)
+        assert cmp_.crossover is None
 
     def test_majority_wins_below_crossover(self):
         cmp_ = binning_comparison([0.98], range(3, 30, 2))
