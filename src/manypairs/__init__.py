@@ -10,9 +10,9 @@ visibility / critical pair-number landscape mapped.
 from .binning import (PARITY_BETA_SCALE, PARITY_S_LIMIT, BinningStrategy,
                       ChshEstimate, Majority, Parity, TiePolicy, chsh_value,
                       parity_chsh_analytic, table_chsh)
-from .errors import (FitError, InfeasibleStatisticsError, IngestionError,
-                     InsufficientDataError, InvalidArgumentError,
-                     ManyPairsError, NoViolationError)
+from .errors import (ConvergenceError, FitError, InfeasibleStatisticsError,
+                     IngestionError, InsufficientDataError,
+                     InvalidArgumentError, ManyPairsError, NoViolationError)
 from .optimize import (EXCEEDS_CAP, BinningComparison, CriticalCurve,
                        OptimizationResult, SettingsMode, VcFit,
                        binning_comparison, critical_pairs,

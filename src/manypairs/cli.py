@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -25,13 +26,33 @@ from .pairstats import SETTING_PAIRS, settings_from_beta, werner_correlators
 
 OUTDIR_ENV = "MANYPAIRS_OUTDIR"
 
+#: Largest pair count a command takes, the cap of `critical_pairs`.
+N_MAX = 4096
+#: Largest --v-points and --beta-points.
+POINTS_MAX = 10_000
+#: Largest --events: at about 8 bytes per event and array, 10^7 events
+#: stay well inside a laptop's memory; pool seeded files for more.
+EVENTS_MAX = 10_000_000
+
 
 def _parse_int_range(text: str) -> list[int]:
-    """Inclusive 'a..b' range or comma-separated integers."""
+    """Inclusive 'a..b' range or comma-separated integers.
+
+    Raises argparse.ArgumentTypeError for a value above N_MAX or for more
+    than N_MAX values, before a range is expanded.
+    """
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(t) for t in text.split(",") if t]
+        lo, hi = (int(t) for t in text.split("..", 1))
+        top, count = hi, hi - lo + 1
+    else:
+        values = [int(t) for t in text.split(",") if t]
+        top, count = max(values, default=0), len(values)
+    if top > N_MAX:
+        raise argparse.ArgumentTypeError(
+            f"pair counts above {N_MAX} are refused, got {text!r}")
+    if count > N_MAX:
+        raise argparse.ArgumentTypeError(f"more than {N_MAX} pair counts")
+    return list(range(lo, hi + 1)) if ".." in text else values
 
 
 def _parse_float_list(text: str, points: int = 11) -> list[float]:
@@ -63,22 +84,23 @@ _INT_RANGE = _text_of(_parse_int_range)
 _FLOAT_LIST = _text_of(_parse_float_list)
 
 
-def _int_at_least(lo: int):
-    """argparse type: an integer >= lo."""
+def _int_between(lo: int, hi: float = math.inf):
+    """argparse type: an integer in [lo, hi]."""
     def check(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"malformed value {text!r}")
-        if value < lo:
+        if not lo <= value <= hi:
             raise argparse.ArgumentTypeError(
-                f"need an integer >= {lo}, got {text}")
+                f"need an integer in [{lo}, {hi}], got {text}")
         return value
     return check
 
 
-_POINTS = _int_at_least(1)
-_SEED = _int_at_least(0)
+_POINTS = _int_between(1, POINTS_MAX)
+_EVENTS = _int_between(1, EVENTS_MAX)
+_SEED = _int_between(0)
 
 
 def _override(text: str) -> tuple[tuple[int, int], float]:
@@ -285,8 +307,16 @@ def _add_common(p: argparse.ArgumentParser, strategy: bool = True) -> None:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line on stderr, without the usage
+    text (`-h` prints it), and exits 2.  Subcommand parsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="manypairs",
         description="Collective-measurement CHSH toolkit: exact theory, "
                     "critical-noise scans, event simulation and analysis.")
@@ -319,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional; must agree with the --out suffix")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
-    p.add_argument("--events", type=int, default=sim.DEFAULT_EVENTS_PER_RUN)
+    p.add_argument("--events", type=_EVENTS,
+                   default=sim.DEFAULT_EVENTS_PER_RUN,
+                   help=f"events per stream, at most {EVENTS_MAX}")
     p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--symmetrize", action="store_true",
                    help="emit all four 45-degree basis variants")

@@ -34,3 +34,7 @@ class IngestionError(ManyPairsError, ValueError):
 
 class FitError(ManyPairsError, ValueError):
     """A least-squares fit is under-determined or rank-deficient."""
+
+
+class ConvergenceError(ManyPairsError):
+    """An iterative solver found no point that meets its tolerance."""

@@ -24,6 +24,13 @@ taken of |e| (np.power is many times slower on a negative base) and the
 odd levels carry the sign.  `binning.table_chsh`, the exact route for
 any correlator table, biased marginals included, is the reference;
 tests pin this fast path against it.
+
+The same split gives f' = f'_odd(|e|) + sign(e) f'_even(|e|) and
+f'' = f''_even(|e|) + sign(e) f''_odd(|e|).  Both settings modes are a
+linear map d = D theta from their angles to the four correlator angles,
+so S = sum_i sign_i f(V cos d_i) has its gradient, Hessian and
+V-derivatives in closed form.  They drive the BFGS search of FULL_PLANAR
+and Newton's method for the critical visibility, in both modes.
 """
 
 from __future__ import annotations
@@ -38,7 +45,8 @@ from scipy import optimize as sciopt
 
 from .binning import (PARITY_BETA_SCALE, BinningStrategy, Majority, Parity,
                       TiePolicy, parity_chsh_analytic)
-from .errors import FitError, InvalidArgumentError, NoViolationError
+from .errors import (ConvergenceError, FitError, InvalidArgumentError,
+                     NoViolationError)
 from .pairstats import MeasurementSettings, settings_from_beta
 
 
@@ -58,14 +66,33 @@ class ExceedsCap:
 
 EXCEEDS_CAP = ExceedsCap()
 
-#: Seed for the simplex multi-start perturbations (fixed for determinism).
+#: Seed for the multi-start perturbations (fixed for determinism).
 _MULTISTART_SEED = 20240817
 
 _GRID_POINTS = 256
-_SIMPLEX_MAX_EVALS = 2000
 
 #: Sign of each setting pair's correlator in S, in SETTING_PAIRS order.
 _CHSH_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
+
+#: Each settings mode as a map d = D theta from its angles to the four
+#: correlator angles, in SETTING_PAIRS order: the family's theta is
+#: (beta,), FULL_PLANAR's is (theta_a2, theta_b1, theta_b2) with
+#: theta_a1 = 0.  A correlator is V cos(d), so a row's sign is free.
+_ANGLE_MAPS = {
+    SettingsMode.BETA_FAMILY: np.array([[1.0], [-1.0], [1.0], [3.0]]),
+    SettingsMode.FULL_PLANAR: np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                        [1.0, -1.0, 0.0], [1.0, 0.0, -1.0]]),
+}
+
+#: BFGS gradient tolerance of the FULL_PLANAR search, and the gradient
+#: norm below which its result counts as converged.
+_BFGS_GTOL = 1e-8
+_STATIONARY_GRADIENT = 1e-7
+
+_NEWTON_STEPS = 50
+_NEWTON_RESTARTS = 4
+#: Newton's method stops once a full step is this small in every coordinate.
+_NEWTON_XTOL = 1e-12
 
 
 @functools.lru_cache(maxsize=1024)
@@ -112,6 +139,47 @@ def binned_correlator_from_e(e, n: int, strategy: BinningStrategy):
     return float(out) if out.ndim == 0 else out
 
 
+@functools.lru_cache(maxsize=1024)
+def _derivative_weights(n: int, strategy: BinningStrategy):
+    """Exponents j and a (J, 6) matrix: with r = |e|^j @ matrix, the
+    response polynomial and its first two derivatives are
+    r[:3] + sign(e) r[3:].
+
+    Derivative order o of a level-k term is k!/(k-o)! W_k |e|^(k-o).
+    Order o of an even (odd) level changes sign with e when o is odd
+    (even), so those columns go to the signed half: f' = f'_odd + sign(e)
+    f'_even and f'' = f''_even + sign(e) f''_odd.
+    """
+    levels, split = _response_weights(n, strategy)
+    exponents = np.unique(np.concatenate([levels, levels - 1, levels - 2]))
+    exponents = exponents[exponents >= 0]
+    matrix = np.zeros((len(exponents), 6))
+    falling = np.ones(len(levels))
+    for order in range(3):
+        keep = levels >= order
+        rows = np.searchsorted(exponents, levels[keep] - order)
+        for parity in (0, 1):
+            column = order + 3 * ((parity + order) % 2)
+            matrix[rows, column] = falling[keep] * split[keep, parity]
+        falling = falling * (levels - order)
+    exponents.setflags(write=False)
+    matrix.setflags(write=False)
+    return exponents, matrix
+
+
+def _response_derivatives(e, n: int, strategy: BinningStrategy) -> np.ndarray:
+    """f(e), f'(e) and f''(e) of the binning's response polynomial, stacked
+    on a new last axis of the shape of e.
+
+    Uses the |e| split of `binned_correlator_from_e`, so every power is
+    taken of a non-negative base.
+    """
+    exponents, matrix = _derivative_weights(n, strategy)
+    e = np.asarray(e, dtype=float)
+    r = np.power.outer(np.abs(e), exponents) @ matrix
+    return r[..., :3] + np.copysign(r[..., 3:], e[..., None])
+
+
 def family_chsh(beta, visibility: float, n: int, strategy: BinningStrategy):
     """CHSH value of the one-angle settings family (0, 2b, b, -b).
 
@@ -135,9 +203,41 @@ def family_chsh(beta, visibility: float, n: int, strategy: BinningStrategy):
     return float(s) if s.ndim == 0 else s
 
 
+def _chsh_derivatives(theta, visibility: float, mode: SettingsMode, n: int,
+                      strategy: BinningStrategy):
+    """S = sum_i sign_i f(V cos d_i), d = D theta, and its derivatives.
+
+    Returns S, dS/dtheta, d2S/dtheta2, dS/dV and d2S/(dtheta dV).
+    """
+    angle_map = _ANGLE_MAPS[mode]
+    d = angle_map @ theta
+    cos, sin = np.cos(d), np.sin(d)
+    f, f1, f2 = (_CHSH_SIGNS[:, None] * _response_derivatives(
+        visibility * cos, n, strategy)).T
+    grad = -visibility * (sin * f1) @ angle_map
+    curvature = visibility * (visibility * sin * sin * f2 - cos * f1)
+    hess = (angle_map.T * curvature) @ angle_map
+    grad_v = -(sin * (f1 + visibility * cos * f2)) @ angle_map
+    return f.sum(), grad, hess, cos @ f1, grad_v
+
+
+def _angles(result: OptimizationResult) -> np.ndarray:
+    """The optimizer's theta for a max_chsh result in its own mode."""
+    if result.mode is SettingsMode.BETA_FAMILY:
+        return np.array([result.beta])
+    return np.array(result.settings.as_tuple()[1:])
+
+
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Best CHSH value found, with the settings that achieve it."""
+    """Best CHSH value found, with the settings that achieve it.
+
+    `evaluations` counts evaluations of S, each with its gradient in the
+    FULL_PLANAR search.  `converged` is True for BETA_FAMILY, whose
+    bounded search always ends; for FULL_PLANAR it says that every
+    component of the gradient of S at the returned settings is at most
+    1e-7 in size, so they are a stationary point.
+    """
 
     s_max: float
     settings: MeasurementSettings
@@ -152,8 +252,9 @@ def max_chsh(n: int, visibility: float, strategy: BinningStrategy,
     """Maximize the binned CHSH value over measurement settings.
 
     BETA_FAMILY searches the one-parameter family on (0, pi/2] (dense grid
-    in one array evaluation, then Brent's bounded refinement); FULL_PLANAR
-    runs a multi-start Nelder-Mead seeded from the family optimum.  Each
+    in one array evaluation, then Brent's bounded refinement).  FULL_PLANAR
+    runs BFGS with the analytic gradient of S from the family optimum and
+    from 8 seeded perturbations of it, and keeps the best.  Each
     correlator V cos(theta_A - theta_B) depends only on angle differences,
     so FULL_PLANAR fixes theta_a1 = 0 and searches (theta_a2, theta_b1,
     theta_b2).
@@ -178,10 +279,9 @@ def max_chsh(n: int, visibility: float, strategy: BinningStrategy,
     if mode is SettingsMode.BETA_FAMILY:
         return family
 
-    def neg(theta):  # correlators in SETTING_PAIRS order, theta_a1 = 0
-        a2, b1, b2 = theta
-        e = visibility * np.cos([b1, b2, a2 - b1, a2 - b2])
-        return -float(_CHSH_SIGNS @ binned_correlator_from_e(e, n, strategy))
+    def neg(theta):
+        s, grad = _chsh_derivatives(theta, visibility, mode, n, strategy)[:2]
+        return -s, -grad
 
     rng = np.random.default_rng(_MULTISTART_SEED)
     seed_angles = np.array(family.settings.as_tuple()[1:])
@@ -189,28 +289,55 @@ def max_chsh(n: int, visibility: float, strategy: BinningStrategy,
                               for _ in range(8)]
     best_s = family.s_max
     best_angles = seed_angles
-    converged = True
     for start in starts:
-        res = sciopt.minimize(neg, start, method="Nelder-Mead",
-                              options={"maxfev": _SIMPLEX_MAX_EVALS,
-                                       "xatol": 1e-10, "fatol": 1e-12})
+        res = sciopt.minimize(neg, start, jac=True, method="BFGS",
+                              options={"gtol": _BFGS_GTOL})
         evaluations += res.nfev
-        if not res.success:
-            converged = False
         if -res.fun > best_s:
             best_s = float(-res.fun)
             best_angles = res.x
-    return OptimizationResult(s_max=best_s,
-                              settings=MeasurementSettings(0.0, *best_angles),
-                              mode=SettingsMode.FULL_PLANAR,
-                              evaluations=evaluations, beta=family.beta,
-                              converged=converged)
+    # near the tolerance BFGS can end on a line search that loses
+    # precision and report failure from a stationary point, so its own
+    # flag says less than the gradient at the result
+    grad = neg(best_angles)[1]
+    return OptimizationResult(
+        s_max=best_s, settings=MeasurementSettings(0.0, *best_angles),
+        mode=SettingsMode.FULL_PLANAR, evaluations=evaluations,
+        beta=family.beta,
+        converged=bool(np.abs(grad).max() <= _STATIONARY_GRADIENT))
 
 
 def _check_tolerance(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise InvalidArgumentError(
             f"{name} must be a finite positive number, got {value!r}")
+
+
+def _threshold_newton(n: int, strategy: BinningStrategy, mode: SettingsMode,
+                      theta: np.ndarray, visibility: float):
+    """Newton's method on dS/dtheta = 0, S = 2 in (theta, V).
+
+    A step that would take V out of [0.5, 1] is halved until it does
+    not.  Returns (theta, V, converged).
+    """
+    for _ in range(_NEWTON_STEPS):
+        s, grad, hess, s_v, grad_v = _chsh_derivatives(theta, visibility,
+                                                       mode, n, strategy)
+        jac = np.empty((len(theta) + 1,) * 2)
+        jac[:-1, :-1], jac[:-1, -1], jac[-1, :-1], jac[-1, -1] = (
+            hess, grad_v, grad, s_v)
+        try:
+            step = np.linalg.solve(jac, -np.append(grad, s - 2.0))
+        except np.linalg.LinAlgError:
+            break
+        full = np.abs(step).max() <= _NEWTON_XTOL
+        while not 0.5 <= visibility + step[-1] <= 1.0:
+            step /= 2.0
+        theta = theta + step[:-1]
+        visibility += float(step[-1])
+        if full:
+            return theta, visibility, True
+    return theta, visibility, False
 
 
 def critical_visibility(n: int, strategy: BinningStrategy,
@@ -220,9 +347,15 @@ def critical_visibility(n: int, strategy: BinningStrategy,
 
     Parity uses the exact identity V_c = (2 / S_max(V=1))^(1/n), valid
     because the optimal settings are visibility-independent under the V^n
-    scaling; majority finds the root of S_max(V) - 2 on [0.5, 1] by
-    Brent's method, to within width / 2.  Raises InvalidArgumentError
-    unless width is a finite positive number.
+    scaling.  Majority solves dS/dtheta = 0, S = 2 for the settings
+    angles theta of the mode and V by Newton's method, with analytic
+    derivatives of the response polynomial.  It starts from the V = 1
+    optimum and the linearization V = 1 - (S - 2) / (dS/dV), and
+    converges to rounding, well within the contract of width / 2.  One
+    max_chsh at the root confirms that no other settings exceed 2 there;
+    if some do, Newton's method restarts from them.  Raises
+    InvalidArgumentError unless width is a finite positive number, and
+    ConvergenceError if no confirmed root is found.
     """
     _check_tolerance("width", width)
     top = max_chsh(n, 1.0, strategy, mode)
@@ -231,9 +364,18 @@ def critical_visibility(n: int, strategy: BinningStrategy,
             f"no violation at V=1 for n={n}, {strategy!r}", top.s_max)
     if isinstance(strategy, Parity):
         return (2.0 / top.s_max) ** (1.0 / n)
-    return sciopt.brentq(
-        lambda v: max_chsh(n, v, strategy, mode).s_max - 2.0, 0.5, 1.0,
-        xtol=width / 2.0)
+    theta = _angles(top)
+    s, _, _, s_v, _ = _chsh_derivatives(theta, 1.0, mode, n, strategy)
+    visibility = min(max(1.0 - (s - 2.0) / s_v, 0.5), 1.0)
+    for _ in range(_NEWTON_RESTARTS):
+        theta, visibility, converged = _threshold_newton(
+            n, strategy, mode, theta, visibility)
+        check = max_chsh(n, visibility, strategy, mode)
+        if converged and check.s_max <= 2.0 + 1e-12:
+            return visibility
+        theta = _angles(check)
+    raise ConvergenceError(
+        f"no critical visibility found for n={n}, {strategy!r}")
 
 
 def critical_pairs(visibility: float, strategy: BinningStrategy,

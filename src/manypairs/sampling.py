@@ -113,7 +113,8 @@ def bootstrap_sn(sequences: dict, n_values, strategy: BinningStrategy
     (the Hajek projection, W. Hoeffding, Ann. Math. Statist. 19, 1948)
     it is -sum_c Cov(X, k_c) dg/dN_c, the derivative taken at
     N_c (1 - n/N).  Against the exact sum over k1 this is within 0.4% at
-    N = 200 events per pair and n <= 5.  The setting pairs are
+    N = 200 events per pair and n <= 5.  A pair with one cluster (m = 1)
+    has no second one, so sigma^2 there is Var(X).  The setting pairs are
     independent, so their variances add.  At n = 1 every event is used,
     every order gives the same estimate and sigma is exactly 0.
 
@@ -143,12 +144,17 @@ def bootstrap_sn(sequences: dict, n_values, strategy: BinningStrategy
         g, x_k, k_mean = _cluster_moments(population, n, sign, counts)
         x_sq = 1.0 if sign.all() else _cluster_moments(
             population, n, sign * sign, counts)[0]
-        cov_x_k = x_k - g[:, None] * k_mean
-        rest = population * (1.0 - n / events)[:, None]
-        g_rest, x_slope, slope = _cluster_moments(
-            rest, n, sign, _binomial_rows(rest, n)[1])
-        dg = x_slope - g_rest[:, None] * slope
-        cov_12 = -(cov_x_k * dg).sum(axis=1)
+        # with one cluster the covariance has weight 0, and the rest of
+        # the population holds fewer than n events to take it over
+        multi = m > 1
+        cov_12 = np.zeros(len(m))
+        if multi.any():
+            cov_x_k = (x_k - g[:, None] * k_mean)[multi]
+            rest = population[multi] * (1.0 - n / events[multi])[:, None]
+            g_rest, x_slope, slope = _cluster_moments(
+                rest, n, sign, _binomial_rows(rest, n)[1])
+            dg = x_slope - g_rest[:, None] * slope
+            cov_12[multi] = -(cov_x_k * dg).sum(axis=1)
         var = (x_sq - g * g) / m + (1.0 - 1.0 / m) * cov_12
         means[j] = g[0] + g[1] + g[2] - g[3]
         # at n = 1 the two terms cancel exactly, but not in floating point

@@ -274,11 +274,13 @@ def exact_shuffle_sigma(sequences: dict, n: int, strategy) -> float:
                                                   minlength=4)]
         m = sum(population) // n
         mean = g(population)
+        var += (g(population, 2) - mean ** 2) / m
+        if m == 1:  # no second cluster: its covariance term has weight 0
+            continue
         joint = sum(prob(population, k) * x(k)
                     * g([p - c for p, c in zip(population, k)])
                     for k in _compositions(n) if prob(population, k) > 0.0)
-        var += ((g(population, 2) - mean ** 2) / m
-                + (1.0 - 1.0 / m) * (joint - mean ** 2))
+        var += (1.0 - 1.0 / m) * (joint - mean ** 2)
     return math.sqrt(max(var, 0.0))
 
 

@@ -668,6 +668,28 @@ class TestBootstrap:
             exact = exact_shuffle_sigma(seqs, n, strategy)
             assert sigma == pytest.approx(exact, rel=0.01), n
 
+    @pytest.mark.parametrize("strategy", [
+        Parity(), Majority(), Majority(TiePolicy.TIE_TO_PLUS),
+        Majority(TiePolicy.RANDOMIZED)], ids=repr)
+    def test_one_cluster_per_pair(self, strategy):
+        # at m = 1 the covariance has weight 0, so sigma is
+        # sqrt(sum Var(X)), which the exact sum gives too
+        t = werner_correlators(settings_from_beta(0.3), 0.9)
+        full = make_sequences(t, 12, seed=9)
+        seqs = {sp: (a[:size], b[:size]) for size, (sp, (a, b))
+                in zip((9, 10, 11, 12), full.items())}
+        n_values = [7, 8]
+        _, sigmas = bootstrap_sn(seqs, n_values, strategy)
+        resamples = 400
+        _, drawn = monte_carlo_bootstrap_sn(seqs, n_values, strategy,
+                                            resamples, seed=4)
+        for n, sigma, mc in zip(n_values, sigmas, drawn):
+            assert sigma > 0.0
+            assert sigma == pytest.approx(
+                exact_shuffle_sigma(seqs, n, strategy), rel=1e-9), n
+            mc_error = sigma / math.sqrt(2.0 * (resamples - 1))
+            assert abs(mc - sigma) < 5.0 * mc_error, n
+
     @pytest.mark.parametrize("strategy", [Parity(), Majority(),
                                           Majority(TiePolicy.TIE_TO_PLUS)],
                              ids=repr)

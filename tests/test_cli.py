@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from manypairs import cli
 from manypairs.cli import build_parser, main
 
 
@@ -105,6 +107,17 @@ class TestSimulateAnalyze:
         sigmas = [[r[3] for r in doc["rows"]] for doc in docs]
         assert sigmas[0] == sigmas[1]
         assert sigmas[0][0] == 0.0 and all(s > 0.0 for s in sigmas[0][1:])
+
+    def test_one_cluster_per_pair_finite_sigma(self, tmp_path, capsys):
+        # n = 150 leaves one cluster of 200 events per pair
+        events = tmp_path / "events.jsonl"
+        run(capsys, "simulate", "--beta", "0.2", "--v", "0.95", "--events",
+            "200", "--seed", "3", "--out", str(events))
+        code, out, err = run(capsys, "analyze", "--files", str(events),
+                             "--n", "150", "--format", "json")
+        assert code == 0 and err == ""
+        (row,) = json.loads(out)["rows"]
+        assert math.isfinite(row[3]) and row[3] > 0.0
 
     def test_randomized_rows_independent_of_seed(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
@@ -423,6 +436,7 @@ class TestErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
         assert not (tmp_path / "e.jsonl").exists()
 
     @pytest.mark.parametrize("argv, path", [
@@ -441,6 +455,60 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {path}: cannot write")
+        assert len(err.splitlines()) == 1
+
+
+class TestIntegerBounds:
+    """Oversized integers are refused by the argparse types, before any
+    work; no huge value is run."""
+
+    @pytest.mark.parametrize("text", [
+        "4097", "3,4097", "2..5000", "99999999999999999999",
+        "1..99999999999999999999", "-99999999999999999999..3",
+        ",".join(["1"] * 4097)],
+        ids=["above-cap", "list-above-cap", "range-above-cap", "huge",
+             "huge-range", "huge-negative-range", "too-many-values"])
+    def test_pair_counts_refused(self, text):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._INT_RANGE(text)
+
+    def test_pair_count_cap_accepted(self):
+        assert cli.N_MAX == 4096
+        assert cli._INT_RANGE("4096") == "4096"
+        assert cli._parse_int_range("1..4096") == list(range(1, 4097))
+
+    @pytest.mark.parametrize("check, cap", [
+        (cli._POINTS, cli.POINTS_MAX), (cli._EVENTS, cli.EVENTS_MAX)],
+        ids=["points", "events"])
+    def test_upper_bounds(self, check, cap):
+        assert check(str(cap)) == cap
+        for text in (str(cap + 1), "99999999999999999999"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                check(text)
+
+    @pytest.mark.parametrize("argv", [
+        ("scan-vc", "--n", "4097"),
+        ("max-s", "--n", "4097", "--beta", "0.1"),
+        ("analyze", "--files", "e.jsonl", "--n", "4097"),
+        ("compare", "--v", "0.99", "--n", "4097"),
+        ("max-s", "--n", "3", "--beta", "0.1..0.2", "--beta-points",
+         "99999999999999999999"),
+        ("compare", "--v", "0.99..0.995", "--v-points",
+         "99999999999999999999", "--n", "3"),
+        ("ratio", "--v", "0.99..0.995", "--v-points",
+         "99999999999999999999"),
+        ("simulate", "--beta", "0.2", "--v", "0.9", "--seed", "0",
+         "--events", "99999999999999999999", "--out", "e.jsonl"),
+    ], ids=["scan-vc-n", "max-s-n", "analyze-n", "compare-n",
+            "max-s-beta-points", "compare-v-points", "ratio-v-points",
+            "simulate-events"])
+    def test_every_subcommand_refuses(self, capsys, argv):
+        # parsing alone: the refusal comes before any command runs
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"manypairs {argv[0]}: error: argument --")
         assert len(err.splitlines()) == 1
 
 

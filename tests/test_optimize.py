@@ -6,16 +6,16 @@ import pytest
 from manypairs import optimize
 from manypairs.binning import (PARITY_BETA_SCALE, PARITY_S_LIMIT, Majority,
                                Parity, TiePolicy, table_chsh)
-from manypairs.errors import (FitError, InvalidArgumentError,
-                              NoViolationError)
+from manypairs.errors import (ConvergenceError, FitError,
+                              InvalidArgumentError, NoViolationError)
 from manypairs.optimize import (EXCEEDS_CAP, SettingsMode,
                                 binned_correlator_from_e, binning_comparison,
                                 critical_pairs, critical_visibility,
                                 family_chsh, fit_vc_curve, max_chsh,
                                 parity_vc_approx, scan_critical_visibilities,
                                 violation_ratio)
-from manypairs.pairstats import (SETTING_PAIRS, settings_from_beta,
-                                 werner_correlators)
+from manypairs.pairstats import (SETTING_PAIRS, MeasurementSettings,
+                                 settings_from_beta, werner_correlators)
 
 from conftest import critical_visibility_bisect, crossover_bisect
 
@@ -146,6 +146,109 @@ class TestFastCorrelatorPath:
         assert minus != pytest.approx(rand, abs=1e-6)
 
 
+class TestResponseDerivatives:
+    """f, f' and f'' of the response polynomial, which drive the Newton
+    root of the critical visibility and the BFGS full-planar search."""
+
+    E = np.array([-0.99, -0.3, 0.0, 0.4, 0.999])
+    NS = list(range(1, 9)) + [63, 64, 255, 256, 1023, 1024]
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
+    def test_direct_sums(self, strategy):
+        # sum_k k!/(k-o)! W_k e^(k-o), term by term at the signed e
+        for n in self.NS:
+            levels, split = optimize._response_weights(n, strategy)
+            weights = split.sum(axis=1)
+            got = optimize._response_derivatives(self.E, n, strategy)
+            for order in range(3):
+                keep = levels >= order
+                k = levels[keep]
+                coef = weights[keep] * np.prod(
+                    [k - j for j in range(order)], axis=0)
+                terms = coef * np.power.outer(self.E, k - order)
+                np.testing.assert_allclose(
+                    got[:, order], terms.sum(axis=1), rtol=0.0,
+                    atol=1e-12 * max(1.0, np.abs(terms).sum(axis=1).max()),
+                    err_msg=f"n = {n}, order {order}")
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
+    def test_central_differences(self, strategy):
+        h = 1e-5
+
+        def f(e):
+            return binned_correlator_from_e(e, n, strategy)
+
+        for n in self.NS:
+            got = optimize._response_derivatives(self.E, n, strategy)
+            np.testing.assert_allclose(got[:, 0], f(self.E), rtol=0.0,
+                                       atol=1e-14)
+            slope = (f(self.E + h) - f(self.E - h)) / (2.0 * h)
+            curve = (f(self.E + h) - 2.0 * f(self.E) + f(self.E - h)) / h**2
+            for order, fd in ((1, slope), (2, curve)):
+                np.testing.assert_allclose(
+                    got[:, order], fd, rtol=0.0,
+                    atol=1e-4 * max(1.0, np.abs(fd).max()),
+                    err_msg=f"n = {n}, order {order}")
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
+    @pytest.mark.parametrize("n", [2, 3, 5, 64])
+    def test_full_planar_gradient(self, n, strategy, rng):
+        # S from the Werner correlators of the four angles, a route that
+        # shares nothing with the angle map d = D theta
+        v, h = 0.97, 1e-6
+
+        def s_of(theta, vis=v):
+            table = werner_correlators(MeasurementSettings(0.0, *theta), vis)
+            es = np.array([table.correlator(x, y) for (x, y) in SETTING_PAIRS])
+            return optimize._CHSH_SIGNS @ binned_correlator_from_e(
+                es, n, strategy)
+
+        for _ in range(3):
+            theta = rng.uniform(-1.5, 1.5, size=3)
+            s, grad, hess, s_v, grad_v = optimize._chsh_derivatives(
+                theta, v, SettingsMode.FULL_PLANAR, n, strategy)
+            assert s == pytest.approx(s_of(theta), abs=1e-13)
+            steps = h * np.eye(3)
+            fd = [(s_of(theta + e) - s_of(theta - e)) / (2.0 * h)
+                  for e in steps]
+            np.testing.assert_allclose(grad, fd, rtol=0.0, atol=1e-7)
+            fd_hess = [(optimize._chsh_derivatives(
+                theta + e, v, SettingsMode.FULL_PLANAR, n, strategy)[1]
+                - optimize._chsh_derivatives(
+                    theta - e, v, SettingsMode.FULL_PLANAR, n, strategy)[1])
+                / (2.0 * h) for e in steps]
+            np.testing.assert_allclose(hess, fd_hess, rtol=0.0, atol=1e-6)
+            assert s_v == pytest.approx(
+                (s_of(theta, v + h) - s_of(theta, v - h)) / (2.0 * h),
+                abs=1e-7)
+            fd_grad_v = (optimize._chsh_derivatives(
+                theta, v + h, SettingsMode.FULL_PLANAR, n, strategy)[1]
+                - optimize._chsh_derivatives(
+                    theta, v - h, SettingsMode.FULL_PLANAR, n, strategy)[1]
+            ) / (2.0 * h)
+            np.testing.assert_allclose(grad_v, fd_grad_v, rtol=0.0,
+                                       atol=1e-6)
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
+    def test_family_derivatives(self, strategy):
+        v, h = 0.97, 1e-6
+        for n in (3, 8, 64):
+            for beta in (0.05, 0.4, 1.2):
+                s, grad, hess, s_v, grad_v = optimize._chsh_derivatives(
+                    np.array([beta]), v, SettingsMode.BETA_FAMILY, n,
+                    strategy)
+                assert s == pytest.approx(
+                    family_chsh(beta, v, n, strategy), abs=1e-13)
+                assert grad[0] == pytest.approx(
+                    (family_chsh(beta + h, v, n, strategy)
+                     - family_chsh(beta - h, v, n, strategy)) / (2.0 * h),
+                    abs=1e-7)
+                assert s_v == pytest.approx(
+                    (family_chsh(beta, v + h, n, strategy)
+                     - family_chsh(beta, v - h, n, strategy)) / (2.0 * h),
+                    abs=1e-7)
+
+
 class TestMaxChsh:
     def test_single_pair_tsirelson(self):
         res = max_chsh(1, 1.0, Parity())
@@ -176,6 +279,7 @@ class TestMaxChsh:
         v = 0.98
         full = max_chsh(n, v, strategy, SettingsMode.FULL_PLANAR)
         assert full.settings.theta_a1 == 0.0
+        assert full.converged
         table = werner_correlators(full.settings, v)
         assert table_chsh(table, n, strategy).s == pytest.approx(
             full.s_max, abs=1e-12)
@@ -235,6 +339,50 @@ class TestCriticalVisibility:
             root = critical_visibility(n, strategy, width=width)
             bisect = critical_visibility_bisect(n, strategy, width=width)
             assert abs(root - bisect) <= width
+
+    @pytest.mark.parametrize("policy", list(TiePolicy), ids=str)
+    def test_majority_root_pinned_to_fine_bisection(self, policy):
+        strategy = Majority(policy)
+        for n in (2, 3, 8, 13, 64):
+            if policy is TiePolicy.RANDOMIZED and n % 2 == 0:
+                continue
+            root = critical_visibility(n, strategy)
+            bisect = critical_visibility_bisect(n, strategy, width=1e-10)
+            assert abs(root - bisect) <= 1e-9, n
+            assert max_chsh(n, root, strategy).s_max == pytest.approx(
+                2.0, abs=1e-12), n
+
+    def test_full_planar_root_pinned_to_fine_bisection(self):
+        mode = SettingsMode.FULL_PLANAR
+        root = critical_visibility(3, Majority(), mode)
+        bisect = critical_visibility_bisect(3, Majority(), mode, width=1e-10)
+        assert abs(root - bisect) <= 1e-9
+        assert max_chsh(3, root, Majority(), mode).s_max == pytest.approx(
+            2.0, abs=1e-12)
+
+    def test_newton_restarts_from_a_better_setting(self, monkeypatch):
+        # a first "root" at V = 0.99, where other settings still violate,
+        # sends Newton's method off again from those settings
+        starts = []
+        newton = optimize._threshold_newton
+
+        def first_root_wrong(n, strategy, mode, theta, visibility):
+            starts.append(visibility)
+            if len(starts) == 1:
+                return theta, 0.99, True
+            return newton(n, strategy, mode, theta, visibility)
+
+        expected = critical_visibility(13, Majority())
+        monkeypatch.setattr(optimize, "_threshold_newton", first_root_wrong)
+        assert critical_visibility(13, Majority()) == expected
+        assert starts[1] == 0.99
+
+    def test_no_confirmed_root_raises(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_threshold_newton",
+                            lambda n, strategy, mode, theta, visibility:
+                            (theta, visibility, False))
+        with pytest.raises(ConvergenceError, match="n=5"):
+            critical_visibility(5, Majority())
 
 
 class TestCriticalPairs:
