@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .errors import InvalidArgumentError
 from .pairstats import SETTING_PAIRS, CorrelatorTable, joint_table
@@ -92,11 +91,18 @@ def chsh_value(correlators, n: int | None = None,
     return ChshEstimate(s=s, correlators=(e11, e12, e21, e22), n=n, sigma=sigma)
 
 
+#: log(c!) - c log(c) + c for c = 0..15, with 0 log(0) = 0.
+_SMALL_LOG_FACTORIAL_REMAINDER = np.array(
+    [math.lgamma(c + 1.0) - (c * math.log(c) if c else 0.0) + c
+     for c in range(16)])
+
+
 def _log_factorial_remainder(c: np.ndarray) -> np.ndarray:
     """log(c!) - c log(c) + c for counts c >= 0.
 
-    Stirling's series from c = 16 on avoids subtracting c log(c) from
-    log(c!), which at c = 1000 loses about 1e-12.
+    Below c = 16 the value comes from a table.  Stirling's series from
+    c = 16 on avoids subtracting c log(c) from log(c!), which at c = 1000
+    loses about 1e-12.
     """
     big = np.maximum(c, 16.0)
     r = 1.0 / big
@@ -104,7 +110,8 @@ def _log_factorial_remainder(c: np.ndarray) -> np.ndarray:
     series = 0.5 * np.log(2.0 * math.pi * big) + r * (
         1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 * (1 / 1680
                                                        - r2 / 1188))))
-    return np.where(c < 16, gammaln(c + 1.0) - xlogy(c, c) + c, series)
+    small = _SMALL_LOG_FACTORIAL_REMAINDER[np.minimum(c, 15).astype(np.intp)]
+    return np.where(c < 16, small, series)
 
 
 def table_chsh(table: CorrelatorTable, n: int,
@@ -139,7 +146,7 @@ def table_chsh(table: CorrelatorTable, n: int,
     z = _log_factorial_remainder(c)
     m = n * np.stack([p[:, 1, 1], p[:, 1, 0], p_a0])[:, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        kl = xlog1py(c, (c - m) / m)
+        kl = c * np.log1p((c - m) / m)
     kl[:, :, 0] = 0.0
     up, down, rest = -(kl + z)
     # log P(a, i) = up[i] + down[a - i] + shift[a]

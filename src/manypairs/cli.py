@@ -56,10 +56,15 @@ def _parse_int_range(text: str) -> list[int]:
 
 
 def _parse_float_list(text: str, points: int = 11) -> list[float]:
-    """Comma-separated floats, or 'a..b' expanded to `points` values."""
+    """Comma-separated floats, or 'a..b' expanded to `points` values.
+
+    Raises ValueError for a range whose ends or span are not finite.
+    """
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(np.linspace(float(lo), float(hi), points))
+        lo, hi = (float(t) for t in text.split("..", 1))
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"range {text!r} is not finite")
+        return list(np.linspace(lo, hi, points))
     return [float(t) for t in text.split(",") if t]
 
 
@@ -328,7 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pair counts, e.g. 2..64")
     p.add_argument("--mode", choices=[m.value for m in opt.SettingsMode],
                    default=opt.SettingsMode.BETA_FAMILY.value)
-    p.add_argument("--width", type=float, default=1e-5)
+    p.add_argument("--width", type=float, default=1e-5,
+                   help="bracket each reported V_c is promised within, and "
+                        "the slack of the monotone check; the solver "
+                        "converges to rounding whatever its value")
     p.set_defaults(func=cmd_scan_vc)
 
     p = sub.add_parser("max-s", help="CHSH value vs beta for fixed n set")

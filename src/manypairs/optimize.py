@@ -31,6 +31,10 @@ linear map d = D theta from their angles to the four correlator angles,
 so S = sum_i sign_i f(V cos d_i) has its gradient, Hessian and
 V-derivatives in closed form.  They drive the BFGS search of FULL_PLANAR
 and Newton's method for the critical visibility, in both modes.
+
+`max_chsh` and `binning_comparison` import scipy.optimize when called,
+so importing this module, and the data commands that never optimize,
+loads numpy alone.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from .binning import (PARITY_BETA_SCALE, BinningStrategy, Majority, Parity,
                       TiePolicy, parity_chsh_analytic)
@@ -259,6 +262,8 @@ def max_chsh(n: int, visibility: float, strategy: BinningStrategy,
     so FULL_PLANAR fixes theta_a1 = 0 and searches (theta_a2, theta_b1,
     theta_b2).
     """
+    from scipy import optimize as sciopt
+
     grid = np.linspace(math.pi / 2.0 / _GRID_POINTS, math.pi / 2.0,
                        _GRID_POINTS)
     vals = family_chsh(grid, visibility, n, strategy)
@@ -539,6 +544,8 @@ def binning_comparison(v_values, n_values,
     from the table; V* is refined by Brent's method between the first
     bracketing pair of grid visibilities, to within crossover_tol / 2.
     """
+    from scipy import optimize as sciopt
+
     _check_tolerance("crossover_tol", crossover_tol)
     v_values = [float(v) for v in v_values]
     n_values = [int(n) for n in n_values]

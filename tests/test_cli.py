@@ -1,12 +1,18 @@
 import argparse
 import json
 import math
+import os
+import random
 import re
 import shlex
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+import manypairs
 from manypairs import cli
 from manypairs.cli import build_parser, main
 
@@ -512,6 +518,118 @@ class TestIntegerBounds:
         assert len(err.splitlines()) == 1
 
 
+# Edge values per kind of flag.  Every value is invalid or cheap: the
+# argparse types refuse the huge ones before any work.
+_INTS = ["nan", "inf", "-1", "0", "", "99999999999999999999", "x", "1e3",
+         "1..", "2..1", "5..2", "-3..2", "1,,2", "-99999999999999999999..3",
+         "1,2", "3"]
+_FLOATS = ["nan", "inf", "-inf", "-1", "-0", "0", "", "1e-320", "1e308",
+           "1.5", "1", "x", "0.5..0.6"]
+_FLOAT_LISTS = _FLOATS + ["0.99..nan", "nan..0.99", "0.9..inf", "-inf..0.9",
+                          "-1e308..1e308", "1..0.9", "0.9..0.9", "0.99,",
+                          ","]
+_POINTS = ["0", "-1", "nan", "", "1.5", "99999999999999999999", "1", "2"]
+_SEEDS = ["-1", "nan", "", "99999999999999999999", "0"]
+_EVENTS = ["0", "-1", "nan", "", "99999999999999999999", "1", "3"]
+_ENUMS = ["bogus", "", "MAJORITY"]
+_FORMATS = ["xml", "", "csv", "json"]
+_COMMON = {"--strategy": _ENUMS + ["parity"],
+           "--tie": _ENUMS + ["randomized"], "--format": _FORMATS}
+#: subcommand: (cheap valid arguments, edge values per flag)
+_FUZZ_COMMANDS = {
+    "scan-vc": (["--n", "2..4"],
+                {**_COMMON, "--n": _INTS, "--width": _FLOATS,
+                 "--mode": _ENUMS + ["full-planar"]}),
+    "max-s": (["--n", "3", "--beta", "0.1..0.3", "--beta-points", "5"],
+              {**_COMMON, "--n": _INTS, "--beta": _FLOAT_LISTS,
+               "--beta-points": _POINTS, "--v": _FLOATS}),
+    "simulate": (["--beta", "0.25", "--v", "0.99", "--events", "50",
+                  "--seed", "1", "--out", "new.jsonl"],
+                 {"--beta": _FLOATS, "--v": _FLOATS, "--events": _EVENTS,
+                  "--seed": _SEEDS, "--eta-t-a": _FLOATS,
+                  "--eta-r-b": _FLOATS, "--discard-prob": _FLOATS,
+                  "--override": ["1,1=nan", "1,1=-inf", "1,1=2", "2,2=-1",
+                                 "3,3=0.5", "=", "", "1,1=0.5"],
+                  "--format": _FORMATS,
+                  "--out": ["", ".", "new.csv", "sub/new.jsonl",
+                            "blob.csv/x.jsonl"]}),
+    "analyze": (["--files", "ev.jsonl", "--n", "1..3"],
+                {**_COMMON, "--n": _INTS, "--seed": _SEEDS,
+                 "--files": ["missing.jsonl", "", ".", "blob.csv",
+                             "empty.jsonl", "ev.csv", "ev.jsonl"],
+                 "--resamples": ["nan", "-1", "0", "",
+                                 "99999999999999999999"],
+                 "--criterion": ["point", "bogus", "ksigma:", "ksigma:nan",
+                                 "ksigma:inf", "ksigma:-inf", "ksigma:-1",
+                                 "ksigma:1e308"]}),
+    "compare": (["--v", "0.99,0.995", "--n", "3"],
+                {"--v": _FLOAT_LISTS, "--v-points": _POINTS, "--n": _INTS,
+                 "--mode": _ENUMS, "--tol": _FLOATS, "--format": _FORMATS}),
+    "ratio": (["--v", "0.99"],
+              {"--v": _FLOAT_LISTS, "--v-points": _POINTS,
+               "--format": _FORMATS}),
+}
+
+
+def _fuzz_argv(rng: random.Random) -> list[str]:
+    """A subcommand's cheap valid arguments with one or two flags set to
+    edge values."""
+    command = rng.choice(sorted(_FUZZ_COMMANDS))
+    argv, flags = _FUZZ_COMMANDS[command]
+    argv = list(argv)
+    for flag in rng.sample(sorted(flags), rng.choice([1, 2])):
+        value = rng.choice(flags[flag])
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+    return [command, *argv]
+
+
+@pytest.mark.parametrize("text", ["0.9..inf", "-inf..0.9", "nan..0.99",
+                                  "-1e308..1e308"])
+def test_non_finite_float_range_refused(capsys, text):
+    # np.linspace over such a range warned and returned nan values
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli._FLOAT_LIST(text)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["ratio", "--v", text])
+    assert exc.value.code == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_seeded_fuzz_exits_cleanly(tmp_path, monkeypatch, capsys):
+    # every edge case exits 0, 1 or 2 with at most one line on stderr,
+    # no traceback and no RuntimeWarning
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    for out in ("ev.jsonl", "ev.csv"):
+        assert main(["simulate", "--beta", "0.25", "--v", "0.99", "--events",
+                     "200", "--seed", "1", "--out", out]) == 0
+    (tmp_path / "blob.csv").write_bytes(b"\x00\xff" * 10)
+    (tmp_path / "empty.jsonl").write_text("")
+    rng = random.Random(1712)
+    broken = []
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # reported with its argv below
+                code = repr(exc)
+        err = capsys.readouterr().err
+        if (code not in (0, 1, 2) or len(err.splitlines()) > 1
+                or "Traceback" in err
+                or any(issubclass(w.category, RuntimeWarning)
+                       for w in caught)):
+            broken.append((shlex.join(argv), code, err,
+                           [str(w.message) for w in caught]))
+    assert not broken
+
+
 def readme_cli_examples() -> list[list[str]]:
     """Every `manypairs ...` command in the README's sh blocks, as argv."""
     readme = Path(__file__).resolve().parent.parent / "README.md"
@@ -545,3 +663,66 @@ def test_readme_library_sketch_runs(capsys):
     printed = capsys.readouterr().out.split()
     assert len(printed) == 5
     assert all(math.isfinite(float(v)) for v in printed)
+
+
+def run_fresh(tmp_path, script):
+    """Run a Python script in a fresh interpreter that imports this
+    package, and return its stdout; pytest's own imports stay out."""
+    src = str(Path(manypairs.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestStartup:
+    """The data commands load numpy alone; the theory commands import
+    scipy.optimize when they first need it."""
+
+    def test_data_commands_load_no_scipy(self, tmp_path):
+        out = run_fresh(tmp_path, """
+import json, sys
+import manypairs, manypairs.cli
+from manypairs.cli import main
+
+def scipy_loaded():
+    return [m for m in ("scipy.special", "scipy.optimize")
+            if m in sys.modules]
+
+loaded = {"import": scipy_loaded()}
+loaded["simulate"] = main(["simulate", "--beta", "0.25", "--v", "0.99",
+                           "--events", "2000", "--seed", "3",
+                           "--symmetrize", "--out", "ev.jsonl"])
+loaded["analyze"] = main(["analyze", "--files", "ev.jsonl", "--n", "1..4",
+                          "--out", "sn.csv"])
+loaded["run"] = scipy_loaded()
+print(json.dumps(loaded))
+""")
+        assert json.loads(out) == {"import": [], "simulate": 0,
+                                   "analyze": 0, "run": []}
+        rows = [line for line in (tmp_path / "sn.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        assert [r.split(",")[1] for r in rows] == ["n", "1", "2", "3", "4"]
+
+    def test_theory_commands_import_the_optimizer_at_first_use(self,
+                                                               tmp_path):
+        out = run_fresh(tmp_path, """
+import sys
+from manypairs.cli import main
+
+code = main(["max-s", "--n", "3", "--beta", "0.2,0.4", "--v", "0.99"])
+print(code, "scipy.optimize" in sys.modules)
+""")
+        assert out.splitlines()[-1] == "0 False"
+        out = run_fresh(tmp_path, """
+import sys
+from manypairs.cli import main
+
+code = main(["compare", "--v", "0.99,0.995", "--n", "3"])
+print(code, "scipy.optimize" in sys.modules)
+""")
+        assert out.splitlines()[-1] == "0 True"

@@ -320,6 +320,13 @@ class TestCriticalVisibility:
         with pytest.raises(InvalidArgumentError, match="width"):
             critical_visibility(5, strategy, width=width)
 
+    @pytest.mark.parametrize("n", [3, 13])
+    def test_width_does_not_move_the_root(self, n):
+        # Newton's method converges to rounding whatever width promises
+        loose = critical_visibility(n, Majority(), width=1e-3)
+        tight = critical_visibility(n, Majority(), width=1e-8)
+        assert loose == pytest.approx(tight, abs=1e-12)
+
     def test_parity_shortcut_vs_bisection(self):
         for n in (3, 12):
             shortcut = critical_visibility(n, Parity())

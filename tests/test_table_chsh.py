@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from manypairs.binning import (Majority, Parity, TiePolicy, sign_vector,
+from manypairs.binning import (Majority, Parity, TiePolicy,
+                               _log_factorial_remainder, sign_vector,
                                table_chsh)
 from manypairs.errors import InfeasibleStatisticsError, InvalidArgumentError
 from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable, joint_table,
@@ -83,6 +84,15 @@ class TestMarginals:
         for m in dist.values():
             assert np.allclose(m.sum(axis=1), expected, atol=1e-12)
             assert np.allclose(m.sum(axis=0), expected, atol=1e-12)
+
+
+def test_small_log_factorial_table_matches_scipy():
+    from scipy.special import gammaln, xlogy
+
+    c = np.arange(16.0)
+    expected = gammaln(c + 1.0) - xlogy(c, c) + c
+    np.testing.assert_allclose(_log_factorial_remainder(c), expected,
+                               rtol=0.0, atol=1e-14)
 
 
 class TestTableChsh:
