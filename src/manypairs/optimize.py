@@ -18,23 +18,29 @@ with the Fourier weights W_k >= 0 of that function (R. O'Donnell,
   randomized ties average the two one-sided functions, which keeps only
   the odd levels.
 
-The weights are cached per (n, binning) and only the nonzero levels are
-evaluated, as f(e) = f_even(|e|) + sign(e) f_odd(|e|): every power is
+The polynomial is cached per (n, binning) and only its nonzero levels
+are evaluated, as f(e) = f_even(|e|) + sign(e) f_odd(|e|): every power is
 taken of |e| (np.power is many times slower on a negative base) and the
-odd levels carry the sign.  `binning.table_chsh`, the exact route for
-any correlator table, biased marginals included, is the reference;
-tests pin this fast path against it.
+odd levels carry the sign.  Each level k is split as r + q, a small
+residue r and a multiple q of a block of about sqrt(L) levels, so a
+point takes about 2 sqrt(L) powers |e|^r and |e|^q, not all L, and one
+matrix product.  `binning.table_chsh`, the exact route for any
+correlator table, biased marginals included, is the reference; tests
+pin this fast path against it.
 
 The same split gives f' = f'_odd(|e|) + sign(e) f'_even(|e|) and
 f'' = f''_even(|e|) + sign(e) f''_odd(|e|).  Both settings modes are a
 linear map d = D theta from their angles to the four correlator angles,
 so S = sum_i sign_i f(V cos d_i) has its gradient, Hessian and
-V-derivatives in closed form.  They drive the BFGS search of FULL_PLANAR
-and Newton's method for the critical visibility, in both modes.
+V-derivatives in closed form.  They drive the safeguarded Newton's
+method that refines the one-angle family's beta, the BFGS search of
+FULL_PLANAR and Newton's method for the critical visibility, in both
+modes.
 
-`max_chsh` and `binning_comparison` import scipy.optimize when called,
-so importing this module, and the data commands that never optimize,
-loads numpy alone.
+Only a FULL_PLANAR `max_chsh` and the crossover root of
+`binning_comparison` import scipy.optimize, when they first run, so
+importing this module, the data commands and every one-angle theory
+command load numpy alone.
 """
 
 from __future__ import annotations
@@ -98,7 +104,52 @@ _NEWTON_RESTARTS = 4
 _NEWTON_XTOL = 1e-12
 
 
-@functools.lru_cache(maxsize=1024)
+class _SplitPolynomial:
+    """Columns of sum_j matrix[j] x^exponents[j], evaluated at x >= 0.
+
+    The exponents, sorted, share a step s (the gcd of their gaps).  Each
+    is split as k = r + q, a residue r < b and a multiple q of the block
+    b = s w, w about sqrt(len(exponents)).  The w residues are
+    (k_0 mod s) + s i, so a point takes w powers x^r and one x^q per
+    block, about 2 sqrt(len(exponents)) in all, and column c is the
+    bilinear form sum_q x^q sum_r T[q, c, r] x^r: one matrix product,
+    then a sum over the blocks.  Every power and weight is non-negative,
+    so the terms never cancel.
+    """
+
+    __slots__ = ("powers", "residues", "tensor")
+
+    def __init__(self, exponents: np.ndarray, matrix: np.ndarray):
+        step = math.gcd(*np.diff(exponents).tolist()) or 1
+        width = max(1, round(math.sqrt(len(exponents))))
+        block = step * width
+        quotient, residue = np.divmod(exponents, block)
+        first, blocks = quotient[0], quotient[-1] - quotient[0] + 1
+        columns = matrix.shape[1]
+        rows = (((quotient - first) * columns)[:, None]
+                + np.arange(columns))
+        #: T as a (blocks * columns, residues) matrix
+        self.tensor = np.zeros((blocks * columns, width))
+        self.tensor[rows, (residue // step)[:, None]] = matrix
+        #: the residues, then the block multiples
+        self.powers = np.concatenate([
+            exponents[0] % step + step * np.arange(width)[:, None],
+            block * np.arange(first, first + blocks)[:, None]])
+        self.residues = width
+        self.powers.setflags(write=False)
+        self.tensor.setflags(write=False)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The columns at each x, on a new first axis."""
+        flat = x.reshape(1, -1)
+        powers = np.power(flat, self.powers)
+        r = self.residues
+        inner = (self.tensor @ powers[:r]).reshape(len(powers) - r, -1,
+                                                   flat.shape[1])
+        out = (powers[r:, None] * inner).sum(axis=0)
+        return out.reshape((-1,) + x.shape)
+
+
 def _response_weights(n: int, strategy: BinningStrategy):
     """Nonzero levels k of the binning, n >= 1, and an (L, 2) matrix whose
     columns hold the Fourier weights W_k of the even and the odd levels.
@@ -124,9 +175,14 @@ def _response_weights(n: int, strategy: BinningStrategy):
         weights = u[levels]
     split = np.zeros((len(levels), 2))
     split[np.arange(len(levels)), levels % 2] = weights
-    levels.setflags(write=False)
-    split.setflags(write=False)
     return levels, split
+
+
+@functools.lru_cache(maxsize=1024)
+def _response_polynomial(n: int, strategy: BinningStrategy) -> _SplitPolynomial:
+    """The response polynomial as two columns, its even and its odd
+    levels, to evaluate at |e|."""
+    return _SplitPolynomial(*_response_weights(n, strategy))
 
 
 def binned_correlator_from_e(e, n: int, strategy: BinningStrategy):
@@ -135,18 +191,17 @@ def binned_correlator_from_e(e, n: int, strategy: BinningStrategy):
     Accepts a scalar (returns a float) or an array (returns an array of
     the same shape).
     """
-    levels, weights = _response_weights(n, strategy)
     e = np.asarray(e, dtype=float)
-    r = np.power.outer(np.abs(e), levels) @ weights
-    out = r[..., 0] + np.copysign(r[..., 1], e)
+    even, odd = _response_polynomial(n, strategy)(np.abs(e))
+    out = even + np.copysign(odd, e)
     return float(out) if out.ndim == 0 else out
 
 
 @functools.lru_cache(maxsize=1024)
-def _derivative_weights(n: int, strategy: BinningStrategy):
-    """Exponents j and a (J, 6) matrix: with r = |e|^j @ matrix, the
-    response polynomial and its first two derivatives are
-    r[:3] + sign(e) r[3:].
+def _derivative_polynomial(n: int,
+                           strategy: BinningStrategy) -> _SplitPolynomial:
+    """The response polynomial and its first two derivatives as six
+    columns r, with the derivatives r[:3] + sign(e) r[3:] at |e|.
 
     Derivative order o of a level-k term is k!/(k-o)! W_k |e|^(k-o).
     Order o of an even (odd) level changes sign with e when o is odd
@@ -154,33 +209,31 @@ def _derivative_weights(n: int, strategy: BinningStrategy):
     f'_even and f'' = f''_even + sign(e) f''_odd.
     """
     levels, split = _response_weights(n, strategy)
-    exponents = np.unique(np.concatenate([levels, levels - 1, levels - 2]))
-    exponents = exponents[exponents >= 0]
-    matrix = np.zeros((len(exponents), 6))
-    falling = np.ones(len(levels))
-    for order in range(3):
-        keep = levels >= order
-        rows = np.searchsorted(exponents, levels[keep] - order)
-        for parity in (0, 1):
-            column = order + 3 * ((parity + order) % 2)
-            matrix[rows, column] = falling[keep] * split[keep, parity]
-        falling = falling * (levels - order)
-    exponents.setflags(write=False)
-    matrix.setflags(write=False)
-    return exponents, matrix
+    k = levels[:, None]
+    order = np.arange(3)
+    # each level has its weight in one column of split
+    terms = split.sum(axis=1)[:, None] * np.hstack([np.ones_like(k), k,
+                                                     k * (k - 1)])
+    power, column = k - order, order + 3 * ((k + order) % 2)
+    keep = power >= 0
+    # a row per exponent from the lowest to the top level; each (level,
+    # order) pair has a cell of its own
+    low = max(int(levels[0]) - 2, 0)
+    matrix = np.zeros((int(levels[-1]) + 1 - low, 6))
+    matrix[power[keep] - low, column[keep]] = terms[keep]
+    return _SplitPolynomial(np.arange(low, low + len(matrix)), matrix)
 
 
 def _response_derivatives(e, n: int, strategy: BinningStrategy) -> np.ndarray:
     """f(e), f'(e) and f''(e) of the binning's response polynomial, stacked
-    on a new last axis of the shape of e.
+    on a new first axis before the shape of e.
 
     Uses the |e| split of `binned_correlator_from_e`, so every power is
     taken of a non-negative base.
     """
-    exponents, matrix = _derivative_weights(n, strategy)
     e = np.asarray(e, dtype=float)
-    r = np.power.outer(np.abs(e), exponents) @ matrix
-    return r[..., :3] + np.copysign(r[..., 3:], e[..., None])
+    r = _derivative_polynomial(n, strategy)(np.abs(e))
+    return r[:3] + np.copysign(r[3:], e)
 
 
 def family_chsh(beta, visibility: float, n: int, strategy: BinningStrategy):
@@ -201,7 +254,7 @@ def family_chsh(beta, visibility: float, n: int, strategy: BinningStrategy):
     if not math.isfinite(3.0 * peak):
         raise InvalidArgumentError("beta and 3 * beta must be finite")
     f = binned_correlator_from_e(
-        visibility * np.cos(np.stack([beta, 3.0 * beta])), n, strategy)
+        visibility * np.cos(np.multiply.outer((1.0, 3.0), beta)), n, strategy)
     s = 3.0 * f[0] - f[1]
     return float(s) if s.ndim == 0 else s
 
@@ -215,8 +268,8 @@ def _chsh_derivatives(theta, visibility: float, mode: SettingsMode, n: int,
     angle_map = _ANGLE_MAPS[mode]
     d = angle_map @ theta
     cos, sin = np.cos(d), np.sin(d)
-    f, f1, f2 = (_CHSH_SIGNS[:, None] * _response_derivatives(
-        visibility * cos, n, strategy)).T
+    f, f1, f2 = _CHSH_SIGNS * _response_derivatives(visibility * cos, n,
+                                                    strategy)
     grad = -visibility * (sin * f1) @ angle_map
     curvature = visibility * (visibility * sin * sin * f2 - cos * f1)
     hess = (angle_map.T * curvature) @ angle_map
@@ -235,11 +288,14 @@ def _angles(result: OptimizationResult) -> np.ndarray:
 class OptimizationResult:
     """Best CHSH value found, with the settings that achieve it.
 
-    `evaluations` counts evaluations of S, each with its gradient in the
-    FULL_PLANAR search.  `converged` is True for BETA_FAMILY, whose
-    bounded search always ends; for FULL_PLANAR it says that every
-    component of the gradient of S at the returned settings is at most
-    1e-7 in size, so they are a stationary point.
+    `evaluations` counts evaluations of S: the beta grid, then one per
+    Newton step, each with its first two beta-derivatives, and in the
+    FULL_PLANAR search one per BFGS evaluation, each with its gradient.
+    For BETA_FAMILY `converged` says that the safeguarded Newton's method
+    ended on a step, or a bracket, of at most 1e-12 within its step cap;
+    for FULL_PLANAR that every component of the gradient of S at the
+    returned settings is at most 1e-7 in size, so they are a stationary
+    point.
     """
 
     s_max: float
@@ -250,39 +306,70 @@ class OptimizationResult:
     converged: bool = True
 
 
+def _refine_beta(n: int, visibility: float, strategy: BinningStrategy,
+                 beta: float, lo: float, hi: float):
+    """Safeguarded Newton's method on dS/dbeta = 0 from beta in [lo, hi].
+
+    Each step moves the bracket end on the downhill side of beta to
+    beta.  A Newton step that leaves the bracket, or one taken where
+    S'' >= 0, becomes a bisection.  The step size is tested first, so
+    a start on the maximum stops at once.  Returns (beta, S(beta),
+    evaluations, converged): converged says that the last Newton step
+    was at most _NEWTON_XTOL, or the bracket narrower than that.
+    """
+    for steps in range(1, _NEWTON_STEPS + 1):
+        s, grad, hess = _chsh_derivatives(np.array([beta]), visibility,
+                                          SettingsMode.BETA_FAMILY, n,
+                                          strategy)[:3]
+        slope, curvature = float(grad[0]), float(hess[0, 0])
+        converged = slope == 0.0 or (curvature < 0.0 and
+                                     abs(slope) <= _NEWTON_XTOL * -curvature)
+        if not converged:
+            if slope > 0.0:
+                lo = beta
+            else:
+                hi = beta
+            converged = hi - lo <= _NEWTON_XTOL
+        if converged or steps == _NEWTON_STEPS:
+            return beta, float(s), steps, converged
+        nxt = beta - slope / curvature if curvature < 0.0 else math.nan
+        beta = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+
+
 def max_chsh(n: int, visibility: float, strategy: BinningStrategy,
              mode: SettingsMode = SettingsMode.BETA_FAMILY) -> OptimizationResult:
     """Maximize the binned CHSH value over measurement settings.
 
-    BETA_FAMILY searches the one-parameter family on (0, pi/2] (dense grid
-    in one array evaluation, then Brent's bounded refinement).  FULL_PLANAR
+    BETA_FAMILY searches the one-parameter family on (0, pi/2]: a dense
+    grid in one array evaluation, then a safeguarded Newton's method on
+    dS/dbeta = 0 from the grid's best point, inside the bracket of its
+    two neighbours; the grid point is kept if it is higher.  FULL_PLANAR
     runs BFGS with the analytic gradient of S from the family optimum and
     from 8 seeded perturbations of it, and keeps the best.  Each
     correlator V cos(theta_A - theta_B) depends only on angle differences,
     so FULL_PLANAR fixes theta_a1 = 0 and searches (theta_a2, theta_b1,
     theta_b2).
     """
-    from scipy import optimize as sciopt
-
     grid = np.linspace(math.pi / 2.0 / _GRID_POINTS, math.pi / 2.0,
                        _GRID_POINTS)
     vals = family_chsh(grid, visibility, n, strategy)
     i = int(np.argmax(vals))
     lo = grid[i - 1] if i > 0 else grid[0] / 2.0
     hi = grid[i + 1] if i + 1 < len(grid) else grid[-1]
-    refined = sciopt.minimize_scalar(
-        lambda b: -family_chsh(b, visibility, n, strategy), bounds=(lo, hi),
-        method="bounded", options={"xatol": 1e-12})
-    beta, s_family = float(refined.x), float(-refined.fun)
+    beta, s_family, steps, converged = _refine_beta(
+        n, visibility, strategy, float(grid[i]), float(lo), float(hi))
     if vals[i] > s_family:
         beta, s_family = float(grid[i]), float(vals[i])
-    evaluations = len(grid) + refined.nfev
+    evaluations = len(grid) + steps
     family = OptimizationResult(s_max=s_family,
                                 settings=settings_from_beta(beta),
                                 mode=SettingsMode.BETA_FAMILY,
-                                evaluations=evaluations, beta=beta)
+                                evaluations=evaluations, beta=beta,
+                                converged=converged)
     if mode is SettingsMode.BETA_FAMILY:
         return family
+
+    from scipy import optimize as sciopt
 
     def neg(theta):
         s, grad = _chsh_derivatives(theta, visibility, mode, n, strategy)[:2]
@@ -377,7 +464,7 @@ def critical_visibility(n: int, strategy: BinningStrategy,
             n, strategy, mode, theta, visibility)
         check = max_chsh(n, visibility, strategy, mode)
         if converged and check.s_max <= 2.0 + 1e-12:
-            return visibility
+            return float(visibility)
         theta = _angles(check)
     raise ConvergenceError(
         f"no critical visibility found for n={n}, {strategy!r}")
@@ -544,8 +631,6 @@ def binning_comparison(v_values, n_values,
     from the table; V* is refined by Brent's method between the first
     bracketing pair of grid visibilities, to within crossover_tol / 2.
     """
-    from scipy import optimize as sciopt
-
     _check_tolerance("crossover_tol", crossover_tol)
     v_values = [float(v) for v in v_values]
     n_values = [int(n) for n in n_values]
@@ -564,6 +649,8 @@ def binning_comparison(v_values, n_values,
     for (v_lo, adv_lo), (v_hi, adv_hi) in zip(zip(v_values, advantages),
                                               zip(v_values[1:], advantages[1:])):
         if adv_lo <= 0.0 < adv_hi:
+            from scipy import optimize as sciopt
+
             crossover = sciopt.brentq(
                 lambda v: _parity_advantage(_maxima(n, v, mode)
                                             for n in n_grid),

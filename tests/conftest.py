@@ -16,7 +16,8 @@ from manypairs.analyze import (_CSV_CELL, _CSV_COLUMNS, ClusteredOutcomes,
                                estimate_sn)
 from manypairs.binning import Majority, Parity, sign_vector
 from manypairs.errors import IngestionError, NoViolationError
-from manypairs.optimize import SettingsMode, max_chsh
+from manypairs.optimize import (SettingsMode, _response_weights,
+                                family_chsh, max_chsh)
 from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
                                  PairJointDistribution, joint_table)
 from manypairs.simulate import CSV_STREAM_PREFIX, EventStream, _header
@@ -91,6 +92,32 @@ def counts_correlators(counts: dict, n: int, strategy) -> list:
     count matrices of `convolve_counts` or `brute_force_counts`."""
     s = sign_vector(n, strategy)
     return [float(s @ counts[(x, y)] @ s) for (x, y) in SETTING_PAIRS]
+
+
+def direct_binned_correlator(e, n: int, strategy) -> np.ndarray:
+    """The response polynomial at e from its full power table: every
+    level k of the binning as its own power |e|^k."""
+    levels, weights = _response_weights(n, strategy)
+    e = np.asarray(e, dtype=float)
+    r = np.power.outer(np.abs(e), levels) @ weights
+    return r[..., 0] + np.copysign(r[..., 1], e)
+
+
+def brent_family_maximum(n: int, visibility: float, strategy) -> float:
+    """Maximum of the one-angle family CHSH value by scipy's bounded Brent
+    search (xatol 1e-12) inside the bracket of max_chsh's 256-point
+    grid, the grid point winning if higher."""
+    from scipy import optimize as sciopt
+
+    grid = np.linspace(math.pi / 512.0, math.pi / 2.0, 256)
+    vals = family_chsh(grid, visibility, n, strategy)
+    i = int(np.argmax(vals))
+    lo = grid[i - 1] if i > 0 else grid[0] / 2.0
+    hi = grid[i + 1] if i + 1 < len(grid) else grid[-1]
+    refined = sciopt.minimize_scalar(
+        lambda b: -family_chsh(b, visibility, n, strategy), bounds=(lo, hi),
+        method="bounded", options={"xatol": 1e-12})
+    return max(float(-refined.fun), float(vals[i]))
 
 
 def critical_visibility_bisect(n: int, strategy,

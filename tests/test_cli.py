@@ -680,8 +680,9 @@ def run_fresh(tmp_path, script):
 
 
 class TestStartup:
-    """The data commands load numpy alone; the theory commands import
-    scipy.optimize when they first need it."""
+    """The data commands load numpy alone.  Of the theory commands only
+    a full-planar search and a crossover root import scipy.optimize, and
+    only when they first need it."""
 
     def test_data_commands_load_no_scipy(self, tmp_path):
         out = run_fresh(tmp_path, """
@@ -708,21 +709,32 @@ print(json.dumps(loaded))
                 if not line.startswith("#")]
         assert [r.split(",")[1] for r in rows] == ["n", "1", "2", "3", "4"]
 
+    def test_family_commands_load_no_optimizer(self, tmp_path):
+        out = run_fresh(tmp_path, """
+import json, sys
+from manypairs.cli import main
+
+loaded = []
+for argv in (["max-s", "--n", "3", "--beta", "0.2,0.4", "--v", "0.99"],
+             ["scan-vc", "--n", "2..8", "--strategy", "majority"],
+             ["scan-vc", "--n", "2..8", "--strategy", "parity"],
+             # a grid without a crossover needs no root
+             ["compare", "--v", "0.99,0.995", "--n", "3"]):
+    loaded.append([argv[0], main(argv), "scipy.optimize" in sys.modules])
+print(json.dumps(loaded))
+""")
+        assert json.loads(out.splitlines()[-1]) == [
+            ["max-s", 0, False], ["scan-vc", 0, False], ["scan-vc", 0, False],
+            ["compare", 0, False]]
+
     def test_theory_commands_import_the_optimizer_at_first_use(self,
                                                                tmp_path):
         out = run_fresh(tmp_path, """
 import sys
 from manypairs.cli import main
 
-code = main(["max-s", "--n", "3", "--beta", "0.2,0.4", "--v", "0.99"])
-print(code, "scipy.optimize" in sys.modules)
-""")
-        assert out.splitlines()[-1] == "0 False"
-        out = run_fresh(tmp_path, """
-import sys
-from manypairs.cli import main
-
-code = main(["compare", "--v", "0.99,0.995", "--n", "3"])
+code = main(["compare", "--v", "0.99,0.995", "--n", "3", "--mode",
+             "full-planar"])
 print(code, "scipy.optimize" in sys.modules)
 """)
         assert out.splitlines()[-1] == "0 True"

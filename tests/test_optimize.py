@@ -17,7 +17,8 @@ from manypairs.optimize import (EXCEEDS_CAP, SettingsMode,
 from manypairs.pairstats import (SETTING_PAIRS, MeasurementSettings,
                                  settings_from_beta, werner_correlators)
 
-from conftest import critical_visibility_bisect, crossover_bisect
+from conftest import (brent_family_maximum, critical_visibility_bisect,
+                      crossover_bisect, direct_binned_correlator)
 
 
 ALL_STRATEGIES = (Majority(TiePolicy.TIE_TO_MINUS),
@@ -92,6 +93,17 @@ class TestFastCorrelatorPath:
                 sign * binned_correlator_from_e(e, n, strategy),
                 err_msg=f"n = {n}")
 
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
+    @pytest.mark.parametrize("n", [64, 65, 1023, 1024, 4095, 4096])
+    def test_power_split_matches_full_power_table(self, n, strategy):
+        # each |e|^k is taken as |e|^r |e|^q, r a residue and q a block
+        # multiple; the oracle takes every power on its own
+        e = np.concatenate([np.linspace(-1.0, 1.0, 201),
+                            [-1e-300, 1e-300, 0.0, -0.0]])
+        np.testing.assert_allclose(
+            binned_correlator_from_e(e, n, strategy),
+            direct_binned_correlator(e, n, strategy), rtol=0.0, atol=1e-13)
+
     def test_majority_sheppard_limit(self):
         # large-n majority correlator tends to (2/pi) arcsin(e)
         e = np.linspace(-0.99, 0.99, 199)
@@ -151,7 +163,7 @@ class TestResponseDerivatives:
     root of the critical visibility and the BFGS full-planar search."""
 
     E = np.array([-0.99, -0.3, 0.0, 0.4, 0.999])
-    NS = list(range(1, 9)) + [63, 64, 255, 256, 1023, 1024]
+    NS = list(range(1, 9)) + [63, 64, 255, 256, 1023, 1024, 4095, 4096]
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
     def test_direct_sums(self, strategy):
@@ -167,26 +179,27 @@ class TestResponseDerivatives:
                     [k - j for j in range(order)], axis=0)
                 terms = coef * np.power.outer(self.E, k - order)
                 np.testing.assert_allclose(
-                    got[:, order], terms.sum(axis=1), rtol=0.0,
+                    got[order], terms.sum(axis=1), rtol=0.0,
                     atol=1e-12 * max(1.0, np.abs(terms).sum(axis=1).max()),
                     err_msg=f"n = {n}, order {order}")
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
     def test_central_differences(self, strategy):
-        h = 1e-5
-
         def f(e):
             return binned_correlator_from_e(e, n, strategy)
 
         for n in self.NS:
+            # the differences' truncation error grows as (n h)^2, so the
+            # step shrinks past n = 1024
+            h = 1e-5 * min(1.0, 1024 / n)
             got = optimize._response_derivatives(self.E, n, strategy)
-            np.testing.assert_allclose(got[:, 0], f(self.E), rtol=0.0,
+            np.testing.assert_allclose(got[0], f(self.E), rtol=0.0,
                                        atol=1e-14)
             slope = (f(self.E + h) - f(self.E - h)) / (2.0 * h)
             curve = (f(self.E + h) - 2.0 * f(self.E) + f(self.E - h)) / h**2
             for order, fd in ((1, slope), (2, curve)):
                 np.testing.assert_allclose(
-                    got[:, order], fd, rtol=0.0,
+                    got[order], fd, rtol=0.0,
                     atol=1e-4 * max(1.0, np.abs(fd).max()),
                     err_msg=f"n = {n}, order {order}")
 
@@ -265,6 +278,25 @@ class TestMaxChsh:
         res = max_chsh(10 ** 4, 1.0, Parity())
         assert res.s_max == pytest.approx(PARITY_S_LIMIT, abs=1e-3)
 
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
+    @pytest.mark.parametrize("n", [1, 2, 3, 13, 64, 257, 1024])
+    def test_newton_refinement_matches_bounded_brent(self, n, strategy):
+        for v in (0.9, 0.99, 1.0):
+            res = max_chsh(n, v, strategy)
+            assert res.s_max == pytest.approx(
+                brent_family_maximum(n, v, strategy), abs=1e-12), v
+            assert res.converged
+            assert res.evaluations <= (optimize._GRID_POINTS
+                                       + optimize._NEWTON_STEPS)
+
+    def test_newton_stops_on_a_grid_optimum(self):
+        # majority n = 3 peaks at beta = pi/4, which is a grid point, so
+        # the first step is below tolerance
+        for v in (0.9, 1.0):
+            res = max_chsh(3, v, Majority())
+            assert res.beta == pytest.approx(math.pi / 4.0, abs=1e-12)
+            assert res.evaluations == optimize._GRID_POINTS + 1
+
     def test_full_planar_never_below_family(self):
         for n, v, strat in ((1, 1.0, Parity()), (3, 0.98, Majority()),
                             (5, 1.0, Majority())):
@@ -303,6 +335,12 @@ class TestCriticalVisibility:
         for strat in (Majority(), Parity()):
             assert critical_visibility(1, strat) == pytest.approx(
                 1.0 / math.sqrt(2.0), abs=2e-5)
+
+    @pytest.mark.parametrize("mode", list(SettingsMode), ids=str)
+    @pytest.mark.parametrize("strategy", [Majority(), Parity()],
+                             ids=["majority", "parity"])
+    def test_returns_a_float(self, strategy, mode):
+        assert type(critical_visibility(3, strategy, mode)) is float
 
     def test_majority_21(self):
         assert critical_visibility(21, Majority()) == pytest.approx(
@@ -369,7 +407,9 @@ class TestCriticalVisibility:
 
     def test_newton_restarts_from_a_better_setting(self, monkeypatch):
         # a first "root" at V = 0.99, where other settings still violate,
-        # sends Newton's method off again from those settings
+        # sends Newton's method off again from those settings.  Its last
+        # ulp depends on where it starts, so the expected root is the one
+        # found from the restart's own start.
         starts = []
         newton = optimize._threshold_newton
 
@@ -379,7 +419,9 @@ class TestCriticalVisibility:
                 return theta, 0.99, True
             return newton(n, strategy, mode, theta, visibility)
 
-        expected = critical_visibility(13, Majority())
+        expected = newton(13, Majority(), SettingsMode.BETA_FAMILY,
+                          optimize._angles(max_chsh(13, 0.99, Majority())),
+                          0.99)[1]
         monkeypatch.setattr(optimize, "_threshold_newton", first_root_wrong)
         assert critical_visibility(13, Majority()) == expected
         assert starts[1] == 0.99
