@@ -18,29 +18,30 @@ with the Fourier weights W_k >= 0 of that function (R. O'Donnell,
   randomized ties average the two one-sided functions, which keeps only
   the odd levels.
 
-The polynomial is cached per (n, binning) and only its nonzero levels
-are evaluated, as f(e) = f_even(|e|) + sign(e) f_odd(|e|): every power is
-taken of |e| (np.power is many times slower on a negative base) and the
-odd levels carry the sign.  Each level k is split as r + q, a small
-residue r and a multiple q of a block of about sqrt(L) levels, so a
-point takes about 2 sqrt(L) powers |e|^r and |e|^q, not all L, and one
-matrix product.  `binning.table_chsh`, the exact route for any
-correlator table, biased marginals included, is the reference; tests
-pin this fast path against it.
+The polynomial and its derivatives are built together, from one
+computation of the weights, and cached per (n, binning).  Only the
+nonzero levels are evaluated, as f(e) = f_even(|e|) + sign(e)
+f_odd(|e|): every power is taken of |e| (np.power is many times slower
+on a negative base) and the odd levels carry the sign.  The L levels
+form an arithmetic progression, and each is split as r + q, one of its
+first sqrt(L) levels and a multiple q of a block of about sqrt(L)
+levels, so a point takes about 2 sqrt(L) powers |e|^r and |e|^q, not
+all L, and one matrix product.  `binning.table_chsh`, the exact route
+for any correlator table, biased marginals included, is the reference;
+tests pin this fast path against it.
 
 The same split gives f' = f'_odd(|e|) + sign(e) f'_even(|e|) and
-f'' = f''_even(|e|) + sign(e) f''_odd(|e|).  Both settings modes are a
-linear map d = D theta from their angles to the four correlator angles,
-so S = sum_i sign_i f(V cos d_i) has its gradient, Hessian and
-V-derivatives in closed form.  They drive the safeguarded Newton's
-method that refines the one-angle family's beta, the BFGS search of
-FULL_PLANAR and Newton's method for the critical visibility, in both
-modes.
+f'' = f''_even(|e|) + sign(e) f''_odd(|e|), so S has its gradient,
+Hessian and V-derivatives in closed form in both settings modes.  The
+one-angle family needs the polynomial at two correlators only, and its
+derivatives are formed in float arithmetic.  They drive Newton's method
+throughout: the safeguarded search for the family's beta, the ascent of
+FULL_PLANAR from its seeded starts and the critical visibility, so every
+step of a `max_chsh` costs about one polynomial evaluation.
 
-Only a FULL_PLANAR `max_chsh` and the crossover root of
-`binning_comparison` import scipy.optimize, when they first run, so
-importing this module, the data commands and every one-angle theory
-command load numpy alone.
+Only the crossover root of `binning_comparison` imports scipy.optimize,
+when it first runs, so importing this module, the data commands and
+every `max_chsh` load numpy alone.
 """
 
 from __future__ import annotations
@@ -79,62 +80,56 @@ EXCEEDS_CAP = ExceedsCap()
 _MULTISTART_SEED = 20240817
 
 _GRID_POINTS = 256
+#: The beta grid of the one-angle family on (0, pi/2].
+_GRID = np.linspace(math.pi / 2.0 / _GRID_POINTS, math.pi / 2.0,
+                    _GRID_POINTS)
+_GRID.setflags(write=False)
 
 #: Sign of each setting pair's correlator in S, in SETTING_PAIRS order.
 _CHSH_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
 
-#: Each settings mode as a map d = D theta from its angles to the four
-#: correlator angles, in SETTING_PAIRS order: the family's theta is
-#: (beta,), FULL_PLANAR's is (theta_a2, theta_b1, theta_b2) with
-#: theta_a1 = 0.  A correlator is V cos(d), so a row's sign is free.
-_ANGLE_MAPS = {
-    SettingsMode.BETA_FAMILY: np.array([[1.0], [-1.0], [1.0], [3.0]]),
-    SettingsMode.FULL_PLANAR: np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
-                                        [1.0, -1.0, 0.0], [1.0, 0.0, -1.0]]),
-}
-
-#: BFGS gradient tolerance of the FULL_PLANAR search, and the gradient
-#: norm below which its result counts as converged.
-_BFGS_GTOL = 1e-8
-_STATIONARY_GRADIENT = 1e-7
+#: FULL_PLANAR's angles theta = (theta_a2, theta_b1, theta_b2), with
+#: theta_a1 = 0, as a map d = D theta to the four correlator angles, in
+#: SETTING_PAIRS order.  A correlator is V cos(d), so a row's sign is free.
+_PLANAR_ANGLE_MAP = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                              [1.0, -1.0, 0.0], [1.0, 0.0, -1.0]])
 
 _NEWTON_STEPS = 50
 _NEWTON_RESTARTS = 4
 #: Newton's method stops once a full step is this small in every coordinate.
 _NEWTON_XTOL = 1e-12
+#: The FULL_PLANAR ascent raises each eigenvalue size of the Hessian to
+#: at least this fraction of the largest, so that S's scale, which goes
+#: as V^n for parity, does not set its step.
+_EIGENVALUE_FLOOR = 1e-12
 
 
 class _SplitPolynomial:
-    """Columns of sum_j matrix[j] x^exponents[j], evaluated at x >= 0.
+    """Columns of sum_j matrix[j] x^(start + step j), evaluated at x >= 0.
 
-    The exponents, sorted, share a step s (the gcd of their gaps).  Each
-    is split as k = r + q, a residue r < b and a multiple q of the block
-    b = s w, w about sqrt(len(exponents)).  The w residues are
-    (k_0 mod s) + s i, so a point takes w powers x^r and one x^q per
-    block, about 2 sqrt(len(exponents)) in all, and column c is the
-    bilinear form sum_q x^q sum_r T[q, c, r] x^r: one matrix product,
-    then a sum over the blocks.  Every power and weight is non-negative,
-    so the terms never cancel.
+    Row j = w q + r, w about sqrt(len(matrix)), has the exponent
+    (start + step r) + step w q: a point takes w residue powers and one
+    block power per q, about 2 sqrt(len(matrix)) in all, and column c is
+    the bilinear form sum_q x^(step w q) sum_r T[q, c, r] x^(start +
+    step r): one matrix product, then a sum over the blocks.  Every
+    power and weight is non-negative, so the terms never cancel.
     """
 
     __slots__ = ("powers", "residues", "tensor")
 
-    def __init__(self, exponents: np.ndarray, matrix: np.ndarray):
-        step = math.gcd(*np.diff(exponents).tolist()) or 1
-        width = max(1, round(math.sqrt(len(exponents))))
-        block = step * width
-        quotient, residue = np.divmod(exponents, block)
-        first, blocks = quotient[0], quotient[-1] - quotient[0] + 1
-        columns = matrix.shape[1]
-        rows = (((quotient - first) * columns)[:, None]
-                + np.arange(columns))
+    def __init__(self, start: int, step: int, matrix: np.ndarray):
+        rows, columns = matrix.shape
+        width = max(1, round(math.sqrt(rows)))
+        blocks = -(-rows // width)
+        padded = np.zeros((blocks * width, columns))
+        padded[:rows] = matrix
         #: T as a (blocks * columns, residues) matrix
-        self.tensor = np.zeros((blocks * columns, width))
-        self.tensor[rows, (residue // step)[:, None]] = matrix
+        self.tensor = padded.reshape(blocks, width, columns).transpose(
+            0, 2, 1).reshape(blocks * columns, width)
         #: the residues, then the block multiples
         self.powers = np.concatenate([
-            exponents[0] % step + step * np.arange(width)[:, None],
-            block * np.arange(first, first + blocks)[:, None]])
+            start + step * np.arange(width),
+            step * width * np.arange(blocks)])[:, None]
         self.residues = width
         self.powers.setflags(write=False)
         self.tensor.setflags(write=False)
@@ -146,13 +141,14 @@ class _SplitPolynomial:
         r = self.residues
         inner = (self.tensor @ powers[:r]).reshape(len(powers) - r, -1,
                                                    flat.shape[1])
-        out = (powers[r:, None] * inner).sum(axis=0)
+        out = np.einsum("qp,qcp->cp", powers[r:], inner)
         return out.reshape((-1,) + x.shape)
 
 
 def _response_weights(n: int, strategy: BinningStrategy):
-    """Nonzero levels k of the binning, n >= 1, and an (L, 2) matrix whose
-    columns hold the Fourier weights W_k of the even and the odd levels.
+    """Nonzero levels k of the binning, n >= 1, an arithmetic progression,
+    and an (L, 2) matrix whose columns hold the Fourier weights W_k of
+    the even and the odd levels.
 
     Majority takes u_k = C(n, k) c_{k|1}^2 for k = 0..n, where c_j is the
     level-j coefficient of Maj_m, m = n + 1 - n % 2 and h = n // 2, as a
@@ -179,10 +175,28 @@ def _response_weights(n: int, strategy: BinningStrategy):
 
 
 @functools.lru_cache(maxsize=1024)
-def _response_polynomial(n: int, strategy: BinningStrategy) -> _SplitPolynomial:
-    """The response polynomial as two columns, its even and its odd
-    levels, to evaluate at |e|."""
-    return _SplitPolynomial(*_response_weights(n, strategy))
+def _response_polynomials(n: int, strategy: BinningStrategy) -> tuple:
+    """The binning's response polynomial and its derivatives, to evaluate
+    at |e|, from one computation of its weights.
+
+    The first has two columns, f's even and its odd levels.  The second
+    has six columns r, with f, f', f'' = r[:3] + sign(e) r[3:]: a row per
+    exponent j, from two below the lowest level to the top one, holds
+    order o's term (j + o)!/j! W_(j+o) |e|^j, which changes sign with e
+    when j is odd.
+    """
+    levels, split = _response_weights(n, strategy)
+    step = int(levels[1] - levels[0]) if len(levels) > 1 else 1
+    low, top = max(int(levels[0]) - 2, 0), int(levels[-1])
+    weights = np.zeros(top + 3 - low)
+    weights[levels - low] = split.sum(axis=1)
+    j = np.arange(low, top + 1)
+    matrix = np.zeros((len(j), 2, 3))
+    matrix[np.arange(len(j)), j % 2] = np.column_stack([
+        weights[:-2], (j + 1) * weights[1:-1],
+        (j + 1) * (j + 2) * weights[2:]])
+    return (_SplitPolynomial(int(levels[0]), step, split),
+            _SplitPolynomial(low, 1, matrix.reshape(len(j), 6)))
 
 
 def binned_correlator_from_e(e, n: int, strategy: BinningStrategy):
@@ -192,36 +206,9 @@ def binned_correlator_from_e(e, n: int, strategy: BinningStrategy):
     the same shape).
     """
     e = np.asarray(e, dtype=float)
-    even, odd = _response_polynomial(n, strategy)(np.abs(e))
+    even, odd = _response_polynomials(n, strategy)[0](np.abs(e))
     out = even + np.copysign(odd, e)
     return float(out) if out.ndim == 0 else out
-
-
-@functools.lru_cache(maxsize=1024)
-def _derivative_polynomial(n: int,
-                           strategy: BinningStrategy) -> _SplitPolynomial:
-    """The response polynomial and its first two derivatives as six
-    columns r, with the derivatives r[:3] + sign(e) r[3:] at |e|.
-
-    Derivative order o of a level-k term is k!/(k-o)! W_k |e|^(k-o).
-    Order o of an even (odd) level changes sign with e when o is odd
-    (even), so those columns go to the signed half: f' = f'_odd + sign(e)
-    f'_even and f'' = f''_even + sign(e) f''_odd.
-    """
-    levels, split = _response_weights(n, strategy)
-    k = levels[:, None]
-    order = np.arange(3)
-    # each level has its weight in one column of split
-    terms = split.sum(axis=1)[:, None] * np.hstack([np.ones_like(k), k,
-                                                     k * (k - 1)])
-    power, column = k - order, order + 3 * ((k + order) % 2)
-    keep = power >= 0
-    # a row per exponent from the lowest to the top level; each (level,
-    # order) pair has a cell of its own
-    low = max(int(levels[0]) - 2, 0)
-    matrix = np.zeros((int(levels[-1]) + 1 - low, 6))
-    matrix[power[keep] - low, column[keep]] = terms[keep]
-    return _SplitPolynomial(np.arange(low, low + len(matrix)), matrix)
 
 
 def _response_derivatives(e, n: int, strategy: BinningStrategy) -> np.ndarray:
@@ -232,7 +219,7 @@ def _response_derivatives(e, n: int, strategy: BinningStrategy) -> np.ndarray:
     taken of a non-negative base.
     """
     e = np.asarray(e, dtype=float)
-    r = _derivative_polynomial(n, strategy)(np.abs(e))
+    r = _response_polynomials(n, strategy)[1](np.abs(e))
     return r[:3] + np.copysign(r[3:], e)
 
 
@@ -261,26 +248,40 @@ def family_chsh(beta, visibility: float, n: int, strategy: BinningStrategy):
 
 def _chsh_derivatives(theta, visibility: float, mode: SettingsMode, n: int,
                       strategy: BinningStrategy):
-    """S = sum_i sign_i f(V cos d_i), d = D theta, and its derivatives.
+    """S and its derivatives in the settings angles theta and in V.
 
-    Returns S, dS/dtheta, d2S/dtheta2, dS/dV and d2S/(dtheta dV).
+    Returns S, dS/dtheta, d2S/dtheta2, dS/dV and d2S/(dtheta dV).  For
+    BETA_FAMILY theta is beta and each of them a float: S = 3 f(e1) -
+    f(e3) needs f, f' and f'' only at e1 = V cos(beta) and e3 = V
+    cos(3 beta).  For FULL_PLANAR theta is (theta_a2, theta_b1,
+    theta_b2), and S = sum_i sign_i f(V cos d_i) with d = D theta.
     """
-    angle_map = _ANGLE_MAPS[mode]
-    d = angle_map @ theta
+    v = visibility
+    if mode is SettingsMode.BETA_FAMILY:
+        c1, s1 = math.cos(theta), math.sin(theta)
+        c3, s3 = math.cos(3.0 * theta), math.sin(3.0 * theta)
+        (f1, f3), (g1, g3), (h1, h3) = _response_derivatives(
+            np.array([v * c1, v * c3]), n, strategy).tolist()
+        return (3.0 * f1 - f3,
+                3.0 * v * (s3 * g3 - s1 * g1),
+                (3.0 * v * (v * s1 * s1 * h1 - c1 * g1)
+                 - 9.0 * v * (v * s3 * s3 * h3 - c3 * g3)),
+                3.0 * c1 * g1 - c3 * g3,
+                3.0 * (s3 * (g3 + v * c3 * h3) - s1 * (g1 + v * c1 * h1)))
+    d = _PLANAR_ANGLE_MAP @ theta
     cos, sin = np.cos(d), np.sin(d)
-    f, f1, f2 = _CHSH_SIGNS * _response_derivatives(visibility * cos, n,
-                                                    strategy)
-    grad = -visibility * (sin * f1) @ angle_map
-    curvature = visibility * (visibility * sin * sin * f2 - cos * f1)
-    hess = (angle_map.T * curvature) @ angle_map
-    grad_v = -(sin * (f1 + visibility * cos * f2)) @ angle_map
+    f, f1, f2 = _CHSH_SIGNS * _response_derivatives(v * cos, n, strategy)
+    grad = -v * (sin * f1) @ _PLANAR_ANGLE_MAP
+    curvature = v * (v * sin * sin * f2 - cos * f1)
+    hess = (_PLANAR_ANGLE_MAP.T * curvature) @ _PLANAR_ANGLE_MAP
+    grad_v = -(sin * (f1 + v * cos * f2)) @ _PLANAR_ANGLE_MAP
     return f.sum(), grad, hess, cos @ f1, grad_v
 
 
-def _angles(result: OptimizationResult) -> np.ndarray:
+def _angles(result: OptimizationResult):
     """The optimizer's theta for a max_chsh result in its own mode."""
     if result.mode is SettingsMode.BETA_FAMILY:
-        return np.array([result.beta])
+        return result.beta
     return np.array(result.settings.as_tuple()[1:])
 
 
@@ -290,12 +291,13 @@ class OptimizationResult:
 
     `evaluations` counts evaluations of S: the beta grid, then one per
     Newton step, each with its first two beta-derivatives, and in the
-    FULL_PLANAR search one per BFGS evaluation, each with its gradient.
-    For BETA_FAMILY `converged` says that the safeguarded Newton's method
-    ended on a step, or a bracket, of at most 1e-12 within its step cap;
-    for FULL_PLANAR that every component of the gradient of S at the
-    returned settings is at most 1e-7 in size, so they are a stationary
-    point.
+    FULL_PLANAR search one per trial point of its Newton ascents, each
+    with its gradient and Hessian.  `converged` says that Newton's method
+    ended on a step of at most 1e-12 within its step cap: for BETA_FAMILY
+    the safeguarded search for beta (or its bracket shrank that far), for
+    FULL_PLANAR the ascent that found the returned settings (or its step
+    was halved that far without S rising), so they are a stationary point
+    to rounding.
     """
 
     s_max: float
@@ -318,10 +320,8 @@ def _refine_beta(n: int, visibility: float, strategy: BinningStrategy,
     was at most _NEWTON_XTOL, or the bracket narrower than that.
     """
     for steps in range(1, _NEWTON_STEPS + 1):
-        s, grad, hess = _chsh_derivatives(np.array([beta]), visibility,
-                                          SettingsMode.BETA_FAMILY, n,
-                                          strategy)[:3]
-        slope, curvature = float(grad[0]), float(hess[0, 0])
+        s, slope, curvature = _chsh_derivatives(
+            beta, visibility, SettingsMode.BETA_FAMILY, n, strategy)[:3]
         converged = slope == 0.0 or (curvature < 0.0 and
                                      abs(slope) <= _NEWTON_XTOL * -curvature)
         if not converged:
@@ -331,9 +331,52 @@ def _refine_beta(n: int, visibility: float, strategy: BinningStrategy,
                 hi = beta
             converged = hi - lo <= _NEWTON_XTOL
         if converged or steps == _NEWTON_STEPS:
-            return beta, float(s), steps, converged
+            return beta, s, steps, converged
         nxt = beta - slope / curvature if curvature < 0.0 else math.nan
         beta = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+
+
+def _planar_starts(beta: float) -> list:
+    """FULL_PLANAR angles of the family settings at beta, then 8 seeded
+    perturbations of them."""
+    rng = np.random.default_rng(_MULTISTART_SEED)
+    seed_angles = np.array(settings_from_beta(beta).as_tuple()[1:])
+    return [seed_angles] + [seed_angles + rng.normal(scale=0.3, size=3)
+                            for _ in range(8)]
+
+
+def _planar_ascent(theta: np.ndarray, visibility: float, n: int,
+                   strategy: BinningStrategy):
+    """Newton ascent of the FULL_PLANAR S from theta.
+
+    Each step is Newton's with every eigenvalue lambda of the Hessian
+    replaced by -max(|lambda|, tiny), tiny = _EIGENVALUE_FLOOR
+    max|lambda|, so it goes uphill even where S is not concave, and is
+    halved until S does not fall.  The ascent stops once a step is at
+    most _NEWTON_XTOL in every coordinate, or after _NEWTON_STEPS steps.
+    Returns (S, theta, evaluations, converged).
+    """
+    mode = SettingsMode.FULL_PLANAR
+    s, grad, hess = _chsh_derivatives(theta, visibility, mode, n, strategy)[:3]
+    evaluations = 1
+    for _ in range(_NEWTON_STEPS):
+        lam, vec = np.linalg.eigh(hess)
+        size = np.abs(lam)
+        tiny = max(_EIGENVALUE_FLOOR * size.max(), np.finfo(float).tiny)
+        step = vec @ ((grad @ vec) / np.maximum(size, tiny))
+        while np.abs(step).max() > _NEWTON_XTOL:
+            trial = theta + step
+            derivatives = _chsh_derivatives(trial, visibility, mode, n,
+                                            strategy)
+            evaluations += 1
+            if derivatives[0] >= s:
+                break
+            step = step / 2.0
+        else:
+            return s, theta, evaluations, True
+        theta = trial
+        s, grad, hess = derivatives[:3]
+    return s, theta, evaluations, False
 
 
 def max_chsh(n: int, visibility: float, strategy: BinningStrategy,
@@ -344,59 +387,34 @@ def max_chsh(n: int, visibility: float, strategy: BinningStrategy,
     grid in one array evaluation, then a safeguarded Newton's method on
     dS/dbeta = 0 from the grid's best point, inside the bracket of its
     two neighbours; the grid point is kept if it is higher.  FULL_PLANAR
-    runs BFGS with the analytic gradient of S from the family optimum and
-    from 8 seeded perturbations of it, and keeps the best.  Each
-    correlator V cos(theta_A - theta_B) depends only on angle differences,
-    so FULL_PLANAR fixes theta_a1 = 0 and searches (theta_a2, theta_b1,
-    theta_b2).
+    runs a Newton ascent on the analytic gradient and Hessian of S from
+    the family optimum and from 8 seeded perturbations of it, and keeps
+    the best.  Each correlator V cos(theta_A - theta_B) depends only on
+    angle differences, so FULL_PLANAR fixes theta_a1 = 0 and searches
+    (theta_a2, theta_b1, theta_b2).  Neither mode imports scipy.
     """
-    grid = np.linspace(math.pi / 2.0 / _GRID_POINTS, math.pi / 2.0,
-                       _GRID_POINTS)
-    vals = family_chsh(grid, visibility, n, strategy)
+    vals = family_chsh(_GRID, visibility, n, strategy)
     i = int(np.argmax(vals))
-    lo = grid[i - 1] if i > 0 else grid[0] / 2.0
-    hi = grid[i + 1] if i + 1 < len(grid) else grid[-1]
+    lo = _GRID[i - 1] if i > 0 else _GRID[0] / 2.0
+    hi = _GRID[i + 1] if i + 1 < _GRID_POINTS else _GRID[-1]
     beta, s_family, steps, converged = _refine_beta(
-        n, visibility, strategy, float(grid[i]), float(lo), float(hi))
+        n, visibility, strategy, float(_GRID[i]), float(lo), float(hi))
     if vals[i] > s_family:
-        beta, s_family = float(grid[i]), float(vals[i])
-    evaluations = len(grid) + steps
-    family = OptimizationResult(s_max=s_family,
-                                settings=settings_from_beta(beta),
-                                mode=SettingsMode.BETA_FAMILY,
-                                evaluations=evaluations, beta=beta,
-                                converged=converged)
+        beta, s_family = float(_GRID[i]), float(vals[i])
+    evaluations = _GRID_POINTS + steps
     if mode is SettingsMode.BETA_FAMILY:
-        return family
+        return OptimizationResult(s_max=s_family,
+                                  settings=settings_from_beta(beta),
+                                  mode=mode, evaluations=evaluations,
+                                  beta=beta, converged=converged)
 
-    from scipy import optimize as sciopt
-
-    def neg(theta):
-        s, grad = _chsh_derivatives(theta, visibility, mode, n, strategy)[:2]
-        return -s, -grad
-
-    rng = np.random.default_rng(_MULTISTART_SEED)
-    seed_angles = np.array(family.settings.as_tuple()[1:])
-    starts = [seed_angles] + [seed_angles + rng.normal(scale=0.3, size=3)
-                              for _ in range(8)]
-    best_s = family.s_max
-    best_angles = seed_angles
-    for start in starts:
-        res = sciopt.minimize(neg, start, jac=True, method="BFGS",
-                              options={"gtol": _BFGS_GTOL})
-        evaluations += res.nfev
-        if -res.fun > best_s:
-            best_s = float(-res.fun)
-            best_angles = res.x
-    # near the tolerance BFGS can end on a line search that loses
-    # precision and report failure from a stationary point, so its own
-    # flag says less than the gradient at the result
-    grad = neg(best_angles)[1]
+    ascents = [_planar_ascent(start, visibility, n, strategy)
+               for start in _planar_starts(beta)]
+    evaluations += sum(ascent[2] for ascent in ascents)
+    s, theta, _, converged = max(ascents, key=lambda ascent: ascent[0])
     return OptimizationResult(
-        s_max=best_s, settings=MeasurementSettings(0.0, *best_angles),
-        mode=SettingsMode.FULL_PLANAR, evaluations=evaluations,
-        beta=family.beta,
-        converged=bool(np.abs(grad).max() <= _STATIONARY_GRADIENT))
+        s_max=float(s), settings=MeasurementSettings(0.0, *theta.tolist()),
+        mode=mode, evaluations=evaluations, beta=beta, converged=converged)
 
 
 def _check_tolerance(name: str, value: float) -> None:
@@ -406,7 +424,7 @@ def _check_tolerance(name: str, value: float) -> None:
 
 
 def _threshold_newton(n: int, strategy: BinningStrategy, mode: SettingsMode,
-                      theta: np.ndarray, visibility: float):
+                      theta, visibility: float):
     """Newton's method on dS/dtheta = 0, S = 2 in (theta, V).
 
     A step that would take V out of [0.5, 1] is halved until it does
@@ -415,19 +433,29 @@ def _threshold_newton(n: int, strategy: BinningStrategy, mode: SettingsMode,
     for _ in range(_NEWTON_STEPS):
         s, grad, hess, s_v, grad_v = _chsh_derivatives(theta, visibility,
                                                        mode, n, strategy)
-        jac = np.empty((len(theta) + 1,) * 2)
-        jac[:-1, :-1], jac[:-1, -1], jac[-1, :-1], jac[-1, -1] = (
-            hess, grad_v, grad, s_v)
-        try:
-            step = np.linalg.solve(jac, -np.append(grad, s - 2.0))
-        except np.linalg.LinAlgError:
-            break
-        full = np.abs(step).max() <= _NEWTON_XTOL
-        while not 0.5 <= visibility + step[-1] <= 1.0:
-            step /= 2.0
-        theta = theta + step[:-1]
-        visibility += float(step[-1])
-        if full:
+        if mode is SettingsMode.BETA_FAMILY:
+            # the 2 x 2 system in floats, by Cramer's rule
+            det = hess * s_v - grad_v * grad
+            if det == 0.0:
+                break
+            d_theta = (grad_v * (s - 2.0) - grad * s_v) / det
+            d_v = (grad * grad - hess * (s - 2.0)) / det
+            size = max(abs(d_theta), abs(d_v))
+        else:
+            jac = np.empty((len(theta) + 1,) * 2)
+            jac[:-1, :-1], jac[:-1, -1], jac[-1, :-1], jac[-1, -1] = (
+                hess, grad_v, grad, s_v)
+            try:
+                step = np.linalg.solve(jac, -np.append(grad, s - 2.0))
+            except np.linalg.LinAlgError:
+                break
+            d_theta, d_v, size = step[:-1], float(step[-1]), np.abs(step).max()
+        scale = 1.0
+        while not 0.5 <= visibility + scale * d_v <= 1.0:
+            scale /= 2.0
+        theta = theta + scale * d_theta
+        visibility += scale * d_v
+        if size <= _NEWTON_XTOL:
             return theta, visibility, True
     return theta, visibility, False
 

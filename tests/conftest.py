@@ -16,7 +16,8 @@ from manypairs.analyze import (_CSV_CELL, _CSV_COLUMNS, ClusteredOutcomes,
                                estimate_sn)
 from manypairs.binning import Majority, Parity, sign_vector
 from manypairs.errors import IngestionError, NoViolationError
-from manypairs.optimize import (SettingsMode, _response_weights,
+from manypairs.optimize import (SettingsMode, _chsh_derivatives,
+                                _planar_starts, _response_weights,
                                 family_chsh, max_chsh)
 from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
                                  PairJointDistribution, joint_table)
@@ -118,6 +119,26 @@ def brent_family_maximum(n: int, visibility: float, strategy) -> float:
         lambda b: -family_chsh(b, visibility, n, strategy), bounds=(lo, hi),
         method="bounded", options={"xatol": 1e-12})
     return max(float(-refined.fun), float(vals[i]))
+
+
+def bfgs_full_planar_maximum(n: int, visibility: float, strategy) -> float:
+    """FULL_PLANAR maximum of S by scipy's BFGS (gtol 1e-8) on the analytic
+    gradient, from max_chsh's 9 seeded starts around the family optimum;
+    the family maximum wins if higher."""
+    from scipy import optimize as sciopt
+
+    def neg(theta):
+        s, grad = _chsh_derivatives(theta, visibility,
+                                    SettingsMode.FULL_PLANAR, n, strategy)[:2]
+        return -s, -grad
+
+    family = max_chsh(n, visibility, strategy)
+    best = family.s_max
+    for start in _planar_starts(family.beta):
+        res = sciopt.minimize(neg, start, jac=True, method="BFGS",
+                              options={"gtol": 1e-8})
+        best = max(best, float(-res.fun))
+    return best
 
 
 def critical_visibility_bisect(n: int, strategy,

@@ -680,9 +680,9 @@ def run_fresh(tmp_path, script):
 
 
 class TestStartup:
-    """The data commands load numpy alone.  Of the theory commands only
-    a full-planar search and a crossover root import scipy.optimize, and
-    only when they first need it."""
+    """The data commands and every max_chsh load numpy alone, in both
+    settings modes.  Only the crossover root of `compare` imports
+    scipy.optimize, and only when its grid brackets a crossover."""
 
     def test_data_commands_load_no_scipy(self, tmp_path):
         out = run_fresh(tmp_path, """
@@ -730,11 +730,21 @@ print(json.dumps(loaded))
     def test_theory_commands_import_the_optimizer_at_first_use(self,
                                                                tmp_path):
         out = run_fresh(tmp_path, """
-import sys
+import json, sys
 from manypairs.cli import main
 
-code = main(["compare", "--v", "0.99,0.995", "--n", "3", "--mode",
-             "full-planar"])
-print(code, "scipy.optimize" in sys.modules)
+loaded = []
+for argv in (["compare", "--v", "0.99,0.995", "--n", "3", "--mode",
+              "full-planar"],
+             # the parity advantage changes sign between 0.99 and 0.999
+             ["compare", "--v", "0.99,0.999", "--n", "3,9"]):
+    code = main(argv + ["--out", "cmp.csv"])
+    loaded.append([code, sorted(m for m in sys.modules
+                                if m.partition(".")[0] == "scipy"
+                                and m.count(".") <= 1)])
+print(json.dumps(loaded))
 """)
-        assert out.splitlines()[-1] == "0 True"
+        (planar, planar_scipy), (crossover, crossover_scipy) = json.loads(
+            out.splitlines()[-1])
+        assert (planar, planar_scipy) == (0, [])
+        assert crossover == 0 and "scipy.optimize" in crossover_scipy

@@ -17,8 +17,9 @@ from manypairs.optimize import (EXCEEDS_CAP, SettingsMode,
 from manypairs.pairstats import (SETTING_PAIRS, MeasurementSettings,
                                  settings_from_beta, werner_correlators)
 
-from conftest import (brent_family_maximum, critical_visibility_bisect,
-                      crossover_bisect, direct_binned_correlator)
+from conftest import (bfgs_full_planar_maximum, brent_family_maximum,
+                      critical_visibility_bisect, crossover_bisect,
+                      direct_binned_correlator)
 
 
 ALL_STRATEGIES = (Majority(TiePolicy.TIE_TO_MINUS),
@@ -159,8 +160,9 @@ class TestFastCorrelatorPath:
 
 
 class TestResponseDerivatives:
-    """f, f' and f'' of the response polynomial, which drive the Newton
-    root of the critical visibility and the BFGS full-planar search."""
+    """f, f' and f'' of the response polynomial, which drive every Newton
+    step: the family's beta, the full-planar ascent and the critical
+    visibility."""
 
     E = np.array([-0.99, -0.3, 0.0, 0.4, 0.999])
     NS = list(range(1, 9)) + [63, 64, 255, 256, 1023, 1024, 4095, 4096]
@@ -244,22 +246,51 @@ class TestResponseDerivatives:
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
     def test_family_derivatives(self, strategy):
-        v, h = 0.97, 1e-6
+        # central differences of family_chsh, a route that shares no
+        # derivative code with the kernel; the second differences take a
+        # wider step, as their rounding error grows as 1/h^2
+        v, h, h2 = 0.97, 1e-6, 1e-4
+        for n in (3, 8, 64):
+            def s_of(b, vis=v):
+                return family_chsh(b, vis, n, strategy)
+
+            for beta in (0.05, 0.4, 1.2):
+                got = optimize._chsh_derivatives(
+                    beta, v, SettingsMode.BETA_FAMILY, n, strategy)
+                assert all(type(x) is float for x in got)
+                s, slope, curvature, s_v, slope_v = got
+                assert s == pytest.approx(s_of(beta), abs=1e-13)
+                assert slope == pytest.approx(
+                    (s_of(beta + h) - s_of(beta - h)) / (2.0 * h), abs=1e-7)
+                assert s_v == pytest.approx(
+                    (s_of(beta, v + h) - s_of(beta, v - h)) / (2.0 * h),
+                    abs=1e-7)
+                fd_curvature = (s_of(beta + h2) - 2.0 * s_of(beta)
+                                + s_of(beta - h2)) / h2 ** 2
+                fd_slope_v = (s_of(beta + h2, v + h2) - s_of(beta + h2, v - h2)
+                              - s_of(beta - h2, v + h2)
+                              + s_of(beta - h2, v - h2)) / (4.0 * h2 ** 2)
+                for value, fd in ((curvature, fd_curvature),
+                                  (slope_v, fd_slope_v)):
+                    assert value == pytest.approx(
+                        fd, abs=1e-4 * max(1.0, abs(fd))), (n, beta)
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
+    def test_family_is_the_planar_kernel_on_its_line(self, strategy):
+        # the family's settings (0, 2b, b, -b) are theta = b (2, 1, -1) of
+        # FULL_PLANAR, so the family's derivatives are the planar ones
+        # along that line
+        v, line = 0.97, np.array([2.0, 1.0, -1.0])
         for n in (3, 8, 64):
             for beta in (0.05, 0.4, 1.2):
-                s, grad, hess, s_v, grad_v = optimize._chsh_derivatives(
-                    np.array([beta]), v, SettingsMode.BETA_FAMILY, n,
-                    strategy)
-                assert s == pytest.approx(
-                    family_chsh(beta, v, n, strategy), abs=1e-13)
-                assert grad[0] == pytest.approx(
-                    (family_chsh(beta + h, v, n, strategy)
-                     - family_chsh(beta - h, v, n, strategy)) / (2.0 * h),
-                    abs=1e-7)
-                assert s_v == pytest.approx(
-                    (family_chsh(beta, v + h, n, strategy)
-                     - family_chsh(beta, v - h, n, strategy)) / (2.0 * h),
-                    abs=1e-7)
+                s, slope, curvature, s_v, slope_v = optimize._chsh_derivatives(
+                    beta, v, SettingsMode.BETA_FAMILY, n, strategy)
+                p_s, grad, hess, p_s_v, grad_v = optimize._chsh_derivatives(
+                    beta * line, v, SettingsMode.FULL_PLANAR, n, strategy)
+                for got, planar in ((s, p_s), (slope, grad @ line),
+                                    (curvature, line @ hess @ line),
+                                    (s_v, p_s_v), (slope_v, grad_v @ line)):
+                    assert got == pytest.approx(planar, abs=1e-12), (n, beta)
 
 
 class TestMaxChsh:
@@ -316,6 +347,34 @@ class TestMaxChsh:
         assert table_chsh(table, n, strategy).s == pytest.approx(
             full.s_max, abs=1e-12)
         assert full.s_max >= max_chsh(n, v, strategy).s_max - 1e-9
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
+    def test_newton_ascent_matches_bfgs(self, strategy):
+        # the same 9 starts, climbed by scipy's BFGS on the gradient alone
+        for n in range(1, 12):
+            for v in (0.0, 1e-3, 0.8, 0.9, 0.97, 0.99, 0.995, 1.0):
+                full = max_chsh(n, v, strategy, SettingsMode.FULL_PLANAR)
+                oracle = bfgs_full_planar_maximum(n, v, strategy)
+                assert full.s_max == pytest.approx(oracle, abs=1e-12), (n, v)
+                assert full.converged, (n, v)
+
+    @pytest.mark.parametrize("strategy", [Majority(), Parity()],
+                             ids=["majority", "parity"])
+    def test_every_ascent_climbs(self, strategy):
+        # full Newton steps from the perturbed starts can overshoot; the
+        # halving keeps each ascent from ending below where it began
+        mode = SettingsMode.FULL_PLANAR
+        for n in (3, 5, 9):
+            for v in (0.8, 0.99, 1.0):
+                beta = max_chsh(n, v, strategy).beta
+                for start in optimize._planar_starts(beta):
+                    s_start = optimize._chsh_derivatives(start, v, mode, n,
+                                                         strategy)[0]
+                    s, theta, _, converged = optimize._planar_ascent(
+                        start, v, n, strategy)
+                    assert s >= s_start and converged, (n, v)
+                    assert s == optimize._chsh_derivatives(
+                        theta, v, mode, n, strategy)[0]
 
     def test_monotone_in_visibility(self):
         for strat in (Majority(), Parity()):
