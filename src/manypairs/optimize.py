@@ -34,14 +34,13 @@ The same split gives f' = f'_odd(|e|) + sign(e) f'_even(|e|) and
 f'' = f''_even(|e|) + sign(e) f''_odd(|e|), so S has its gradient,
 Hessian and V-derivatives in closed form in both settings modes.  The
 one-angle family needs the polynomial at two correlators only, and its
-derivatives are formed in float arithmetic.  They drive Newton's method
-throughout: the safeguarded search for the family's beta, the ascent of
-FULL_PLANAR from its seeded starts and the critical visibility, so every
-step of a `max_chsh` costs about one polynomial evaluation.
-
-Only the crossover root of `binning_comparison` imports scipy.optimize,
-when it first runs, so importing this module, the data commands and
-every `max_chsh` load numpy alone.
+derivatives are formed in float arithmetic.  Every search over a real
+variable is Newton's method: one safeguarded root finder,
+`_bracketed_newton`, gives the family's beta and the majority/parity
+crossover, one ascent from the family optimum gives FULL_PLANAR, and
+Newton's method in the angles and V together gives the critical
+visibility.  Every step costs about one polynomial evaluation, and the
+module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -75,9 +74,6 @@ class ExceedsCap:
 
 
 EXCEEDS_CAP = ExceedsCap()
-
-#: Seed for the multi-start perturbations (fixed for determinism).
-_MULTISTART_SEED = 20240817
 
 _GRID_POINTS = 256
 #: The beta grid of the one-angle family on (0, pi/2].
@@ -291,13 +287,13 @@ class OptimizationResult:
 
     `evaluations` counts evaluations of S: the beta grid, then one per
     Newton step, each with its first two beta-derivatives, and in the
-    FULL_PLANAR search one per trial point of its Newton ascents, each
+    FULL_PLANAR search one per trial point of its Newton ascent, each
     with its gradient and Hessian.  `converged` says that Newton's method
     ended on a step of at most 1e-12 within its step cap: for BETA_FAMILY
     the safeguarded search for beta (or its bracket shrank that far), for
-    FULL_PLANAR the ascent that found the returned settings (or its step
-    was halved that far without S rising), so they are a stationary point
-    to rounding.
+    FULL_PLANAR the ascent from the family optimum (or its step was
+    halved that far without S rising), so the settings are a stationary
+    point to rounding.
     """
 
     s_max: float
@@ -308,41 +304,33 @@ class OptimizationResult:
     converged: bool = True
 
 
-def _refine_beta(n: int, visibility: float, strategy: BinningStrategy,
-                 beta: float, lo: float, hi: float):
-    """Safeguarded Newton's method on dS/dbeta = 0 from beta in [lo, hi].
+def _bracketed_newton(func, x: float, lo: float, hi: float):
+    """Safeguarded Newton's method on g(x) = 0 from x in [lo, hi], for a g
+    that rises through its root.
 
-    Each step moves the bracket end on the downhill side of beta to
-    beta.  A Newton step that leaves the bracket, or one taken where
-    S'' >= 0, becomes a bisection.  The step size is tested first, so
-    a start on the maximum stops at once.  Returns (beta, S(beta),
-    evaluations, converged): converged says that the last Newton step
-    was at most _NEWTON_XTOL, or the bracket narrower than that.
+    func(x) returns (g(x), g'(x), ...).  Each step moves the bracket end
+    on g's side of x to x.  A Newton step that leaves the bracket, or
+    one taken where g' <= 0, becomes a bisection.  The step size is
+    tested first, so a start on the root stops at once.  Returns (x,
+    func(x), evaluations, converged): converged says that the last Newton
+    step was at most _NEWTON_XTOL, or the bracket narrower than that.
     """
     for steps in range(1, _NEWTON_STEPS + 1):
-        s, slope, curvature = _chsh_derivatives(
-            beta, visibility, SettingsMode.BETA_FAMILY, n, strategy)[:3]
-        converged = slope == 0.0 or (curvature < 0.0 and
-                                     abs(slope) <= _NEWTON_XTOL * -curvature)
+        values = func(x)
+        g, dg = values[:2]
+        converged = g == 0.0 or (dg > 0.0 and abs(g) <= _NEWTON_XTOL * dg)
         if not converged:
-            if slope > 0.0:
-                lo = beta
-            else:
-                hi = beta
+            lo, hi = (x, hi) if g < 0.0 else (lo, x)
             converged = hi - lo <= _NEWTON_XTOL
         if converged or steps == _NEWTON_STEPS:
-            return beta, s, steps, converged
-        nxt = beta - slope / curvature if curvature < 0.0 else math.nan
-        beta = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+            return x, values, steps, converged
+        nxt = x - g / dg if dg > 0.0 else math.nan
+        x = nxt if lo < nxt < hi else 0.5 * (lo + hi)
 
 
-def _planar_starts(beta: float) -> list:
-    """FULL_PLANAR angles of the family settings at beta, then 8 seeded
-    perturbations of them."""
-    rng = np.random.default_rng(_MULTISTART_SEED)
-    seed_angles = np.array(settings_from_beta(beta).as_tuple()[1:])
-    return [seed_angles] + [seed_angles + rng.normal(scale=0.3, size=3)
-                            for _ in range(8)]
+def _reduced(theta: np.ndarray) -> np.ndarray:
+    """theta mod 2 pi in [-pi, pi]; an angle already there is unchanged."""
+    return theta - 2.0 * math.pi * np.round(theta / (2.0 * math.pi))
 
 
 def _planar_ascent(theta: np.ndarray, visibility: float, n: int,
@@ -351,12 +339,15 @@ def _planar_ascent(theta: np.ndarray, visibility: float, n: int,
 
     Each step is Newton's with every eigenvalue lambda of the Hessian
     replaced by -max(|lambda|, tiny), tiny = _EIGENVALUE_FLOOR
-    max|lambda|, so it goes uphill even where S is not concave, and is
-    halved until S does not fall.  The ascent stops once a step is at
-    most _NEWTON_XTOL in every coordinate, or after _NEWTON_STEPS steps.
-    Returns (S, theta, evaluations, converged).
+    max|lambda|, so it goes uphill even where S is not concave.  It is
+    scaled to move no angle by more than pi, then halved until S does not
+    fall.  S is evaluated only at angles reduced mod 2 pi, where cos is
+    accurate.  The ascent stops once a step is at most _NEWTON_XTOL in
+    every coordinate, or after _NEWTON_STEPS steps.  Returns (S, theta,
+    evaluations, converged).
     """
     mode = SettingsMode.FULL_PLANAR
+    theta = _reduced(theta)
     s, grad, hess = _chsh_derivatives(theta, visibility, mode, n, strategy)[:3]
     evaluations = 1
     for _ in range(_NEWTON_STEPS):
@@ -364,8 +355,9 @@ def _planar_ascent(theta: np.ndarray, visibility: float, n: int,
         size = np.abs(lam)
         tiny = max(_EIGENVALUE_FLOOR * size.max(), np.finfo(float).tiny)
         step = vec @ ((grad @ vec) / np.maximum(size, tiny))
+        step *= math.pi / max(math.pi, np.abs(step).max())
         while np.abs(step).max() > _NEWTON_XTOL:
-            trial = theta + step
+            trial = _reduced(theta + step)
             derivatives = _chsh_derivatives(trial, visibility, mode, n,
                                             strategy)
             evaluations += 1
@@ -384,21 +376,26 @@ def max_chsh(n: int, visibility: float, strategy: BinningStrategy,
     """Maximize the binned CHSH value over measurement settings.
 
     BETA_FAMILY searches the one-parameter family on (0, pi/2]: a dense
-    grid in one array evaluation, then a safeguarded Newton's method on
-    dS/dbeta = 0 from the grid's best point, inside the bracket of its
-    two neighbours; the grid point is kept if it is higher.  FULL_PLANAR
-    runs a Newton ascent on the analytic gradient and Hessian of S from
-    the family optimum and from 8 seeded perturbations of it, and keeps
-    the best.  Each correlator V cos(theta_A - theta_B) depends only on
-    angle differences, so FULL_PLANAR fixes theta_a1 = 0 and searches
-    (theta_a2, theta_b1, theta_b2).  Neither mode imports scipy.
+    grid in one array evaluation, then `_bracketed_newton` on dS/dbeta =
+    0 from the grid's best point, inside the bracket of its two
+    neighbours; the grid point is kept if it is higher.  FULL_PLANAR runs
+    one Newton ascent on the analytic gradient and Hessian of S, started
+    at the family optimum.  Each correlator V cos(theta_A - theta_B)
+    depends only on angle differences, so FULL_PLANAR fixes theta_a1 = 0
+    and searches (theta_a2, theta_b1, theta_b2).
     """
     vals = family_chsh(_GRID, visibility, n, strategy)
     i = int(np.argmax(vals))
     lo = _GRID[i - 1] if i > 0 else _GRID[0] / 2.0
     hi = _GRID[i + 1] if i + 1 < _GRID_POINTS else _GRID[-1]
-    beta, s_family, steps, converged = _refine_beta(
-        n, visibility, strategy, float(_GRID[i]), float(lo), float(hi))
+
+    def falling_slope(beta):  # -dS/dbeta rises through the maximum
+        s, slope, curvature = _chsh_derivatives(
+            beta, visibility, SettingsMode.BETA_FAMILY, n, strategy)[:3]
+        return -slope, -curvature, s
+
+    beta, (_, _, s_family), steps, converged = _bracketed_newton(
+        falling_slope, float(_GRID[i]), float(lo), float(hi))
     if vals[i] > s_family:
         beta, s_family = float(_GRID[i]), float(vals[i])
     evaluations = _GRID_POINTS + steps
@@ -408,13 +405,13 @@ def max_chsh(n: int, visibility: float, strategy: BinningStrategy,
                                   mode=mode, evaluations=evaluations,
                                   beta=beta, converged=converged)
 
-    ascents = [_planar_ascent(start, visibility, n, strategy)
-               for start in _planar_starts(beta)]
-    evaluations += sum(ascent[2] for ascent in ascents)
-    s, theta, _, converged = max(ascents, key=lambda ascent: ascent[0])
+    s, theta, steps, converged = _planar_ascent(
+        np.array(settings_from_beta(beta).as_tuple()[1:]), visibility, n,
+        strategy)
     return OptimizationResult(
         s_max=float(s), settings=MeasurementSettings(0.0, *theta.tolist()),
-        mode=mode, evaluations=evaluations, beta=beta, converged=converged)
+        mode=mode, evaluations=evaluations + steps, beta=beta,
+        converged=converged)
 
 
 def _check_tolerance(name: str, value: float) -> None:
@@ -518,22 +515,14 @@ def critical_pairs(visibility: float, strategy: BinningStrategy,
     if first.s_max <= 2.0:
         raise NoViolationError(
             f"no violation even at n=1 for V={visibility}", first.s_max)
-    n = 1
-    while True:
-        nxt = min(2 * n, n_max)
-        if nxt == n:  # n == n_max still violating
-            return EXCEEDS_CAP
-        if violates(nxt):
-            n = nxt
-        else:
-            break
-    lo, hi = n, nxt  # violates(lo) True, violates(hi) False
-    while hi - lo > 1:
+    lo = 1
+    while lo < n_max and violates(hi := min(2 * lo, n_max)):
+        lo = hi
+    if lo == n_max:  # n_max still violating
+        return EXCEEDS_CAP
+    while hi - lo > 1:  # violates(lo) True, violates(hi) False
         mid = (lo + hi) // 2
-        if violates(mid):
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if violates(mid) else (lo, mid)
     return lo
 
 
@@ -638,14 +627,15 @@ def _crossover_n_grid(n_values):
 
 
 def _maxima(n: int, visibility: float, mode: SettingsMode) -> tuple:
-    """(majority, parity) CHSH maxima at one grid point."""
-    return (max_chsh(n, visibility, Majority(), mode).s_max,
-            max_chsh(n, visibility, Parity(), mode).s_max)
+    """(majority, parity) max_chsh results at one grid point."""
+    return (max_chsh(n, visibility, Majority(), mode),
+            max_chsh(n, visibility, Parity(), mode))
 
 
-def _parity_advantage(maxima) -> float:
-    """Largest parity-minus-majority gap over (s_maj, s_par) pairs."""
-    return max((s_par - s_maj for s_maj, s_par in maxima), default=-math.inf)
+def _parity_advantage(maxima: dict) -> tuple:
+    """Largest parity-minus-majority gap over {n: _maxima(n, ...)}, and
+    the n that has it."""
+    return max((par.s_max - maj.s_max, n) for n, (maj, par) in maxima.items())
 
 
 def binning_comparison(v_values, n_values,
@@ -656,8 +646,11 @@ def binning_comparison(v_values, n_values,
     The crossover V* is where, for some tie-free (odd) n in the grid, the
     parity maximum first exceeds the majority maximum; a grid without
     such n uses its n >= 2, and one of n = 1 alone ties.  The winners come
-    from the table; V* is refined by Brent's method between the first
-    bracketing pair of grid visibilities, to within crossover_tol / 2.
+    from the table.  V* is the root of the parity advantage a(V) in the
+    first bracketing pair of grid visibilities, by `_bracketed_newton`
+    from their false-position point, within crossover_tol / 2 (in fact to
+    rounding).  By the envelope theorem, a'(V) is dS/dV of the two
+    maxima at the arg-max n, at their own settings.
     """
     _check_tolerance("crossover_tol", crossover_tol)
     v_values = [float(v) for v in v_values]
@@ -665,23 +658,29 @@ def binning_comparison(v_values, n_values,
     if not v_values or not n_values:
         raise InvalidArgumentError("grids must be nonempty")
     table = {(v, n): _maxima(n, v, mode) for v in v_values for n in n_values}
-    rows = tuple((v, n) + table[v, n] for v in v_values for n in n_values)
+    rows = tuple((v, n, table[v, n][0].s_max, table[v, n][1].s_max)
+                 for v in v_values for n in n_values)
     n_grid = _crossover_n_grid(n_values)
-    advantages = [_parity_advantage(table[v, n] for n in n_grid)
+    advantages = [_parity_advantage({n: table[v, n] for n in n_grid})[0]
                   for v in v_values]
     winners = tuple(
         (v, "parity" if adv > 0.0 else "majority" if adv < 0.0 else "tie")
         for v, adv in zip(v_values, advantages))
 
+    def advantage(v):
+        maxima = {n: _maxima(n, v, mode) for n in n_grid}
+        gap, n = _parity_advantage(maxima)
+        maj, par = maxima[n]
+        slope = (_chsh_derivatives(_angles(par), v, mode, n, Parity())[3]
+                 - _chsh_derivatives(_angles(maj), v, mode, n, Majority())[3])
+        return gap, float(slope)
+
     crossover = None
     for (v_lo, adv_lo), (v_hi, adv_hi) in zip(zip(v_values, advantages),
                                               zip(v_values[1:], advantages[1:])):
         if adv_lo <= 0.0 < adv_hi:
-            from scipy import optimize as sciopt
-
-            crossover = sciopt.brentq(
-                lambda v: _parity_advantage(_maxima(n, v, mode)
-                                            for n in n_grid),
-                v_lo, v_hi, xtol=crossover_tol / 2.0)
+            start = v_lo - adv_lo * (v_hi - v_lo) / (adv_hi - adv_lo)
+            crossover = _bracketed_newton(
+                advantage, min(max(start, v_lo), v_hi), v_lo, v_hi)[0]
             break
     return BinningComparison(rows=rows, winners=winners, crossover=crossover)

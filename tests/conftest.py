@@ -17,10 +17,10 @@ from manypairs.analyze import (_CSV_CELL, _CSV_COLUMNS, ClusteredOutcomes,
 from manypairs.binning import Majority, Parity, sign_vector
 from manypairs.errors import IngestionError, NoViolationError
 from manypairs.optimize import (SettingsMode, _chsh_derivatives,
-                                _planar_starts, _response_weights,
-                                family_chsh, max_chsh)
+                                _response_weights, family_chsh, max_chsh)
 from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
-                                 PairJointDistribution, joint_table)
+                                 PairJointDistribution, joint_table,
+                                 settings_from_beta)
 from manypairs.simulate import CSV_STREAM_PREFIX, EventStream, _header
 
 
@@ -121,10 +121,19 @@ def brent_family_maximum(n: int, visibility: float, strategy) -> float:
     return max(float(-refined.fun), float(vals[i]))
 
 
+def planar_starts(beta: float) -> list:
+    """FULL_PLANAR angles of the family settings at beta, then 8 seeded
+    perturbations of them (sigma 0.3 rad)."""
+    rng = np.random.default_rng(20240817)
+    seed_angles = np.array(settings_from_beta(beta).as_tuple()[1:])
+    return [seed_angles] + [seed_angles + rng.normal(scale=0.3, size=3)
+                            for _ in range(8)]
+
+
 def bfgs_full_planar_maximum(n: int, visibility: float, strategy) -> float:
     """FULL_PLANAR maximum of S by scipy's BFGS (gtol 1e-8) on the analytic
-    gradient, from max_chsh's 9 seeded starts around the family optimum;
-    the family maximum wins if higher."""
+    gradient, from the 9 `planar_starts` around the family optimum; the
+    family maximum wins if higher."""
     from scipy import optimize as sciopt
 
     def neg(theta):
@@ -134,7 +143,7 @@ def bfgs_full_planar_maximum(n: int, visibility: float, strategy) -> float:
 
     family = max_chsh(n, visibility, strategy)
     best = family.s_max
-    for start in _planar_starts(family.beta):
+    for start in planar_starts(family.beta):
         res = sciopt.minimize(neg, start, jac=True, method="BFGS",
                               options={"gtol": 1e-8})
         best = max(best, float(-res.fun))
@@ -159,15 +168,12 @@ def critical_visibility_bisect(n: int, strategy,
     return 0.5 * (lo + hi)
 
 
-def crossover_bisect(v_values, n_values,
-                     mode: SettingsMode = SettingsMode.BETA_FAMILY,
-                     crossover_tol: float = 1e-4):
-    """Majority/parity crossover V* by bisection, or None without a bracket.
+def _crossover_bracket(v_values, n_values, mode: SettingsMode):
+    """The parity advantage as a function of V, and the first pair of grid
+    visibilities where it turns positive (None without one).
 
     The advantage at V is the largest parity-minus-majority CHSH maximum
     over the odd n >= 3 of the grid (every n >= 2 when there is none).
-    V* is the midpoint of the final bracket of the predicate
-    advantage > 0, bisected from the first grid pair where it turns true.
     """
     odd = [n for n in n_values if n % 2 == 1 and n >= 3]
     n_grid = odd if odd else [n for n in n_values if n >= 2]
@@ -182,14 +188,42 @@ def crossover_bisect(v_values, n_values,
     for (lo, adv_lo), (hi, adv_hi) in zip(zip(v_values, advantages),
                                           zip(v_values[1:], advantages[1:])):
         if adv_lo <= 0.0 < adv_hi:
-            while hi - lo > crossover_tol:
-                mid = 0.5 * (lo + hi)
-                if advantage(mid) > 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            return 0.5 * (lo + hi)
-    return None
+            return advantage, (lo, hi)
+    return advantage, None
+
+
+def crossover_bisect(v_values, n_values,
+                     mode: SettingsMode = SettingsMode.BETA_FAMILY,
+                     crossover_tol: float = 1e-4):
+    """Majority/parity crossover V* by bisection, or None without a bracket.
+
+    V* is the midpoint of the final bracket of the predicate
+    advantage > 0, bisected from the first grid pair where it turns true.
+    """
+    advantage, bracket = _crossover_bracket(v_values, n_values, mode)
+    if bracket is None:
+        return None
+    lo, hi = bracket
+    while hi - lo > crossover_tol:
+        mid = 0.5 * (lo + hi)
+        if advantage(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def brentq_crossover(v_values, n_values,
+                     mode: SettingsMode = SettingsMode.BETA_FAMILY):
+    """Majority/parity crossover V* as scipy's brentq root (xtol 1e-12) of
+    the parity advantage in the first bracketing grid pair, or None
+    without a bracket."""
+    from scipy import optimize as sciopt
+
+    advantage, bracket = _crossover_bracket(v_values, n_values, mode)
+    if bracket is None:
+        return None
+    return sciopt.brentq(advantage, *bracket, xtol=1e-12)
 
 
 def parity_moment(total: int, discordant: int, k: int) -> float:

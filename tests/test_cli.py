@@ -680,9 +680,8 @@ def run_fresh(tmp_path, script):
 
 
 class TestStartup:
-    """The data commands and every max_chsh load numpy alone, in both
-    settings modes.  Only the crossover root of `compare` imports
-    scipy.optimize, and only when its grid brackets a crossover."""
+    """The package loads numpy alone: every command runs without scipy,
+    in both settings modes, a `compare` with a crossover included."""
 
     def test_data_commands_load_no_scipy(self, tmp_path):
         out = run_fresh(tmp_path, """
@@ -727,24 +726,36 @@ print(json.dumps(loaded))
             ["max-s", 0, False], ["scan-vc", 0, False], ["scan-vc", 0, False],
             ["compare", 0, False]]
 
-    def test_theory_commands_import_the_optimizer_at_first_use(self,
-                                                               tmp_path):
+    def test_readme_commands_run_without_scipy(self, tmp_path):
+        # a None entry in sys.modules makes every scipy import fail
         out = run_fresh(tmp_path, """
 import json, sys
+sys.modules["scipy"] = None
 from manypairs.cli import main
 
-loaded = []
-for argv in (["compare", "--v", "0.99,0.995", "--n", "3", "--mode",
+codes = [["simulate", main(["simulate", "--beta", "0.151", "--v", "0.9871",
+                             "--events", "2000", "--seed", "7",
+                             "--symmetrize", "--eta-t-a", "0.8", "--out",
+                             "ev.jsonl"]), None]]
+for argv in (["analyze", "--files", "ev.jsonl", "--n", "1..4",
+              "--strategy", "parity"],
+             ["max-s", "--n", "12", "--beta", "0.05..0.4", "--beta-points",
+              "8", "--v", "0.99", "--strategy", "parity"],
+             ["ratio", "--v", "0.99"],
+             ["scan-vc", "--n", "2..8", "--strategy", "majority"],
+             ["scan-vc", "--n", "2..4", "--strategy", "majority", "--mode",
               "full-planar"],
              # the parity advantage changes sign between 0.99 and 0.999
-             ["compare", "--v", "0.99,0.999", "--n", "3,9"]):
-    code = main(argv + ["--out", "cmp.csv"])
-    loaded.append([code, sorted(m for m in sys.modules
-                                if m.partition(".")[0] == "scipy"
-                                and m.count(".") <= 1)])
-print(json.dumps(loaded))
+             ["compare", "--v", "0.99,0.999", "--n", "3,9"],
+             ["compare", "--v", "0.99,0.999", "--n", "3,5", "--mode",
+              "full-planar"]):
+    code = main(argv + ["--format", "json", "--out", "out.json"])
+    doc = json.loads(open("out.json").read())
+    codes.append([argv[0], code, doc.get("crossover")])
+print(json.dumps(codes))
 """)
-        (planar, planar_scipy), (crossover, crossover_scipy) = json.loads(
-            out.splitlines()[-1])
-        assert (planar, planar_scipy) == (0, [])
-        assert crossover == 0 and "scipy.optimize" in crossover_scipy
+        codes = json.loads(out.splitlines()[-1])
+        assert [[name, code] for name, code, _ in codes] == [
+            ["simulate", 0], ["analyze", 0], ["max-s", 0], ["ratio", 0],
+            ["scan-vc", 0], ["scan-vc", 0], ["compare", 0], ["compare", 0]]
+        assert all(0.99 < v_star < 0.999 for _, _, v_star in codes[-2:])

@@ -18,8 +18,9 @@ from manypairs.pairstats import (SETTING_PAIRS, MeasurementSettings,
                                  settings_from_beta, werner_correlators)
 
 from conftest import (bfgs_full_planar_maximum, brent_family_maximum,
-                      critical_visibility_bisect, crossover_bisect,
-                      direct_binned_correlator)
+                      brentq_crossover, critical_visibility_bisect,
+                      crossover_bisect, direct_binned_correlator,
+                      planar_starts)
 
 
 ALL_STRATEGIES = (Majority(TiePolicy.TIE_TO_MINUS),
@@ -350,7 +351,8 @@ class TestMaxChsh:
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
     def test_newton_ascent_matches_bfgs(self, strategy):
-        # the same 9 starts, climbed by scipy's BFGS on the gradient alone
+        # scipy's BFGS on the gradient alone, from the family optimum and
+        # 8 perturbations of it, finds nothing above the one ascent
         for n in range(1, 12):
             for v in (0.0, 1e-3, 0.8, 0.9, 0.97, 0.99, 0.995, 1.0):
                 full = max_chsh(n, v, strategy, SettingsMode.FULL_PLANAR)
@@ -361,13 +363,14 @@ class TestMaxChsh:
     @pytest.mark.parametrize("strategy", [Majority(), Parity()],
                              ids=["majority", "parity"])
     def test_every_ascent_climbs(self, strategy):
-        # full Newton steps from the perturbed starts can overshoot; the
-        # halving keeps each ascent from ending below where it began
+        # full Newton steps from the oracle's perturbed starts can
+        # overshoot; the halving keeps each ascent from ending below
+        # where it began
         mode = SettingsMode.FULL_PLANAR
         for n in (3, 5, 9):
             for v in (0.8, 0.99, 1.0):
                 beta = max_chsh(n, v, strategy).beta
-                for start in optimize._planar_starts(beta):
+                for start in planar_starts(beta):
                     s_start = optimize._chsh_derivatives(start, v, mode, n,
                                                          strategy)[0]
                     s, theta, _, converged = optimize._planar_ascent(
@@ -375,6 +378,28 @@ class TestMaxChsh:
                     assert s >= s_start and converged, (n, v)
                     assert s == optimize._chsh_derivatives(
                         theta, v, mode, n, strategy)[0]
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
+    def test_ascent_from_far_angles_returns_reduced_angles(self, strategy):
+        # cos of an angle near 1e3 rad carries about 1e-13 of rounding;
+        # the ascent must climb where cos is accurate and say so
+        mode = SettingsMode.FULL_PLANAR
+        rng = np.random.default_rng(97)
+        for n in (3, 4, 9):
+            for v in (0.9, 0.99, 1.0):
+                family = max_chsh(n, v, strategy)
+                for _ in range(4):
+                    start = rng.uniform(-1.0, 1.0, size=3) + 2.0 * math.pi * (
+                        rng.integers(100, 200, size=3)
+                        * rng.choice([-1, 1], size=3))
+                    assert np.abs(start).min() > 6e2
+                    s, theta, _, converged = optimize._planar_ascent(
+                        start, v, n, strategy)
+                    assert converged, (n, v)
+                    assert np.all(np.abs(theta) <= math.pi), (n, v, theta)
+                    assert s == optimize._chsh_derivatives(
+                        theta, v, mode, n, strategy)[0]
+                    assert s <= family.s_max + 1e-13, (n, v)
 
     def test_monotone_in_visibility(self):
         for strat in (Majority(), Parity()):
@@ -593,6 +618,17 @@ class TestScanAndComparison:
         expected = crossover_bisect(v_values, n_values, crossover_tol=1e-4)
         assert cmp_.crossover is not None and expected is not None
         assert abs(cmp_.crossover - expected) <= 1e-4
+
+    @pytest.mark.parametrize("mode, v_values, n_values", [
+        (SettingsMode.BETA_FAMILY, [0.99, 0.999], [3, 9]),
+        (SettingsMode.BETA_FAMILY, [0.988, 0.9885, 0.999], [3, 5, 7, 9, 11]),
+        (SettingsMode.FULL_PLANAR, [0.99, 0.999], [3, 5]),
+    ], ids=["family-3-9", "family-3-to-11", "full-planar-3-5"])
+    def test_crossover_matches_brentq(self, mode, v_values, n_values):
+        cmp_ = binning_comparison(v_values, n_values, mode)
+        expected = brentq_crossover(v_values, n_values, mode)
+        assert cmp_.crossover is not None and expected is not None
+        assert abs(cmp_.crossover - expected) <= 1e-9
 
     def test_each_maximum_computed_once(self, monkeypatch):
         calls = []
