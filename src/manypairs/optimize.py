@@ -231,7 +231,7 @@ def family_chsh(beta, visibility: float, n: int, strategy: BinningStrategy):
     if not 0.0 <= visibility <= 1.0:
         raise InvalidArgumentError(f"visibility {visibility!r} outside [0, 1]")
     beta = np.asarray(beta, dtype=float)
-    # the optimizers make thousands of scalar calls, for which
+    # `max-s` calls this once per (n, beta) with a scalar beta, for which
     # math.isfinite is far cheaper than a numpy reduction
     peak = float(beta if beta.ndim == 0 else np.abs(beta).max(initial=0.0))
     if not math.isfinite(3.0 * peak):

@@ -109,6 +109,11 @@ def generate_run(table: CorrelatorTable, setting_pair: tuple[int, int],
     the basis variant's inversion is applied to obtain physical port bits,
     and each event then survives thinning with probability
     eta_A(port) * eta_B(port).  Fully reproducible from the seed.
+
+    An event's category c = 2a + b is the number of the joint's three
+    inner cdf values at or below one uniform draw, which is how
+    `Generator.choice` with `p` draws it, so the streams are those of
+    `rng.choice(4, p=...)` bit for bit, with one byte per event held.
     """
     check_seed(seed)
     if n_events < 1:
@@ -120,20 +125,24 @@ def generate_run(table: CorrelatorTable, setting_pair: tuple[int, int],
     p = joint_table(table).table(x, y)
     flat = np.array([p[0, 0], p[0, 1], p[1, 0], p[1, 1]])
     flat = flat / flat.sum()
+    cdf = flat.cumsum()
+    cdf /= cdf[-1]  # as `Generator.choice` normalizes it
 
     rng = np.random.default_rng(stream_seed(seed, basis_variant, setting_pair))
-    cat = rng.choice(4, size=n_events, p=flat)
-    a_logical = (cat >> 1).astype(np.uint8)
-    b_logical = (cat & 1).astype(np.uint8)
+    u = rng.random(n_events)
+    cat = (u >= cdf[0]).view(np.uint8)
+    cat += u >= cdf[1]
+    cat += u >= cdf[2]
+    del u
     inv_a, inv_b = variant_inversions(basis_variant)
-    a_phys = a_logical ^ np.uint8(inv_a)
-    b_phys = b_logical ^ np.uint8(inv_b)
+    cat ^= np.uint8(2 * inv_a + inv_b)  # physical ports from here on
 
     keep = np.ones(n_events, dtype=bool)
     if not detector.trivial:
-        eta_a = np.where(a_phys == 0, detector.eta_t_a, detector.eta_r_a)
-        eta_b = np.where(b_phys == 0, detector.eta_t_b, detector.eta_r_b)
-        keep = rng.random(n_events) < eta_a * eta_b
+        # eta_A(a) * eta_B(b) at category 2a + b, port 0 transmitted
+        eta = np.multiply.outer([detector.eta_t_a, detector.eta_r_a],
+                                [detector.eta_t_b, detector.eta_r_b])
+        keep = rng.random(n_events) < eta.ravel()[cat]
     if discard_prob > 0.0:
         keep &= rng.random(n_events) >= discard_prob
 
@@ -149,8 +158,9 @@ def generate_run(table: CorrelatorTable, setting_pair: tuple[int, int],
     }
     if extra_meta:
         meta.update(extra_meta)
-    a_out = a_phys[keep]
-    b_out = b_phys[keep]
+    cat = cat[keep]
+    a_out = cat >> np.uint8(1)
+    b_out = cat & np.uint8(1)
     a_out.setflags(write=False)
     b_out.setflags(write=False)
     return EventStream(setting_pair=(x, y), basis_variant=basis_variant,

@@ -21,7 +21,9 @@ from manypairs.optimize import (SettingsMode, _chsh_derivatives,
 from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
                                  PairJointDistribution, joint_table,
                                  settings_from_beta)
-from manypairs.simulate import CSV_STREAM_PREFIX, EventStream, _header
+from manypairs.simulate import (CSV_STREAM_PREFIX, PERFECT_DETECTORS,
+                                EventStream, _header, stream_seed,
+                                variant_inversions)
 
 
 def random_feasible_table(rng: np.random.Generator,
@@ -316,6 +318,58 @@ def coin_estimate_sn(clustered: dict, strategy,
             signs.append(s)
         es.append(float(np.mean(signs[0] * signs[1])))
     return es[0] + es[1] + es[2] - es[3]
+
+
+def mean_correlator(clustered: ClusteredOutcomes, strategy) -> float:
+    """One setting pair's correlator as the mean of float64 sign products."""
+    sign = sign_vector(clustered.n, strategy)
+    return float(np.mean(sign[clustered.a_counts] * sign[clustered.b_counts]))
+
+
+def choice_generate_run(table: CorrelatorTable, setting_pair, n_events: int,
+                        detector=PERFECT_DETECTORS, seed: int = 0,
+                        basis_variant: int = 0, discard_prob: float = 0.0,
+                        extra_meta: dict | None = None) -> EventStream:
+    """`generate_run` drawing each category with `Generator.choice`.
+
+    The outcomes are `rng.choice(4, p=...)`, and the thinning takes each
+    event's efficiencies by `np.where` on its physical bits.
+    """
+    x, y = setting_pair
+    p = joint_table(table).table(x, y)
+    flat = np.array([p[0, 0], p[0, 1], p[1, 0], p[1, 1]])
+    flat = flat / flat.sum()
+
+    rng = np.random.default_rng(stream_seed(seed, basis_variant, setting_pair))
+    cat = rng.choice(4, size=n_events, p=flat)
+    a_logical = (cat >> 1).astype(np.uint8)
+    b_logical = (cat & 1).astype(np.uint8)
+    inv_a, inv_b = variant_inversions(basis_variant)
+    a_phys = a_logical ^ np.uint8(inv_a)
+    b_phys = b_logical ^ np.uint8(inv_b)
+
+    keep = np.ones(n_events, dtype=bool)
+    if not detector.trivial:
+        eta_a = np.where(a_phys == 0, detector.eta_t_a, detector.eta_r_a)
+        eta_b = np.where(b_phys == 0, detector.eta_t_b, detector.eta_r_b)
+        keep = rng.random(n_events) < eta_a * eta_b
+    if discard_prob > 0.0:
+        keep &= rng.random(n_events) >= discard_prob
+
+    meta = {
+        "settingPair": [x, y],
+        "basisVariant": basis_variant,
+        "seed": int(seed),
+        "eventsRequested": int(n_events),
+        "table": table.to_json_dict(),
+        "detector": {"etaT_A": detector.eta_t_a, "etaR_A": detector.eta_r_a,
+                     "etaT_B": detector.eta_t_b, "etaR_B": detector.eta_r_b},
+        "discardProb": discard_prob,
+    }
+    if extra_meta:
+        meta.update(extra_meta)
+    return EventStream(setting_pair=(x, y), basis_variant=basis_variant,
+                       a=a_phys[keep], b=b_phys[keep], meta=meta)
 
 
 def _compositions(n: int):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from manypairs.analyze import (ClusteredOutcomes, MinusKSigma, PointEstimate,
                                RunningTotals, bootstrap_sn, cluster_events,
                                estimate_sn, find_nc, ingest, logical_bits,
                                read_csv, read_jsonl, sequences_from_streams)
-from manypairs.binning import (Majority, Parity, TiePolicy,
+from manypairs.binning import (Majority, Parity, TiePolicy, chsh_value,
                                parity_chsh_analytic, table_chsh)
 from manypairs.errors import (IngestionError, InsufficientDataError,
                               InvalidArgumentError)
@@ -19,7 +20,7 @@ from manypairs.simulate import (DetectorModel, EventStream, generate_run,
                                 generate_symmetrized, write_csv, write_jsonl)
 
 from conftest import (coin_estimate_sn, exact_shuffle_sigma,
-                      finite_population_parity_sigma,
+                      finite_population_parity_sigma, mean_correlator,
                       monte_carlo_bootstrap_sn, read_csv_lines,
                       read_jsonl_lines, reshape_cluster_events,
                       shuffle_parity_mean)
@@ -714,6 +715,56 @@ class TestBootstrap:
         seqs = make_sequences(t, 2000, seed=2)
         monkeypatch.setattr(np.random, "default_rng", fail)
         bootstrap_sn(seqs, [1, 2, 4], Majority(TiePolicy.RANDOMIZED))
+
+
+STRATEGIES = [Parity(), Majority(TiePolicy.TIE_TO_MINUS),
+              Majority(TiePolicy.TIE_TO_PLUS), Majority(TiePolicy.RANDOMIZED)]
+
+
+class TestCorrelatorOracle:
+    """The int8 sign sums give the float64 mean of the products exactly."""
+
+    N_VALUES = list(range(1, 13)) + list(range(41, 45))
+
+    @pytest.fixture(scope="class")
+    def sequences(self):
+        t = werner_correlators(settings_from_beta(0.151), 0.9871)
+        return make_sequences(t, 20_011, seed=31)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=repr)
+    def test_estimate_sn_equals_mean_of_products(self, sequences, strategy):
+        for n in self.N_VALUES:
+            clustered = {sp: cluster_events(sequences[sp], n)
+                         for sp in SETTING_PAIRS}
+            want = chsh_value([mean_correlator(clustered[sp], strategy)
+                               for sp in SETTING_PAIRS], n=n)
+            got = estimate_sn(clustered, strategy)
+            assert got.correlators == want.correlators
+            assert got.s == want.s
+
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=repr)
+    def test_find_nc_equals_mean_of_products(self, sequences, strategy):
+        curve = find_nc({0.151: sequences}, strategy, self.N_VALUES)
+        for _, n, s, _ in curve.entries:
+            want = chsh_value([mean_correlator(cluster_events(
+                sequences[sp], n), strategy) for sp in SETTING_PAIRS])
+            assert s == want.s
+
+    def test_find_nc_holds_one_pair_at_a_time(self):
+        # one pair's int32 totals, int64 n = 1 counts and int8 signs come
+        # to about 26 bytes per event; all four pairs' at once, over 100
+        t = werner_correlators(settings_from_beta(0.3), 0.95)
+        sequences = sequences_from_streams(
+            [generate_run(t, sp, 100_000 + 7 * i, seed=5)
+             for i, sp in enumerate(SETTING_PAIRS)])
+        events = max(len(a) for a, _ in sequences.values())
+        tracemalloc.start()
+        try:
+            find_nc({0.3: sequences}, Parity(), [1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * events
 
 
 class TestFindNc:

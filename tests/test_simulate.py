@@ -11,8 +11,10 @@ from manypairs.simulate import (DetectorModel, PERFECT_DETECTORS, EventStream,
                                 stream_seed, variant_inversions, write_csv,
                                 write_jsonl)
 from manypairs.analyze import logical_bits, read_csv, read_jsonl
+from manypairs.cli import main
 
-from conftest import write_csv_lines, write_jsonl_lines
+from conftest import (choice_generate_run, random_feasible_table,
+                      write_csv_lines, write_jsonl_lines)
 
 
 def empirical_correlator(stream: EventStream) -> float:
@@ -88,6 +90,58 @@ class TestGenerateRun:
                                         [(1 - e) / 4, (1 + e) / 4]])
         stat = float(((counts - expected) ** 2 / expected).sum())
         assert stat < chi2.ppf(1.0 - 1e-4, df=3)
+
+
+#: Detector models and discard probabilities the oracle pins: trivial
+#: detectors, one thinned port, and every port thinned with discards.
+THINNING = [(PERFECT_DETECTORS, 0.0), (DetectorModel(eta_t_a=0.8), 0.0),
+            (DetectorModel(0.8, 0.9, 0.7, 0.95), 0.1)]
+
+
+class TestChoiceOracle:
+    """`generate_run` draws the streams of `Generator.choice` bit for bit."""
+
+    @pytest.mark.parametrize("detector, discard_prob", THINNING,
+                             ids=["trivial", "eta_t_a", "all_ports"])
+    @pytest.mark.parametrize("variant", range(4))
+    def test_matches_choice_oracle(self, detector, discard_prob, variant):
+        tables = [werner_correlators(settings_from_beta(0.151), 0.9871),
+                  random_feasible_table(np.random.default_rng(3)),
+                  # zero-probability categories: equal cdf values
+                  CorrelatorTable(1.0, -1.0, 0.0, 1.0, marg_a1=0.0)]
+        for table in tables:
+            for sp in SETTING_PAIRS:
+                args = (table, sp, 5000, detector)
+                kwargs = dict(seed=21, basis_variant=variant,
+                              discard_prob=discard_prob,
+                              extra_meta={"beta": 0.151})
+                got = generate_run(*args, **kwargs)
+                want = choice_generate_run(*args, **kwargs)
+                assert got.a.dtype == got.b.dtype == np.uint8
+                assert np.array_equal(got.a, want.a)
+                assert np.array_equal(got.b, want.b)
+                assert got.meta == want.meta
+
+    @pytest.mark.parametrize("write, suffix", [(write_jsonl, ".jsonl"),
+                                               (write_csv, ".csv")],
+                             ids=["jsonl", "csv"])
+    def test_simulate_writes_the_oracle_bytes(self, tmp_path, capsys, write,
+                                              suffix):
+        beta, v = 0.151, 0.9871
+        path, want = tmp_path / f"got{suffix}", tmp_path / f"want{suffix}"
+        assert main(["simulate", "--beta", str(beta), "--v", str(v),
+                     "--events", "3000", "--seed", "77", "--symmetrize",
+                     "--eta-t-a", "0.8", "--eta-r-b", "0.9",
+                     "--discard-prob", "0.1", "--out", str(path)]) == 0
+        capsys.readouterr()
+        table = werner_correlators(settings_from_beta(beta), v)
+        detector = DetectorModel(eta_t_a=0.8, eta_r_b=0.9)
+        write([choice_generate_run(table, sp, 3000, detector, seed=77,
+                                   basis_variant=variant, discard_prob=0.1,
+                                   extra_meta={"beta": beta,
+                                               "visibility": v})
+               for sp in SETTING_PAIRS for variant in range(4)], want)
+        assert path.read_bytes() == want.read_bytes()
 
 
 class TestSymmetrized:
