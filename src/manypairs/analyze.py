@@ -155,20 +155,27 @@ def _stream_header(header: dict) -> tuple[tuple, int, dict]:
     return tuple(pair), variant, _stream_meta(header)
 
 
-def _error(path: Path, raw: bytes, offset: int, message: str):
-    """IngestionError naming `path:line` for the line at byte `offset`,
-    counting line breaks as text mode does: LF, CR LF and a lone CR.
+def _error(path: Path, offset: int, message: str):
+    """IngestionError naming `path:line` for the line at byte `offset` of
+    the file, counting line breaks as text mode does: LF, CR LF and a
+    lone CR.
 
-    Raises UnicodeDecodeError instead if `raw` is not UTF-8.  A reader
+    Only the error path reads the file a second time, whole: it raises
+    UnicodeDecodeError instead if the file is not UTF-8.  A reader
     decodes every line it parses and checks every other byte against an
     ASCII template, so a file that is not UTF-8 is refused as such
-    whichever of its lines is also malformed.
+    whichever of its lines is also malformed, in whichever chunk.
     """
+    raw = path.read_bytes()
     raw.decode()
     line = (raw.count(b"\n", 0, offset) + raw.count(b"\r", 0, offset)
             - raw.count(b"\r\n", 0, offset) + 1)
     return IngestionError(f"{path}:{line}: {message}")
 
+
+#: Bytes a reader takes from an event file at a time, before it completes
+#: the chunk to the end of its line.
+_CHUNK_BYTES = 1 << 18
 
 #: One line and its line break, as text mode splits a file.
 _LINE = re.compile(rb"([^\r\n]*)(\r\n|\r|\n)?")
@@ -198,16 +205,41 @@ def _runs(raw: bytes, pos: int, marker: bytes):
         pos = end
 
 
-def _event_bits(block: np.ndarray, template: bytes, columns):
-    """(a, b) of a run of event lines, or None if any line departs from
-    `template` other than by a 0 or 1 bit at `columns`."""
+def _read_chunks(fh, marker: bytes, block, line) -> None:
+    """Read `fh` from its position on, in chunks of whole lines.
+
+    Each chunk is `_CHUNK_BYTES` bytes completed to the next LF, so no
+    line, CR LF pair or UTF-8 sequence is split.  A chunk is cut before
+    and after each line holding `marker` (`_runs`).  Each run of lines
+    in between goes to `block(chunk, lo, hi)`, which returns true if it
+    took the run as one block; the lines of a run it did not take, and
+    each line holding `marker`, go one by one to `line(file offset,
+    text, line break)` (`_lines`).
+    """
+    base = fh.tell()
+    while chunk := fh.read(_CHUNK_BYTES):
+        if not chunk.endswith(b"\n"):
+            chunk += fh.readline()
+        for lo, start, end in _runs(chunk, 0, marker):
+            spans = ((start, end),) if block(chunk, lo, start) else (
+                (lo, start), (start, end))
+            for span in spans:
+                for offset, text, newline in _lines(chunk, *span):
+                    line(base + offset, text, newline)
+        base += len(chunk)
+
+
+def _event_bits(raw: bytes, lo: int, hi: int, template: bytes, columns):
+    """(a, b) of the event lines raw[lo:hi], or None if any line departs
+    from `template` other than by a 0 or 1 bit at `columns`."""
     width = len(template)
-    if len(block) % width:
+    if (hi - lo) % width:
         return None
-    diff = block.reshape(-1, width) ^ np.frombuffer(template, np.uint8)
-    limit = np.zeros(width, dtype=np.uint8)
-    limit[list(columns)] = 1
-    if np.any(diff.max(axis=0, initial=0) > limit):
+    block = np.frombuffer(raw, np.uint8)[lo:hi].reshape(-1, width)
+    diff = block ^ np.frombuffer(template, np.uint8)
+    mask = np.full(width, 0xFF, dtype=np.uint8)
+    mask[list(columns)] = 0xFE
+    if np.any(diff & mask):
         return None
     return diff[:, columns[0]].copy(), diff[:, columns[1]].copy()
 
@@ -232,50 +264,50 @@ class _Events:
 def read_jsonl(path) -> list[EventStream]:
     """Parse a JSON-lines event file into streams (physical bits).
 
-    Each stream's run of event lines is checked as one block against
-    `write_jsonl`'s layout; only the lines of a run that departs from it,
-    and the header lines, are parsed one by one.  Errors name `path:line`.
+    The file is read in chunks of whole lines (`_read_chunks`), so the
+    reader holds one chunk and the bits read so far, not the file.  In
+    each chunk, each run of event lines is checked as one block against
+    `write_jsonl`'s layout and appended to the latest stream; only the
+    lines of a run that departs from it, and the header lines, are parsed
+    one by one.  Errors name `path:line`.
     """
     path = Path(path)
-    raw = path.read_bytes()
     template, columns = JSONL_EVENT
-    buf = np.frombuffer(raw, dtype=np.uint8)
     streams: list[_Events] = []
 
-    def parse_lines(lo: int, hi: int) -> None:
-        for offset, line, _ in _lines(raw, lo, hi):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line, parse_constant=_no_constant)
-            except (ValueError, RecursionError) as exc:
-                # ValueError covers JSONDecodeError and integers longer
-                # than Python converts; RecursionError, deep nesting
-                raise _error(path, raw, offset, f"bad JSON ({exc})")
-            if isinstance(obj, dict) and "settingPair" in obj:
-                try:
-                    streams.append(_Events(*_stream_header(obj)))
-                except ValueError as exc:
-                    raise _error(path, raw, offset, str(exc))
-            elif isinstance(obj, dict) and "a" in obj and "b" in obj:
-                if not streams:
-                    raise _error(path, raw, offset,
-                                 "event record before any header")
-                if not all(_is_json_int(obj[k]) and obj[k] in (0, 1)
-                           for k in ("a", "b")):
-                    raise _error(path, raw, offset, "outcomes must be bits")
-                streams[-1].extend((obj["a"],), (obj["b"],))
-            else:
-                raise _error(path, raw, offset, f"unrecognized record {obj!r}")
-
-    for lo, start, end in _runs(raw, 0, b'"settingPair"'):
-        bits = streams and _event_bits(buf[lo:start], template, columns)
+    def block(chunk: bytes, lo: int, hi: int) -> bool:
+        bits = streams and _event_bits(chunk, lo, hi, template, columns)
         if bits:
             streams[-1].extend(*bits)
+        return bool(bits)
+
+    def line(offset: int, text: str, newline: str) -> None:
+        text = text.strip()
+        if not text:
+            return
+        try:
+            obj = json.loads(text, parse_constant=_no_constant)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and integers longer than
+            # Python converts; RecursionError, deep nesting
+            raise _error(path, offset, f"bad JSON ({exc})")
+        if isinstance(obj, dict) and "settingPair" in obj:
+            try:
+                streams.append(_Events(*_stream_header(obj)))
+            except ValueError as exc:
+                raise _error(path, offset, str(exc))
+        elif isinstance(obj, dict) and "a" in obj and "b" in obj:
+            if not streams:
+                raise _error(path, offset, "event record before any header")
+            if not all(_is_json_int(obj[k]) and obj[k] in (0, 1)
+                       for k in ("a", "b")):
+                raise _error(path, offset, "outcomes must be bits")
+            streams[-1].extend((obj["a"],), (obj["b"],))
         else:
-            parse_lines(lo, start)
-        parse_lines(start, end)
+            raise _error(path, offset, f"unrecognized record {obj!r}")
+
+    with path.open("rb") as fh:
+        _read_chunks(fh, b'"settingPair"', block, line)
     return [events.stream() for events in streams]
 
 
@@ -283,21 +315,17 @@ def read_csv(path) -> list[EventStream]:
     """Parse the compact CSV form (x, y, variant, a, b) into streams.
 
     A `# stream: {json}` comment line carries the metadata of the rows
-    after it; files without such lines read with empty metadata.  Under
-    `write_csv`'s column line, each run of rows between two such lines is
-    checked as one block against the layout of its first row; only the
-    rows of a run that departs from it, and the comment lines, are parsed
-    one by one.  Errors name `path:line`.
+    after it; files without such lines read with empty metadata.  After
+    the column line, the file is read in chunks of whole lines
+    (`_read_chunks`), so the reader holds one chunk and the bits read so
+    far, not the file.  Under `write_csv`'s column line, each run of rows
+    of a chunk between two such comment lines is checked as one block
+    against the layout of its first row; only the rows of a run that
+    departs from it, and the comment lines, are parsed one by one.
+    Errors name `path:line`.
     """
     path = Path(path)
-    raw = path.read_bytes()
     suffix, columns = CSV_EVENT
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    first = _LINE.match(raw)
-    names = first[1].decode().strip().split(",")
-    if sorted(names) != sorted(_CSV_COLUMNS):
-        raise _error(path, raw, 0, "expected columns x,y,variant,a,b")
-    cols = [names.index(c) for c in _CSV_COLUMNS]
     metas: list[dict] = [{}]
     streams: dict[tuple, _Events] = {}
 
@@ -307,52 +335,54 @@ def read_csv(path) -> list[EventStream]:
             streams[key] = _Events(pair, variant, dict(metas[-1]))
         return streams[key]
 
-    def parse_lines(lo: int, hi: int) -> None:
-        for offset, row, newline in _lines(raw, lo, hi):
-            if row.startswith(CSV_STREAM_PREFIX):
-                try:
-                    header = json.loads(
-                        row[len(CSV_STREAM_PREFIX):] + newline,
-                        parse_constant=_no_constant)
-                except (ValueError, RecursionError) as exc:
-                    raise _error(path, raw, offset,
-                                 f"bad stream metadata ({exc})")
-                if not isinstance(header, dict):
-                    raise _error(path, raw, offset,
-                                 "stream metadata is not an object")
-                try:
-                    metas.append(_stream_meta(header))
-                except ValueError as exc:
-                    raise _error(path, raw, offset, str(exc))
-                continue
-            if not row.strip():
-                continue
-            cells = row.split(",")
-            try:
-                if len(cells) != len(cols) or not all(
-                        _CSV_CELL.fullmatch(c) for c in cells):
-                    raise ValueError
-                x, y, v, a, b = (int(cells[i]) for i in cols)
-            except ValueError:  # int() also refuses over 4300 digits
-                raise _error(path, raw, offset, f"malformed row {row!r}")
-            if v not in (0, 1, 2, 3):
-                raise _error(path, raw, offset, "basis variant outside 0..3")
-            if a not in (0, 1) or b not in (0, 1):
-                raise _error(path, raw, offset, "outcomes must be bits")
-            events((x, y), v).extend((a,), (b,))
-
-    in_order = names == list(_CSV_COLUMNS)
-    for lo, start, end in _runs(raw, first.end(),
-                                CSV_STREAM_PREFIX.encode()):
-        row = raw[lo:raw.find(b"\n", lo, start) + 1]
+    def block(chunk: bytes, lo: int, hi: int) -> bool:
+        row = chunk[lo:chunk.find(b"\n", lo, hi) + 1]
         bits = (in_order and _CSV_FIRST_ROW.fullmatch(row) and _event_bits(
-            buf[lo:start], row[:-len(suffix)] + suffix, columns))
+            chunk, lo, hi, row[:-len(suffix)] + suffix, columns))
         if bits:
             x, y, variant = map(int, row[:5].split(b","))
             events((x, y), variant).extend(*bits)
-        else:
-            parse_lines(lo, start)
-        parse_lines(start, end)
+        return bool(bits)
+
+    def line(offset: int, row: str, newline: str) -> None:
+        if row.startswith(CSV_STREAM_PREFIX):
+            try:
+                header = json.loads(row[len(CSV_STREAM_PREFIX):] + newline,
+                                    parse_constant=_no_constant)
+            except (ValueError, RecursionError) as exc:
+                raise _error(path, offset, f"bad stream metadata ({exc})")
+            if not isinstance(header, dict):
+                raise _error(path, offset, "stream metadata is not an object")
+            try:
+                metas.append(_stream_meta(header))
+            except ValueError as exc:
+                raise _error(path, offset, str(exc))
+            return
+        if not row.strip():
+            return
+        cells = row.split(",")
+        try:
+            if len(cells) != len(cols) or not all(
+                    _CSV_CELL.fullmatch(c) for c in cells):
+                raise ValueError
+            x, y, v, a, b = (int(cells[i]) for i in cols)
+        except ValueError:  # int() also refuses over 4300 digits
+            raise _error(path, offset, f"malformed row {row!r}")
+        if v not in (0, 1, 2, 3):
+            raise _error(path, offset, "basis variant outside 0..3")
+        if a not in (0, 1) or b not in (0, 1):
+            raise _error(path, offset, "outcomes must be bits")
+        events((x, y), v).extend((a,), (b,))
+
+    with path.open("rb") as fh:
+        first = _LINE.match(fh.readline())
+        names = first[1].decode().strip().split(",")
+        if sorted(names) != sorted(_CSV_COLUMNS):
+            raise _error(path, 0, "expected columns x,y,variant,a,b")
+        cols = [names.index(c) for c in _CSV_COLUMNS]
+        in_order = names == list(_CSV_COLUMNS)
+        fh.seek(first.end())
+        _read_chunks(fh, CSV_STREAM_PREFIX.encode(), block, line)
     return [stream.stream() for stream in streams.values()]
 
 

@@ -214,8 +214,10 @@ def cmd_max_s(args) -> int:
     strategy = _strategy(args)
     n_values = _parse_int_range(args.n)
     betas = _parse_float_list(args.beta, args.beta_points)
-    rows = [(beta, n, opt.family_chsh(beta, args.v, n, strategy))
-            for n in n_values for beta in betas]
+    rows = []
+    for n in n_values:
+        s = opt.family_chsh(np.array(betas), args.v, n, strategy).tolist()
+        rows += [(beta, n, value) for beta, value in zip(betas, s)]
     config = _config_dict(args, ["command", "strategy", "tie", "n", "beta",
                                  "v"])
     _emit(config, ["beta", "n", "s"], rows, {}, args)

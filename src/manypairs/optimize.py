@@ -231,8 +231,7 @@ def family_chsh(beta, visibility: float, n: int, strategy: BinningStrategy):
     if not 0.0 <= visibility <= 1.0:
         raise InvalidArgumentError(f"visibility {visibility!r} outside [0, 1]")
     beta = np.asarray(beta, dtype=float)
-    # `max-s` calls this once per (n, beta) with a scalar beta, for which
-    # math.isfinite is far cheaper than a numpy reduction
+    # a scalar beta, as a library caller may pass, needs no numpy reduction
     peak = float(beta if beta.ndim == 0 else np.abs(beta).max(initial=0.0))
     if not math.isfinite(3.0 * peak):
         raise InvalidArgumentError("beta and 3 * beta must be finite")

@@ -351,7 +351,9 @@ class TestBulkRead:
         lambda text: text.replace("\n", "\n\n", 7),
         lambda text: text.replace('{"a": 1, "b": 0}', '{"a":1,"b":0}'),
         lambda text: "\n" + text + "\n",
-    ], ids=["crlf", "blank-lines", "compact-records", "leading-blank-line"])
+        lambda text: text.replace("\n", "\r"),
+    ], ids=["crlf", "blank-lines", "compact-records", "leading-blank-line",
+            "lone-cr"])
     def test_jsonl_fallback_reads_the_same(self, tmp_path, edit,
                                            parsed_lines):
         streams = _streams_with_empty(40)
@@ -368,7 +370,8 @@ class TestBulkRead:
         lambda text: text.replace("\n", "\n\n", 7),
         lambda text: re.sub(r"(?m)^([^,#\n]+),([^,]+),([^,]+),([^,]+),(.+)$",
                             r"\4,\5,\1,\2,\3", text),
-    ], ids=["crlf", "blank-lines", "permuted-columns"])
+        lambda text: text.replace("\n", "\r"),
+    ], ids=["crlf", "blank-lines", "permuted-columns", "lone-cr"])
     def test_csv_fallback_reads_the_same(self, tmp_path, edit, parsed_lines):
         streams = [s for s in _streams_with_empty(40) if len(s)]
         p = tmp_path / "e.csv"
@@ -472,6 +475,81 @@ class TestBulkRead:
         with pytest.raises(IngestionError) as exc:
             ingest([path])
         assert str(exc.value) == f"{path}:{line}: {message}"
+
+
+class TestChunkBoundaries(TestBulkRead):
+    """Every `TestBulkRead` test again with chunks of a few bytes, so that
+    streams, blocks and runs of lines span many chunks."""
+
+    @pytest.fixture(autouse=True, params=[1, 7, 64])
+    def chunk_bytes(self, request, monkeypatch):
+        monkeypatch.setattr(analyze, "_CHUNK_BYTES", request.param)
+
+    @staticmethod
+    def _written_lines(path, write):
+        t = werner_correlators(settings_from_beta(0.2), 0.97)
+        write([generate_run(t, sp, 6, seed=2) for sp in SETTING_PAIRS], path)
+        return path.read_text().split("\n")[:-1]
+
+    @pytest.mark.parametrize("write, replacement, message", [
+        (write_jsonl, '{"a": 1}', "unrecognized record {'a': 1}"),
+        (write_csv, "1,1,0,1", "malformed row '1,1,0,1'"),
+    ], ids=["jsonl", "csv"])
+    def test_line_after_crlf_and_lone_cr_lines(self, tmp_path, write,
+                                                replacement, message):
+        # lines 5-10 end in CR LF and lines 11-14 in a lone CR, which no
+        # chunk ends at; line 25 lies several chunks on
+        suffix = ".csv" if write is write_csv else ".jsonl"
+        p = tmp_path / f"e{suffix}"
+        lines = self._written_lines(p, write)
+        lines[24] = replacement
+        p.write_bytes("".join(
+            line + ("\r\n" if 4 <= i < 10 else "\r" if 10 <= i < 14 else "\n")
+            for i, line in enumerate(lines)).encode())
+        with pytest.raises(IngestionError) as exc:
+            ingest([p])
+        assert str(exc.value) == f"{p}:25: {message}"
+
+    @pytest.mark.parametrize("malformed", [False, True],
+                             ids=["valid-before", "malformed-line-3"])
+    @pytest.mark.parametrize("write", [write_jsonl, write_csv],
+                             ids=["jsonl", "csv"])
+    def test_non_utf8_byte_in_later_chunk(self, tmp_path, write, malformed):
+        # with a malformed line 3 the reader stops chunks before the byte,
+        # and the error path decodes the whole file
+        p = tmp_path / ("e.csv" if write is write_csv else "e.jsonl")
+        lines = [line.encode() for line in self._written_lines(p, write)]
+        if malformed:
+            lines[2] = b"1,"
+        lines[-1] += b"\xff"
+        p.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(IngestionError) as exc:
+            ingest([p])
+        assert str(exc.value) == f"{p}: not UTF-8 text"
+
+
+class TestReaderMemory:
+    @pytest.mark.parametrize("write, read", [
+        (write_jsonl, read_jsonl), (write_csv, read_csv)], ids=["jsonl", "csv"])
+    def test_reader_holds_one_chunk(self, tmp_path, write, read):
+        # a chunk, its XOR with the template and the masked XOR, plus 2
+        # bytes of bits per event and their buffers' slack; a reader that
+        # holds the file needs about 17 bytes more per JSON-lines event
+        # and 10 per CSV row
+        t = werner_correlators(settings_from_beta(0.3), 0.95)
+        streams = [generate_run(t, sp, 50_000 + 7 * i, seed=6)
+                   for i, sp in enumerate(SETTING_PAIRS)]
+        p = tmp_path / "e"
+        write(streams, p)
+        events = sum(len(s) for s in streams)
+        tracemalloc.start()
+        try:
+            back = read(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _same_streams(back, streams)
+        assert peak <= 4 * analyze._CHUNK_BYTES + 4 * events
 
 
 class TestClusterEvents:

@@ -10,10 +10,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import manypairs
 from manypairs import cli
+from manypairs import optimize as opt
+from manypairs.binning import Majority, Parity
 from manypairs.cli import build_parser, main
 
 
@@ -69,6 +72,32 @@ class TestMaxS:
         rows = [l for l in out.strip().splitlines()
                 if not l.startswith(("#", "beta"))]
         assert len(rows) == 10
+
+    @pytest.mark.parametrize("strategy", ["parity", "majority"])
+    def test_rows_match_scalar_calls(self, capsys, monkeypatch, strategy):
+        # one array call per n, rows in (n, beta) order, each within 1e-14
+        # of a scalar call
+        calls = []
+        family_chsh = opt.family_chsh
+
+        def spy(beta, *args):
+            calls.append(np.shape(beta))
+            return family_chsh(beta, *args)
+
+        monkeypatch.setattr(opt, "family_chsh", spy)
+        code, out, _ = run(capsys, "max-s", "--n", "1001,3,12",
+                           "--beta=-0.3..3.1", "--beta-points", "65", "--v",
+                           "0.9999", "--strategy", strategy, "--format",
+                           "json")
+        assert code == 0
+        assert calls == [(65,)] * 3
+        betas = np.linspace(-0.3, 3.1, 65).tolist()
+        rows = json.loads(out)["rows"]
+        assert [row[:2] for row in rows] == [
+            [beta, n] for n in (1001, 3, 12) for beta in betas]
+        binning = Parity() if strategy == "parity" else Majority()
+        for beta, n, s in rows:
+            assert abs(s - family_chsh(beta, 0.9999, n, binning)) <= 1e-14
 
 
 class TestSimulateAnalyze:
