@@ -174,7 +174,7 @@ def _error(path: Path, offset: int, message: str):
 
 
 #: Bytes a reader takes from an event file at a time, before it completes
-#: the chunk to the end of its line.
+#: the chunk to the end of its line (`_to_line_end`).
 _CHUNK_BYTES = 1 << 18
 
 #: One line and its line break, as text mode splits a file.
@@ -205,21 +205,32 @@ def _runs(raw: bytes, pos: int, marker: bytes):
         pos = end
 
 
+def _to_line_end(fh, head: bytes) -> bytes:
+    """head, read on from the buffered file `fh` through the next line
+    break: an LF, a CR LF pair or a lone CR.  A head that ends in a line
+    break takes at most the LF of a CR LF pair."""
+    while not head.endswith(b"\n") and (ahead := fh.peek()):
+        if head.endswith(b"\r"):
+            return head + fh.read(1 if ahead.startswith(b"\n") else 0)
+        head += fh.read(_LINE.match(ahead).end())
+    return head
+
+
 def _read_chunks(fh, marker: bytes, block, line) -> None:
     """Read `fh` from its position on, in chunks of whole lines.
 
-    Each chunk is `_CHUNK_BYTES` bytes completed to the next LF, so no
-    line, CR LF pair or UTF-8 sequence is split.  A chunk is cut before
-    and after each line holding `marker` (`_runs`).  Each run of lines
-    in between goes to `block(chunk, lo, hi)`, which returns true if it
-    took the run as one block; the lines of a run it did not take, and
-    each line holding `marker`, go one by one to `line(file offset,
-    text, line break)` (`_lines`).
+    Each chunk is `_CHUNK_BYTES` bytes completed to the next line break
+    (`_to_line_end`), so no line, CR LF pair or UTF-8 sequence is split,
+    and a file whose lines end in lone CRs is held a chunk at a time
+    too.  A chunk is cut before and after each line holding `marker`
+    (`_runs`).  Each run of lines in between goes to `block(chunk, lo,
+    hi)`, which returns true if it took the run as one block; the lines
+    of a run it did not take, and each line holding `marker`, go one by
+    one to `line(file offset, text, line break)` (`_lines`).
     """
     base = fh.tell()
     while chunk := fh.read(_CHUNK_BYTES):
-        if not chunk.endswith(b"\n"):
-            chunk += fh.readline()
+        chunk = _to_line_end(fh, chunk)
         for lo, start, end in _runs(chunk, 0, marker):
             spans = ((start, end),) if block(chunk, lo, start) else (
                 (lo, start), (start, end))
@@ -375,13 +386,11 @@ def read_csv(path) -> list[EventStream]:
         events((x, y), v).extend((a,), (b,))
 
     with path.open("rb") as fh:
-        first = _LINE.match(fh.readline())
-        names = first[1].decode().strip().split(",")
+        names = _to_line_end(fh, b"").decode().strip().split(",")
         if sorted(names) != sorted(_CSV_COLUMNS):
             raise _error(path, 0, "expected columns x,y,variant,a,b")
         cols = [names.index(c) for c in _CSV_COLUMNS]
         in_order = names == list(_CSV_COLUMNS)
-        fh.seek(first.end())
         _read_chunks(fh, CSV_STREAM_PREFIX.encode(), block, line)
     return [stream.stream() for stream in streams.values()]
 

@@ -9,6 +9,7 @@ explicit seed; `analyze` draws nothing, so a row depends only on the data.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -233,9 +234,8 @@ def cmd_simulate(args) -> int:
     for (x, y) in SETTING_PAIRS:
         pair_table = table
         if (x, y) in overrides:
-            d = table.to_json_dict()
-            d[f"e{x}{y}"] = overrides[(x, y)]
-            pair_table = table.from_json_dict(d)
+            pair_table = dataclasses.replace(
+                table, **{f"e{x}{y}": overrides[(x, y)]})
         extra = {"beta": args.beta, "visibility": args.v}
         if args.symmetrize:
             streams.extend(sim.generate_symmetrized(
@@ -336,9 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[m.value for m in opt.SettingsMode],
                    default=opt.SettingsMode.BETA_FAMILY.value)
     p.add_argument("--width", type=float, default=1e-5,
-                   help="bracket each reported V_c is promised within, and "
-                        "the slack of the monotone check; the solver "
-                        "converges to rounding whatever its value")
+                   help="slack of the monotone check")
     p.set_defaults(func=cmd_scan_vc)
 
     p = sub.add_parser("max-s", help="CHSH value vs beta for fixed n set")

@@ -31,16 +31,16 @@ for any correlator table, biased marginals included, is the reference;
 tests pin this fast path against it.
 
 The same split gives f' = f'_odd(|e|) + sign(e) f'_even(|e|) and
-f'' = f''_even(|e|) + sign(e) f''_odd(|e|), so S has its gradient,
-Hessian and V-derivatives in closed form in both settings modes.  The
-one-angle family needs the polynomial at two correlators only, and its
-derivatives are formed in float arithmetic.  Every search over a real
+f'' = f''_even(|e|) + sign(e) f''_odd(|e|).  The one-angle family needs
+them at two correlators only, and forms S and its derivatives in beta
+and V from those in float arithmetic.  Every search over a real
 variable is Newton's method: one safeguarded root finder,
 `_bracketed_newton`, gives the family's beta and the majority/parity
-crossover, one ascent from the family optimum gives FULL_PLANAR, and
-Newton's method in the angles and V together gives the critical
-visibility.  Every step costs about one polynomial evaluation, and the
-module needs numpy alone.
+crossover, and Newton's method in beta and V together gives the
+critical visibility.  FULL_PLANAR searches no further: the family
+optimum is a stationary point of the planar S, and the planar Hessian
+there certifies it as a local maximum (`_planar_hessian`).  Every step
+costs about one polynomial evaluation, and the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -81,23 +81,10 @@ _GRID = np.linspace(math.pi / 2.0 / _GRID_POINTS, math.pi / 2.0,
                     _GRID_POINTS)
 _GRID.setflags(write=False)
 
-#: Sign of each setting pair's correlator in S, in SETTING_PAIRS order.
-_CHSH_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
-
-#: FULL_PLANAR's angles theta = (theta_a2, theta_b1, theta_b2), with
-#: theta_a1 = 0, as a map d = D theta to the four correlator angles, in
-#: SETTING_PAIRS order.  A correlator is V cos(d), so a row's sign is free.
-_PLANAR_ANGLE_MAP = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
-                              [1.0, -1.0, 0.0], [1.0, 0.0, -1.0]])
-
 _NEWTON_STEPS = 50
 _NEWTON_RESTARTS = 4
 #: Newton's method stops once a full step is this small in every coordinate.
 _NEWTON_XTOL = 1e-12
-#: The FULL_PLANAR ascent raises each eigenvalue size of the Hessian to
-#: at least this fraction of the largest, so that S's scale, which goes
-#: as V^n for parity, does not set its step.
-_EIGENVALUE_FLOOR = 1e-12
 
 
 class _SplitPolynomial:
@@ -241,58 +228,65 @@ def family_chsh(beta, visibility: float, n: int, strategy: BinningStrategy):
     return float(s) if s.ndim == 0 else s
 
 
-def _chsh_derivatives(theta, visibility: float, mode: SettingsMode, n: int,
+def _chsh_derivatives(beta: float, visibility: float, n: int,
                       strategy: BinningStrategy):
-    """S and its derivatives in the settings angles theta and in V.
+    """S of the one-angle family and its derivatives in beta and in V.
 
-    Returns S, dS/dtheta, d2S/dtheta2, dS/dV and d2S/(dtheta dV).  For
-    BETA_FAMILY theta is beta and each of them a float: S = 3 f(e1) -
-    f(e3) needs f, f' and f'' only at e1 = V cos(beta) and e3 = V
-    cos(3 beta).  For FULL_PLANAR theta is (theta_a2, theta_b1,
-    theta_b2), and S = sum_i sign_i f(V cos d_i) with d = D theta.
+    Returns S, dS/dbeta, d2S/dbeta2, dS/dV and d2S/(dbeta dV), each a
+    float: S = 3 f(e1) - f(e3) needs f, f' and f'' only at e1 = V
+    cos(beta) and e3 = V cos(3 beta).
     """
     v = visibility
-    if mode is SettingsMode.BETA_FAMILY:
-        c1, s1 = math.cos(theta), math.sin(theta)
-        c3, s3 = math.cos(3.0 * theta), math.sin(3.0 * theta)
-        (f1, f3), (g1, g3), (h1, h3) = _response_derivatives(
-            np.array([v * c1, v * c3]), n, strategy).tolist()
-        return (3.0 * f1 - f3,
-                3.0 * v * (s3 * g3 - s1 * g1),
-                (3.0 * v * (v * s1 * s1 * h1 - c1 * g1)
-                 - 9.0 * v * (v * s3 * s3 * h3 - c3 * g3)),
-                3.0 * c1 * g1 - c3 * g3,
-                3.0 * (s3 * (g3 + v * c3 * h3) - s1 * (g1 + v * c1 * h1)))
-    d = _PLANAR_ANGLE_MAP @ theta
-    cos, sin = np.cos(d), np.sin(d)
-    f, f1, f2 = _CHSH_SIGNS * _response_derivatives(v * cos, n, strategy)
-    grad = -v * (sin * f1) @ _PLANAR_ANGLE_MAP
-    curvature = v * (v * sin * sin * f2 - cos * f1)
-    hess = (_PLANAR_ANGLE_MAP.T * curvature) @ _PLANAR_ANGLE_MAP
-    grad_v = -(sin * (f1 + v * cos * f2)) @ _PLANAR_ANGLE_MAP
-    return f.sum(), grad, hess, cos @ f1, grad_v
+    c1, s1 = math.cos(beta), math.sin(beta)
+    c3, s3 = math.cos(3.0 * beta), math.sin(3.0 * beta)
+    (f1, f3), (g1, g3), (h1, h3) = _response_derivatives(
+        np.array([v * c1, v * c3]), n, strategy).tolist()
+    return (3.0 * f1 - f3,
+            3.0 * v * (s3 * g3 - s1 * g1),
+            (3.0 * v * (v * s1 * s1 * h1 - c1 * g1)
+             - 9.0 * v * (v * s3 * s3 * h3 - c3 * g3)),
+            3.0 * c1 * g1 - c3 * g3,
+            3.0 * (s3 * (g3 + v * c3 * h3) - s1 * (g1 + v * c1 * h1)))
 
 
-def _angles(result: OptimizationResult):
-    """The optimizer's theta for a max_chsh result in its own mode."""
-    if result.mode is SettingsMode.BETA_FAMILY:
-        return result.beta
-    return np.array(result.settings.as_tuple()[1:])
+def _planar_hessian(beta: float, visibility: float, n: int,
+                    strategy: BinningStrategy) -> np.ndarray:
+    """Hessian of S in the planar angles (theta_a2, theta_b1, theta_b2),
+    with theta_a1 = 0, at the family settings theta = beta (2, 1, -1).
+
+    There the four correlator angles are beta, -beta, beta and 3 beta.
+    With u = sin(beta) f'(e1) and w = sin(3 beta) f'(e3), e1 = V
+    cos(beta) and e3 = V cos(3 beta), the planar gradient is -V (u - w)
+    (1, 0, -1) and dS/dbeta = 3 V (w - u): wherever the family is
+    stationary in beta, S is stationary in all three angles.  The
+    Hessian is [[a+b, -a, -b], [-a, 2a, 0], [-b, 0, a+b]], with a = V (V
+    sin^2(beta) f''(e1) - cos(beta) f'(e1)) and b = -V (V sin^2(3 beta)
+    f''(e3) - cos(3 beta) f'(e3)).
+    """
+    v = visibility
+    c1, s1 = math.cos(beta), math.sin(beta)
+    c3, s3 = math.cos(3.0 * beta), math.sin(3.0 * beta)
+    _, (g1, g3), (h1, h3) = _response_derivatives(
+        np.array([v * c1, v * c3]), n, strategy).tolist()
+    a = v * (v * s1 * s1 * h1 - c1 * g1)
+    b = -v * (v * s3 * s3 * h3 - c3 * g3)
+    return np.array([[a + b, -a, -b], [-a, 2.0 * a, 0.0], [-b, 0.0, a + b]])
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
     """Best CHSH value found, with the settings that achieve it.
 
-    `evaluations` counts evaluations of S: the beta grid, then one per
-    Newton step, each with its first two beta-derivatives, and in the
-    FULL_PLANAR search one per trial point of its Newton ascent, each
-    with its gradient and Hessian.  `converged` says that Newton's method
-    ended on a step of at most 1e-12 within its step cap: for BETA_FAMILY
-    the safeguarded search for beta (or its bracket shrank that far), for
-    FULL_PLANAR the ascent from the family optimum (or its step was
-    halved that far without S rising), so the settings are a stationary
-    point to rounding.
+    Both modes return the family optimum: `beta` and its settings (0,
+    2 beta, beta, -beta).  `evaluations` counts evaluations of S: the
+    beta grid, then one per Newton step, each with its first two
+    beta-derivatives, and for FULL_PLANAR one more, of the planar
+    Hessian.  `converged` says that the safeguarded Newton's method for
+    beta ended on a step of at most 1e-12 within its step cap (or its
+    bracket shrank that far), so beta is a stationary point to rounding;
+    for FULL_PLANAR it also says that the planar Hessian there has no
+    positive eigenvalue, so S curves down, or is flat, in every
+    direction of the planar settings.
     """
 
     s_max: float
@@ -327,61 +321,18 @@ def _bracketed_newton(func, x: float, lo: float, hi: float):
         x = nxt if lo < nxt < hi else 0.5 * (lo + hi)
 
 
-def _reduced(theta: np.ndarray) -> np.ndarray:
-    """theta mod 2 pi in [-pi, pi]; an angle already there is unchanged."""
-    return theta - 2.0 * math.pi * np.round(theta / (2.0 * math.pi))
-
-
-def _planar_ascent(theta: np.ndarray, visibility: float, n: int,
-                   strategy: BinningStrategy):
-    """Newton ascent of the FULL_PLANAR S from theta.
-
-    Each step is Newton's with every eigenvalue lambda of the Hessian
-    replaced by -max(|lambda|, tiny), tiny = _EIGENVALUE_FLOOR
-    max|lambda|, so it goes uphill even where S is not concave.  It is
-    scaled to move no angle by more than pi, then halved until S does not
-    fall.  S is evaluated only at angles reduced mod 2 pi, where cos is
-    accurate.  The ascent stops once a step is at most _NEWTON_XTOL in
-    every coordinate, or after _NEWTON_STEPS steps.  Returns (S, theta,
-    evaluations, converged).
-    """
-    mode = SettingsMode.FULL_PLANAR
-    theta = _reduced(theta)
-    s, grad, hess = _chsh_derivatives(theta, visibility, mode, n, strategy)[:3]
-    evaluations = 1
-    for _ in range(_NEWTON_STEPS):
-        lam, vec = np.linalg.eigh(hess)
-        size = np.abs(lam)
-        tiny = max(_EIGENVALUE_FLOOR * size.max(), np.finfo(float).tiny)
-        step = vec @ ((grad @ vec) / np.maximum(size, tiny))
-        step *= math.pi / max(math.pi, np.abs(step).max())
-        while np.abs(step).max() > _NEWTON_XTOL:
-            trial = _reduced(theta + step)
-            derivatives = _chsh_derivatives(trial, visibility, mode, n,
-                                            strategy)
-            evaluations += 1
-            if derivatives[0] >= s:
-                break
-            step = step / 2.0
-        else:
-            return s, theta, evaluations, True
-        theta = trial
-        s, grad, hess = derivatives[:3]
-    return s, theta, evaluations, False
-
-
 def max_chsh(n: int, visibility: float, strategy: BinningStrategy,
              mode: SettingsMode = SettingsMode.BETA_FAMILY) -> OptimizationResult:
     """Maximize the binned CHSH value over measurement settings.
 
-    BETA_FAMILY searches the one-parameter family on (0, pi/2]: a dense
-    grid in one array evaluation, then `_bracketed_newton` on dS/dbeta =
-    0 from the grid's best point, inside the bracket of its two
-    neighbours; the grid point is kept if it is higher.  FULL_PLANAR runs
-    one Newton ascent on the analytic gradient and Hessian of S, started
-    at the family optimum.  Each correlator V cos(theta_A - theta_B)
-    depends only on angle differences, so FULL_PLANAR fixes theta_a1 = 0
-    and searches (theta_a2, theta_b1, theta_b2).
+    Searches the one-angle family on (0, pi/2]: a dense grid in one array
+    evaluation, then `_bracketed_newton` on dS/dbeta = 0 from the grid's
+    best point, inside the bracket of its two neighbours; the grid point
+    is kept if it is higher.  FULL_PLANAR returns the same optimum,
+    certified against all planar settings: it is a stationary point of S
+    in the three angle differences that S depends on, and it counts as
+    converged only if the planar Hessian there (`_planar_hessian`) has
+    no positive eigenvalue.
     """
     vals = family_chsh(_GRID, visibility, n, strategy)
     i = int(np.argmax(vals))
@@ -389,28 +340,22 @@ def max_chsh(n: int, visibility: float, strategy: BinningStrategy,
     hi = _GRID[i + 1] if i + 1 < _GRID_POINTS else _GRID[-1]
 
     def falling_slope(beta):  # -dS/dbeta rises through the maximum
-        s, slope, curvature = _chsh_derivatives(
-            beta, visibility, SettingsMode.BETA_FAMILY, n, strategy)[:3]
+        s, slope, curvature = _chsh_derivatives(beta, visibility, n,
+                                                strategy)[:3]
         return -slope, -curvature, s
 
-    beta, (_, _, s_family), steps, converged = _bracketed_newton(
+    beta, (_, _, s_max), steps, converged = _bracketed_newton(
         falling_slope, float(_GRID[i]), float(lo), float(hi))
-    if vals[i] > s_family:
-        beta, s_family = float(_GRID[i]), float(vals[i])
+    if vals[i] > s_max:
+        beta, s_max = float(_GRID[i]), float(vals[i])
     evaluations = _GRID_POINTS + steps
-    if mode is SettingsMode.BETA_FAMILY:
-        return OptimizationResult(s_max=s_family,
-                                  settings=settings_from_beta(beta),
-                                  mode=mode, evaluations=evaluations,
-                                  beta=beta, converged=converged)
-
-    s, theta, steps, converged = _planar_ascent(
-        np.array(settings_from_beta(beta).as_tuple()[1:]), visibility, n,
-        strategy)
-    return OptimizationResult(
-        s_max=float(s), settings=MeasurementSettings(0.0, *theta.tolist()),
-        mode=mode, evaluations=evaluations + steps, beta=beta,
-        converged=converged)
+    if mode is SettingsMode.FULL_PLANAR:
+        hessian = _planar_hessian(beta, visibility, n, strategy)
+        evaluations += 1
+        converged = converged and np.linalg.eigvalsh(hessian).max() <= 0.0
+    return OptimizationResult(s_max=s_max, settings=settings_from_beta(beta),
+                              mode=mode, evaluations=evaluations, beta=beta,
+                              converged=converged)
 
 
 def _check_tolerance(name: str, value: float) -> None:
@@ -419,77 +364,67 @@ def _check_tolerance(name: str, value: float) -> None:
             f"{name} must be a finite positive number, got {value!r}")
 
 
-def _threshold_newton(n: int, strategy: BinningStrategy, mode: SettingsMode,
-                      theta, visibility: float):
-    """Newton's method on dS/dtheta = 0, S = 2 in (theta, V).
+def _threshold_newton(n: int, strategy: BinningStrategy, beta: float,
+                      visibility: float):
+    """Newton's method on dS/dbeta = 0, S = 2 in (beta, V), the 2 x 2
+    system in floats by Cramer's rule.
 
     A step that would take V out of [0.5, 1] is halved until it does
-    not.  Returns (theta, V, converged).
+    not.  Returns (beta, V, converged).
     """
     for _ in range(_NEWTON_STEPS):
-        s, grad, hess, s_v, grad_v = _chsh_derivatives(theta, visibility,
-                                                       mode, n, strategy)
-        if mode is SettingsMode.BETA_FAMILY:
-            # the 2 x 2 system in floats, by Cramer's rule
-            det = hess * s_v - grad_v * grad
-            if det == 0.0:
-                break
-            d_theta = (grad_v * (s - 2.0) - grad * s_v) / det
-            d_v = (grad * grad - hess * (s - 2.0)) / det
-            size = max(abs(d_theta), abs(d_v))
-        else:
-            jac = np.empty((len(theta) + 1,) * 2)
-            jac[:-1, :-1], jac[:-1, -1], jac[-1, :-1], jac[-1, -1] = (
-                hess, grad_v, grad, s_v)
-            try:
-                step = np.linalg.solve(jac, -np.append(grad, s - 2.0))
-            except np.linalg.LinAlgError:
-                break
-            d_theta, d_v, size = step[:-1], float(step[-1]), np.abs(step).max()
+        s, slope, curvature, s_v, slope_v = _chsh_derivatives(
+            beta, visibility, n, strategy)
+        det = curvature * s_v - slope_v * slope
+        if det == 0.0:
+            break
+        d_beta = (slope_v * (s - 2.0) - slope * s_v) / det
+        d_v = (slope * slope - curvature * (s - 2.0)) / det
         scale = 1.0
         while not 0.5 <= visibility + scale * d_v <= 1.0:
             scale /= 2.0
-        theta = theta + scale * d_theta
+        beta += scale * d_beta
         visibility += scale * d_v
-        if size <= _NEWTON_XTOL:
-            return theta, visibility, True
-    return theta, visibility, False
+        if max(abs(d_beta), abs(d_v)) <= _NEWTON_XTOL:
+            return beta, visibility, True
+    return beta, visibility, False
 
 
 def critical_visibility(n: int, strategy: BinningStrategy,
-                        mode: SettingsMode = SettingsMode.BETA_FAMILY,
-                        width: float = 1e-5) -> float:
+                        mode: SettingsMode = SettingsMode.BETA_FAMILY) -> float:
     """Smallest visibility admitting a CHSH violation for n pairs.
 
     Parity uses the exact identity V_c = (2 / S_max(V=1))^(1/n), valid
     because the optimal settings are visibility-independent under the V^n
-    scaling.  Majority solves dS/dtheta = 0, S = 2 for the settings
-    angles theta of the mode and V by Newton's method, with analytic
-    derivatives of the response polynomial.  It starts from the V = 1
-    optimum and the linearization V = 1 - (S - 2) / (dS/dV), and
-    converges to rounding, well within the contract of width / 2.  One
-    max_chsh at the root confirms that no other settings exceed 2 there;
-    if some do, Newton's method restarts from them.  Raises
-    InvalidArgumentError unless width is a finite positive number, and
-    ConvergenceError if no confirmed root is found.
+    scaling.  Majority solves dS/dbeta = 0, S = 2 for the family's beta
+    and V by Newton's method, with analytic derivatives of the response
+    polynomial, and converges to rounding.  It starts from the V = 1
+    optimum and the linearization V = 1 - (S - 2) / (dS/dV).  One
+    max_chsh in the given mode at the root confirms it: that maximum
+    must converge, which for FULL_PLANAR includes its Hessian
+    certificate, and stay at or below 2; if it does not, Newton's method
+    restarts from its beta.  Raises ConvergenceError if the V = 1
+    maximum does not converge or no confirmed root is found.
     """
-    _check_tolerance("width", width)
     top = max_chsh(n, 1.0, strategy, mode)
     if top.s_max <= 2.0:
         raise NoViolationError(
             f"no violation at V=1 for n={n}, {strategy!r}", top.s_max)
+    if not top.converged:
+        raise ConvergenceError(
+            f"no converged maximum at V=1 for n={n}, {strategy!r}")
     if isinstance(strategy, Parity):
         return (2.0 / top.s_max) ** (1.0 / n)
-    theta = _angles(top)
-    s, _, _, s_v, _ = _chsh_derivatives(theta, 1.0, mode, n, strategy)
+    beta = top.beta
+    s, _, _, s_v, _ = _chsh_derivatives(beta, 1.0, n, strategy)
     visibility = min(max(1.0 - (s - 2.0) / s_v, 0.5), 1.0)
     for _ in range(_NEWTON_RESTARTS):
-        theta, visibility, converged = _threshold_newton(
-            n, strategy, mode, theta, visibility)
+        beta, visibility, converged = _threshold_newton(
+            n, strategy, beta, visibility)
         check = max_chsh(n, visibility, strategy, mode)
-        if converged and check.s_max <= 2.0 + 1e-12:
+        if converged and check.converged and check.s_max <= 2.0 + 1e-12:
             return float(visibility)
-        theta = _angles(check)
+        beta = check.beta
     raise ConvergenceError(
         f"no critical visibility found for n={n}, {strategy!r}")
 
@@ -565,8 +500,14 @@ class CriticalCurve:
 def scan_critical_visibilities(n_values, strategy: BinningStrategy,
                                mode: SettingsMode = SettingsMode.BETA_FAMILY,
                                width: float = 1e-5) -> CriticalCurve:
-    """Critical visibility over a range of n, fitted to 1 - c1/n + c2/n^2."""
-    points = tuple((int(n), critical_visibility(int(n), strategy, mode, width))
+    """Critical visibility over a range of n, fitted to 1 - c1/n + c2/n^2.
+
+    width is the slack of the monotone check: the curve is monotone if
+    no V_c falls by more than width from one n to the next.  Raises
+    InvalidArgumentError unless width is a finite positive number.
+    """
+    _check_tolerance("width", width)
+    points = tuple((int(n), critical_visibility(int(n), strategy, mode))
                    for n in n_values)
     vcs = [vc for _, vc in points]
     monotone = all(b >= a - width for a, b in zip(vcs, vcs[1:]))
@@ -670,9 +611,9 @@ def binning_comparison(v_values, n_values,
         maxima = {n: _maxima(n, v, mode) for n in n_grid}
         gap, n = _parity_advantage(maxima)
         maj, par = maxima[n]
-        slope = (_chsh_derivatives(_angles(par), v, mode, n, Parity())[3]
-                 - _chsh_derivatives(_angles(maj), v, mode, n, Majority())[3])
-        return gap, float(slope)
+        slope = (_chsh_derivatives(par.beta, v, n, Parity())[3]
+                 - _chsh_derivatives(maj.beta, v, n, Majority())[3])
+        return gap, slope
 
     crossover = None
     for (v_lo, adv_lo), (v_hi, adv_hi) in zip(zip(v_values, advantages),

@@ -16,11 +16,13 @@ from manypairs.analyze import (_CSV_CELL, _CSV_COLUMNS, ClusteredOutcomes,
                                estimate_sn)
 from manypairs.binning import Majority, Parity, sign_vector
 from manypairs.errors import IngestionError, NoViolationError
-from manypairs.optimize import (SettingsMode, _chsh_derivatives,
-                                _response_weights, family_chsh, max_chsh)
+from manypairs.optimize import (SettingsMode, _response_derivatives,
+                                _response_weights, binned_correlator_from_e,
+                                family_chsh, max_chsh)
 from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
-                                 PairJointDistribution, joint_table,
-                                 settings_from_beta)
+                                 MeasurementSettings, PairJointDistribution,
+                                 joint_table, settings_from_beta,
+                                 werner_correlators)
 from manypairs.simulate import (CSV_STREAM_PREFIX, PERFECT_DETECTORS,
                                 EventStream, _header, stream_seed,
                                 variant_inversions)
@@ -132,16 +134,46 @@ def planar_starts(beta: float) -> list:
                             for _ in range(8)]
 
 
+#: Sign of each setting pair's correlator in S, in SETTING_PAIRS order.
+CHSH_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
+
+
+def planar_chsh(theta, visibility: float, n: int, strategy) -> float:
+    """S at the planar settings (0, theta_a2, theta_b1, theta_b2), from
+    the Werner correlators of the four angles."""
+    table = werner_correlators(MeasurementSettings(0.0, *theta), visibility)
+    es = np.array([table.correlator(x, y) for (x, y) in SETTING_PAIRS])
+    return float(CHSH_SIGNS @ binned_correlator_from_e(es, n, strategy))
+
+
+def planar_chsh_gradient(theta, visibility: float, n: int,
+                         strategy) -> np.ndarray:
+    """Gradient of `planar_chsh` in theta by the chain rule: the
+    correlator of (x, y) is V cos(alpha_x - beta_y), and f' comes from
+    the response polynomial."""
+    settings = MeasurementSettings(0.0, *theta)
+    d = np.array([settings.alice(x) - settings.bob(y)
+                  for (x, y) in SETTING_PAIRS])
+    slopes = CHSH_SIGNS * _response_derivatives(visibility * np.cos(d), n,
+                                                strategy)[1]
+    grad = np.zeros(3)
+    for d_alpha, (x, y) in zip(-visibility * np.sin(d) * slopes,
+                               SETTING_PAIRS):  # dS/dalpha_x = -dS/dbeta_y
+        if x == 2:
+            grad[0] += d_alpha
+        grad[y] -= d_alpha  # theta holds beta_1 and beta_2 at 1 and 2
+    return grad
+
+
 def bfgs_full_planar_maximum(n: int, visibility: float, strategy) -> float:
-    """FULL_PLANAR maximum of S by scipy's BFGS (gtol 1e-8) on the analytic
-    gradient, from the 9 `planar_starts` around the family optimum; the
-    family maximum wins if higher."""
+    """FULL_PLANAR maximum of S by scipy's BFGS (gtol 1e-8) on
+    `planar_chsh` and its gradient, from the 9 `planar_starts` around the
+    family optimum; the family maximum wins if higher."""
     from scipy import optimize as sciopt
 
     def neg(theta):
-        s, grad = _chsh_derivatives(theta, visibility,
-                                    SettingsMode.FULL_PLANAR, n, strategy)[:2]
-        return -s, -grad
+        return (-planar_chsh(theta, visibility, n, strategy),
+                -planar_chsh_gradient(theta, visibility, n, strategy))
 
     family = max_chsh(n, visibility, strategy)
     best = family.s_max

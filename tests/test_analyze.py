@@ -497,8 +497,8 @@ class TestChunkBoundaries(TestBulkRead):
     ], ids=["jsonl", "csv"])
     def test_line_after_crlf_and_lone_cr_lines(self, tmp_path, write,
                                                 replacement, message):
-        # lines 5-10 end in CR LF and lines 11-14 in a lone CR, which no
-        # chunk ends at; line 25 lies several chunks on
+        # lines 5-10 end in CR LF and lines 11-14 in a lone CR; line 25
+        # lies several chunks on
         suffix = ".csv" if write is write_csv else ".jsonl"
         p = tmp_path / f"e{suffix}"
         lines = self._written_lines(p, write)
@@ -529,18 +529,26 @@ class TestChunkBoundaries(TestBulkRead):
 
 
 class TestReaderMemory:
+    @pytest.mark.parametrize("newline, chunk_bytes, events_per_pair", [
+        (b"\n", analyze._CHUNK_BYTES, 50_000), (b"\r", 1 << 14, 12_000)],
+        ids=["lf", "lone-cr"])
     @pytest.mark.parametrize("write, read", [
         (write_jsonl, read_jsonl), (write_csv, read_csv)], ids=["jsonl", "csv"])
-    def test_reader_holds_one_chunk(self, tmp_path, write, read):
+    def test_reader_holds_one_chunk(self, tmp_path, monkeypatch, write, read,
+                                    newline, chunk_bytes, events_per_pair):
         # a chunk, its XOR with the template and the masked XOR, plus 2
         # bytes of bits per event and their buffers' slack; a reader that
         # holds the file needs about 17 bytes more per JSON-lines event
-        # and 10 per CSV row
+        # and 10 per CSV row.  Lone-CR lines are parsed one by one, so
+        # that file is smaller, and its chunks too, to keep the file
+        # larger than the bound.
+        monkeypatch.setattr(analyze, "_CHUNK_BYTES", chunk_bytes)
         t = werner_correlators(settings_from_beta(0.3), 0.95)
-        streams = [generate_run(t, sp, 50_000 + 7 * i, seed=6)
+        streams = [generate_run(t, sp, events_per_pair + 7 * i, seed=6)
                    for i, sp in enumerate(SETTING_PAIRS)]
         p = tmp_path / "e"
         write(streams, p)
+        p.write_bytes(p.read_bytes().replace(b"\n", newline))
         events = sum(len(s) for s in streams)
         tracemalloc.start()
         try:
@@ -550,6 +558,42 @@ class TestReaderMemory:
             tracemalloc.stop()
         _same_streams(back, streams)
         assert peak <= 4 * analyze._CHUNK_BYTES + 4 * events
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"],
+                             ids=["lf", "crlf", "lone-cr"])
+    def test_chunks_end_at_line_breaks(self, tmp_path, monkeypatch, newline):
+        # LF and CR LF files take the chunks of read() completed by
+        # readline(), as they did before lone CRs ended a chunk
+        size = 100
+        monkeypatch.setattr(analyze, "_CHUNK_BYTES", size)
+        t = werner_correlators(settings_from_beta(0.3), 0.95)
+        p = tmp_path / "e.jsonl"
+        write_jsonl([generate_run(t, sp, 40, seed=6) for sp in SETTING_PAIRS],
+                    p)
+        raw = p.read_bytes().replace(b"\n", newline)
+        p.write_bytes(raw)
+        chunks = []
+
+        def block(chunk, lo, hi):
+            if not chunks or chunks[-1] is not chunk:
+                chunks.append(chunk)
+            return True
+
+        with p.open("rb") as fh:
+            analyze._read_chunks(fh, b'"settingPair"', block,
+                                 lambda *line: None)
+        assert b"".join(chunks) == raw
+        if newline == b"\r":
+            longest = max(map(len, raw.split(b"\r")))
+            assert all(c.endswith(b"\r") for c in chunks)
+            assert max(map(len, chunks)) <= size + longest
+            return
+        expected = []
+        with p.open("rb") as fh:
+            while chunk := fh.read(size):
+                expected.append(chunk if chunk.endswith(b"\n")
+                                else chunk + fh.readline())
+        assert chunks == expected
 
 
 class TestClusterEvents:

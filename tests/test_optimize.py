@@ -14,13 +14,13 @@ from manypairs.optimize import (EXCEEDS_CAP, SettingsMode,
                                 family_chsh, fit_vc_curve, max_chsh,
                                 parity_vc_approx, scan_critical_visibilities,
                                 violation_ratio)
-from manypairs.pairstats import (SETTING_PAIRS, MeasurementSettings,
-                                 settings_from_beta, werner_correlators)
+from manypairs.pairstats import (SETTING_PAIRS, settings_from_beta,
+                                 werner_correlators)
 
 from conftest import (bfgs_full_planar_maximum, brent_family_maximum,
                       brentq_crossover, critical_visibility_bisect,
                       crossover_bisect, direct_binned_correlator,
-                      planar_starts)
+                      planar_chsh, planar_chsh_gradient)
 
 
 ALL_STRATEGIES = (Majority(TiePolicy.TIE_TO_MINUS),
@@ -162,8 +162,8 @@ class TestFastCorrelatorPath:
 
 class TestResponseDerivatives:
     """f, f' and f'' of the response polynomial, which drive every Newton
-    step: the family's beta, the full-planar ascent and the critical
-    visibility."""
+    step, the family's beta and the critical visibility, and the planar
+    Hessian."""
 
     E = np.array([-0.99, -0.3, 0.0, 0.4, 0.999])
     NS = list(range(1, 9)) + [63, 64, 255, 256, 1023, 1024, 4095, 4096]
@@ -208,42 +208,32 @@ class TestResponseDerivatives:
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
     @pytest.mark.parametrize("n", [2, 3, 5, 64])
-    def test_full_planar_gradient(self, n, strategy, rng):
-        # S from the Werner correlators of the four angles, a route that
-        # shares nothing with the angle map d = D theta
-        v, h = 0.97, 1e-6
+    def test_planar_hessian_at_the_family_optimum(self, n, strategy):
+        # central differences of S from the Werner correlators of the four
+        # angles, a route that shares no code with the closed form; the
+        # second differences are Richardson-extrapolated from steps h and
+        # h/2, which cancels their h^2 error
+        v, h, h2 = 0.97, 1e-6, 4e-4
+        family = max_chsh(n, v, strategy)
+        theta = np.array(family.settings.as_tuple()[1:])
 
-        def s_of(theta, vis=v):
-            table = werner_correlators(MeasurementSettings(0.0, *theta), vis)
-            es = np.array([table.correlator(x, y) for (x, y) in SETTING_PAIRS])
-            return optimize._CHSH_SIGNS @ binned_correlator_from_e(
-                es, n, strategy)
+        def s_of(t):
+            return planar_chsh(t, v, n, strategy)
 
-        for _ in range(3):
-            theta = rng.uniform(-1.5, 1.5, size=3)
-            s, grad, hess, s_v, grad_v = optimize._chsh_derivatives(
-                theta, v, SettingsMode.FULL_PLANAR, n, strategy)
-            assert s == pytest.approx(s_of(theta), abs=1e-13)
-            steps = h * np.eye(3)
-            fd = [(s_of(theta + e) - s_of(theta - e)) / (2.0 * h)
-                  for e in steps]
-            np.testing.assert_allclose(grad, fd, rtol=0.0, atol=1e-7)
-            fd_hess = [(optimize._chsh_derivatives(
-                theta + e, v, SettingsMode.FULL_PLANAR, n, strategy)[1]
-                - optimize._chsh_derivatives(
-                    theta - e, v, SettingsMode.FULL_PLANAR, n, strategy)[1])
-                / (2.0 * h) for e in steps]
-            np.testing.assert_allclose(hess, fd_hess, rtol=0.0, atol=1e-6)
-            assert s_v == pytest.approx(
-                (s_of(theta, v + h) - s_of(theta, v - h)) / (2.0 * h),
-                abs=1e-7)
-            fd_grad_v = (optimize._chsh_derivatives(
-                theta, v + h, SettingsMode.FULL_PLANAR, n, strategy)[1]
-                - optimize._chsh_derivatives(
-                    theta, v - h, SettingsMode.FULL_PLANAR, n, strategy)[1]
-            ) / (2.0 * h)
-            np.testing.assert_allclose(grad_v, fd_grad_v, rtol=0.0,
-                                       atol=1e-6)
+        def second_differences(step):
+            e = step * np.eye(3)
+            return np.array([[(s_of(theta + a + b) - s_of(theta + a - b)
+                               - s_of(theta - a + b) + s_of(theta - a - b))
+                              / (4.0 * step ** 2) for b in e] for a in e])
+
+        fd_grad = [(s_of(theta + e) - s_of(theta - e)) / (2.0 * h)
+                   for e in h * np.eye(3)]
+        np.testing.assert_allclose(fd_grad, 0.0, rtol=0.0, atol=1e-7)
+        fd_hess = (4.0 * second_differences(h2 / 2.0)
+                   - second_differences(h2)) / 3.0
+        np.testing.assert_allclose(
+            optimize._planar_hessian(family.beta, v, n, strategy), fd_hess,
+            rtol=0.0, atol=1e-6)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
     def test_family_derivatives(self, strategy):
@@ -256,8 +246,7 @@ class TestResponseDerivatives:
                 return family_chsh(b, vis, n, strategy)
 
             for beta in (0.05, 0.4, 1.2):
-                got = optimize._chsh_derivatives(
-                    beta, v, SettingsMode.BETA_FAMILY, n, strategy)
+                got = optimize._chsh_derivatives(beta, v, n, strategy)
                 assert all(type(x) is float for x in got)
                 s, slope, curvature, s_v, slope_v = got
                 assert s == pytest.approx(s_of(beta), abs=1e-13)
@@ -277,20 +266,21 @@ class TestResponseDerivatives:
                         fd, abs=1e-4 * max(1.0, abs(fd))), (n, beta)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
-    def test_family_is_the_planar_kernel_on_its_line(self, strategy):
+    def test_family_is_planar_s_on_its_line(self, strategy):
         # the family's settings (0, 2b, b, -b) are theta = b (2, 1, -1) of
-        # FULL_PLANAR, so the family's derivatives are the planar ones
-        # along that line
+        # the planar angles, so the family's S and beta-derivatives are
+        # the planar ones along that line
         v, line = 0.97, np.array([2.0, 1.0, -1.0])
         for n in (3, 8, 64):
             for beta in (0.05, 0.4, 1.2):
-                s, slope, curvature, s_v, slope_v = optimize._chsh_derivatives(
-                    beta, v, SettingsMode.BETA_FAMILY, n, strategy)
-                p_s, grad, hess, p_s_v, grad_v = optimize._chsh_derivatives(
-                    beta * line, v, SettingsMode.FULL_PLANAR, n, strategy)
-                for got, planar in ((s, p_s), (slope, grad @ line),
-                                    (curvature, line @ hess @ line),
-                                    (s_v, p_s_v), (slope_v, grad_v @ line)):
+                s, slope, curvature = optimize._chsh_derivatives(
+                    beta, v, n, strategy)[:3]
+                hess = optimize._planar_hessian(beta, v, n, strategy)
+                for got, planar in (
+                        (s, planar_chsh(beta * line, v, n, strategy)),
+                        (slope, planar_chsh_gradient(beta * line, v, n,
+                                                     strategy) @ line),
+                        (curvature, line @ hess @ line)):
                     assert got == pytest.approx(planar, abs=1e-12), (n, beta)
 
 
@@ -350,9 +340,10 @@ class TestMaxChsh:
         assert full.s_max >= max_chsh(n, v, strategy).s_max - 1e-9
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
-    def test_newton_ascent_matches_bfgs(self, strategy):
-        # scipy's BFGS on the gradient alone, from the family optimum and
-        # 8 perturbations of it, finds nothing above the one ascent
+    def test_full_planar_matches_bfgs(self, strategy):
+        # scipy's BFGS on the planar S alone, from the family optimum and
+        # 8 perturbations of it, finds nothing above the certified
+        # family optimum
         for n in range(1, 12):
             for v in (0.0, 1e-3, 0.8, 0.9, 0.97, 0.99, 0.995, 1.0):
                 full = max_chsh(n, v, strategy, SettingsMode.FULL_PLANAR)
@@ -360,46 +351,47 @@ class TestMaxChsh:
                 assert full.s_max == pytest.approx(oracle, abs=1e-12), (n, v)
                 assert full.converged, (n, v)
 
-    @pytest.mark.parametrize("strategy", [Majority(), Parity()],
-                             ids=["majority", "parity"])
-    def test_every_ascent_climbs(self, strategy):
-        # full Newton steps from the oracle's perturbed starts can
-        # overshoot; the halving keeps each ascent from ending below
-        # where it began
-        mode = SettingsMode.FULL_PLANAR
-        for n in (3, 5, 9):
-            for v in (0.8, 0.99, 1.0):
-                beta = max_chsh(n, v, strategy).beta
-                for start in planar_starts(beta):
-                    s_start = optimize._chsh_derivatives(start, v, mode, n,
-                                                         strategy)[0]
-                    s, theta, _, converged = optimize._planar_ascent(
-                        start, v, n, strategy)
-                    assert s >= s_start and converged, (n, v)
-                    assert s == optimize._chsh_derivatives(
-                        theta, v, mode, n, strategy)[0]
-
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
-    def test_ascent_from_far_angles_returns_reduced_angles(self, strategy):
-        # cos of an angle near 1e3 rad carries about 1e-13 of rounding;
-        # the ascent must climb where cos is accurate and say so
-        mode = SettingsMode.FULL_PLANAR
-        rng = np.random.default_rng(97)
-        for n in (3, 4, 9):
-            for v in (0.9, 0.99, 1.0):
+    def test_full_planar_certifies_the_family_optimum(self, strategy):
+        # the same optimum, one evaluation more, and a Hessian whose
+        # eigenvalues are all clearly negative, or all 0 at V = 0
+        for n in (1, 2, 3, 8, 25, 64, 257):
+            for v in np.linspace(0.0, 1.0, 10).tolist():
                 family = max_chsh(n, v, strategy)
-                for _ in range(4):
-                    start = rng.uniform(-1.0, 1.0, size=3) + 2.0 * math.pi * (
-                        rng.integers(100, 200, size=3)
-                        * rng.choice([-1, 1], size=3))
-                    assert np.abs(start).min() > 6e2
-                    s, theta, _, converged = optimize._planar_ascent(
-                        start, v, n, strategy)
-                    assert converged, (n, v)
-                    assert np.all(np.abs(theta) <= math.pi), (n, v, theta)
-                    assert s == optimize._chsh_derivatives(
-                        theta, v, mode, n, strategy)[0]
-                    assert s <= family.s_max + 1e-13, (n, v)
+                full = max_chsh(n, v, strategy, SettingsMode.FULL_PLANAR)
+                assert (full.s_max, full.settings, full.beta) == (
+                    family.s_max, family.settings, family.beta)
+                assert full.evaluations == family.evaluations + 1
+                assert full.converged, (n, v)
+                hess = optimize._planar_hessian(full.beta, v, n, strategy)
+                lam = np.linalg.eigvalsh(hess)
+                if v == 0.0:
+                    assert not hess.any()
+                else:
+                    assert lam.max() <= -0.05 * np.abs(lam).max(), (n, v)
+
+    def test_positive_eigenvalue_is_not_converged(self, monkeypatch):
+        # a saddle of the planar S is no maximum, and no critical
+        # visibility is confirmed on one: not at V = 1, and not at the
+        # root when only the maxima below V = 1 are saddles
+        hessian = optimize._planar_hessian
+        saddle = np.diag([-2.0, -1.0, 1e-9])
+        mode = SettingsMode.FULL_PLANAR
+        monkeypatch.setattr(optimize, "_planar_hessian", lambda *args: saddle)
+        for strategy in (Majority(), Parity()):
+            assert max_chsh(5, 0.99, strategy).converged
+            assert not max_chsh(5, 0.99, strategy, mode).converged
+            with pytest.raises(ConvergenceError, match="n=5"):
+                critical_visibility(5, strategy, mode)
+            assert critical_visibility(5, strategy) > 0.0
+        monkeypatch.setattr(
+            optimize, "_planar_hessian",
+            lambda beta, v, n, strategy: (
+                hessian(beta, v, n, strategy) if v == 1.0 else saddle))
+        assert max_chsh(5, 1.0, Majority(), mode).converged
+        with pytest.raises(ConvergenceError,
+                           match="no critical visibility found for n=5"):
+            critical_visibility(5, Majority(), mode)
 
     def test_monotone_in_visibility(self):
         for strat in (Majority(), Parity()):
@@ -434,21 +426,6 @@ class TestCriticalVisibility:
         assert critical_visibility(12, Parity()) == pytest.approx(
             0.9871, abs=0.001)
 
-    @pytest.mark.parametrize("width", BAD_TOLERANCES)
-    @pytest.mark.parametrize("strategy", [Majority(), Parity()],
-                             ids=["majority", "parity"])
-    def test_bad_width_rejected(self, monkeypatch, strategy, width):
-        monkeypatch.setattr(optimize, "max_chsh", _no_optimization)
-        with pytest.raises(InvalidArgumentError, match="width"):
-            critical_visibility(5, strategy, width=width)
-
-    @pytest.mark.parametrize("n", [3, 13])
-    def test_width_does_not_move_the_root(self, n):
-        # Newton's method converges to rounding whatever width promises
-        loose = critical_visibility(n, Majority(), width=1e-3)
-        tight = critical_visibility(n, Majority(), width=1e-8)
-        assert loose == pytest.approx(tight, abs=1e-12)
-
     def test_parity_shortcut_vs_bisection(self):
         for n in (3, 12):
             shortcut = critical_visibility(n, Parity())
@@ -463,9 +440,9 @@ class TestCriticalVisibility:
             if policy is TiePolicy.RANDOMIZED and n % 2 == 0:
                 # coin-flipped ties lose the family violation at even n
                 with pytest.raises(NoViolationError):
-                    critical_visibility(n, strategy, width=width)
+                    critical_visibility(n, strategy)
                 continue
-            root = critical_visibility(n, strategy, width=width)
+            root = critical_visibility(n, strategy)
             bisect = critical_visibility_bisect(n, strategy, width=width)
             assert abs(root - bisect) <= width
 
@@ -486,6 +463,8 @@ class TestCriticalVisibility:
         root = critical_visibility(3, Majority(), mode)
         bisect = critical_visibility_bisect(3, Majority(), mode, width=1e-10)
         assert abs(root - bisect) <= 1e-9
+        # the certified family root, bit for bit
+        assert root == critical_visibility(3, Majority())
         assert max_chsh(3, root, Majority(), mode).s_max == pytest.approx(
             2.0, abs=1e-12)
 
@@ -497,14 +476,13 @@ class TestCriticalVisibility:
         starts = []
         newton = optimize._threshold_newton
 
-        def first_root_wrong(n, strategy, mode, theta, visibility):
+        def first_root_wrong(n, strategy, beta, visibility):
             starts.append(visibility)
             if len(starts) == 1:
-                return theta, 0.99, True
-            return newton(n, strategy, mode, theta, visibility)
+                return beta, 0.99, True
+            return newton(n, strategy, beta, visibility)
 
-        expected = newton(13, Majority(), SettingsMode.BETA_FAMILY,
-                          optimize._angles(max_chsh(13, 0.99, Majority())),
+        expected = newton(13, Majority(), max_chsh(13, 0.99, Majority()).beta,
                           0.99)[1]
         monkeypatch.setattr(optimize, "_threshold_newton", first_root_wrong)
         assert critical_visibility(13, Majority()) == expected
@@ -512,8 +490,8 @@ class TestCriticalVisibility:
 
     def test_no_confirmed_root_raises(self, monkeypatch):
         monkeypatch.setattr(optimize, "_threshold_newton",
-                            lambda n, strategy, mode, theta, visibility:
-                            (theta, visibility, False))
+                            lambda n, strategy, beta, visibility:
+                            (beta, visibility, False))
         with pytest.raises(ConvergenceError, match="n=5"):
             critical_visibility(5, Majority())
 
@@ -592,6 +570,14 @@ class TestScanAndComparison:
         assert curve.monotone
         assert all(0.0 < vc <= 1.0 for vc in vcs)
         assert curve.fit is not None
+
+    @pytest.mark.parametrize("width", BAD_TOLERANCES)
+    @pytest.mark.parametrize("strategy", [Majority(), Parity()],
+                             ids=["majority", "parity"])
+    def test_bad_width_rejected(self, monkeypatch, strategy, width):
+        monkeypatch.setattr(optimize, "max_chsh", _no_optimization)
+        with pytest.raises(InvalidArgumentError, match="width"):
+            scan_critical_visibilities([5], strategy, width=width)
 
     def test_comparison_n1_tie(self):
         cmp_ = binning_comparison([1.0], [1])
