@@ -33,8 +33,9 @@ _CSV_COLUMNS = ("x", "y", "variant", "a", "b")
 #: One cell of a CSV event row: a run of ASCII digits.
 _CSV_CELL = re.compile(r"[0-9]+")
 
-#: First row of a run of CSV rows that `read_csv` checks as one block.
-_CSV_FIRST_ROW = re.compile(rb"[0-9],[0-9],[0-3],[01],[01]\n")
+#: First row of a run of CSV rows that `read_csv` checks as one block,
+#: and its cells before the bits.
+_CSV_FIRST_ROW = re.compile(rb"([0-9],[0-9],[0-3],)[01],[01](?:\r\n|\r|\n)")
 
 #: Stream metadata that must agree between streams pooled under one beta;
 #: "table" is compared per setting pair.  Seeds and event counts may differ.
@@ -195,12 +196,16 @@ def _runs(raw: bytes, pos: int, marker: bytes):
 
     Yields (lo, start, end): raw[lo:start] is the run of lines before
     such a line and raw[start:end] the line itself (empty at the end).
+    Lines end in LF, CR LF or a lone CR.
     """
     while pos < len(raw):
         key = raw.find(marker, pos)
-        start = (len(raw) if key < 0
-                 else max(raw.rfind(b"\n", pos, key) + 1, pos))
-        end = len(raw) if key < 0 else raw.find(b"\n", key) + 1 or len(raw)
+        if key < 0:
+            yield pos, len(raw), len(raw)
+            return
+        lf = max(raw.rfind(b"\n", pos, key) + 1, pos)
+        start = raw.rfind(b"\r", lf, key) + 1 or lf
+        end = _LINE.match(raw, key).end()
         yield pos, start, end
         pos = end
 
@@ -242,7 +247,14 @@ def _read_chunks(fh, marker: bytes, block, line) -> None:
 
 def _event_bits(raw: bytes, lo: int, hi: int, template: bytes, columns):
     """(a, b) of the event lines raw[lo:hi], or None if any line departs
-    from `template` other than by a 0 or 1 bit at `columns`."""
+    from `template` other than by a 0 or 1 bit at `columns`.
+
+    `template` ends in LF; the lines are checked against it ending in
+    the line break of their first line instead, so a run of lines that
+    all end in CR LF, or all in a lone CR, is one block too.
+    """
+    columns = [column % len(template) for column in columns]
+    template = template[:-1] + (_LINE.match(raw, lo, hi)[2] or b"\n")
     width = len(template)
     if (hi - lo) % width:
         return None
@@ -278,9 +290,10 @@ def read_jsonl(path) -> list[EventStream]:
     The file is read in chunks of whole lines (`_read_chunks`), so the
     reader holds one chunk and the bits read so far, not the file.  In
     each chunk, each run of event lines is checked as one block against
-    `write_jsonl`'s layout and appended to the latest stream; only the
-    lines of a run that departs from it, and the header lines, are parsed
-    one by one.  Errors name `path:line`.
+    `write_jsonl`'s layout, ending in the run's own line break, and
+    appended to the latest stream; only the lines of a run that departs
+    from it, and the header lines, are parsed one by one.  Errors name
+    `path:line`.
     """
     path = Path(path)
     template, columns = JSONL_EVENT
@@ -331,8 +344,9 @@ def read_csv(path) -> list[EventStream]:
     (`_read_chunks`), so the reader holds one chunk and the bits read so
     far, not the file.  Under `write_csv`'s column line, each run of rows
     of a chunk between two such comment lines is checked as one block
-    against the layout of its first row; only the rows of a run that
-    departs from it, and the comment lines, are parsed one by one.
+    against the layout of its first row, line break included; only the
+    rows of a run that departs from it, and the comment lines, are parsed
+    one by one.
     Errors name `path:line`.
     """
     path = Path(path)
@@ -347,9 +361,10 @@ def read_csv(path) -> list[EventStream]:
         return streams[key]
 
     def block(chunk: bytes, lo: int, hi: int) -> bool:
-        row = chunk[lo:chunk.find(b"\n", lo, hi) + 1]
-        bits = (in_order and _CSV_FIRST_ROW.fullmatch(row) and _event_bits(
-            chunk, lo, hi, row[:-len(suffix)] + suffix, columns))
+        row = _LINE.match(chunk, lo, hi)[0]
+        first = in_order and _CSV_FIRST_ROW.fullmatch(row)
+        bits = first and _event_bits(chunk, lo, hi, first[1] + suffix,
+                                     columns)
         if bits:
             x, y, variant = map(int, row[:5].split(b","))
             events((x, y), variant).extend(*bits)
@@ -444,21 +459,34 @@ def logical_bits(stream: EventStream) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sequences_from_streams(streams) -> dict:
-    """Concatenate logical bit sequences per setting pair, in stream order."""
-    seqs = {key: ([], []) for key in SETTING_PAIRS}
+    """Concatenate logical bit sequences per setting pair, in stream order.
+
+    Each stream's bits are XORed with its basis variant's inversions
+    (`logical_bits`) straight into one uint8 array per party and setting
+    pair, so nothing is held besides the streams and the sequences.
+    Raises IngestionError for a stream of an unknown setting pair and
+    for a setting pair without any stream.
+    """
+    groups = {key: [] for key in SETTING_PAIRS}
     for stream in streams:
-        if stream.setting_pair not in seqs:
+        if stream.setting_pair not in groups:
             raise IngestionError(
                 f"unknown setting pair {stream.setting_pair!r}")
-        a, b = logical_bits(stream)
-        seqs[stream.setting_pair][0].append(a)
-        seqs[stream.setting_pair][1].append(b)
+        groups[stream.setting_pair].append(
+            (stream, variant_inversions(stream.basis_variant)))
     out = {}
-    for key in SETTING_PAIRS:
-        a_parts, b_parts = seqs[key]
-        if not a_parts:
+    for key, group in groups.items():
+        if not group:
             raise IngestionError(f"no events for setting pair {key}")
-        out[key] = (np.concatenate(a_parts), np.concatenate(b_parts))
+        length = sum(len(stream) for stream, _ in group)
+        a, b = np.empty(length, np.uint8), np.empty(length, np.uint8)
+        lo = 0
+        for stream, (invert_a, invert_b) in group:
+            hi = lo + len(stream)
+            np.bitwise_xor(stream.a, np.uint8(invert_a), out=a[lo:hi])
+            np.bitwise_xor(stream.b, np.uint8(invert_b), out=b[lo:hi])
+            lo = hi
+        out[key] = a, b
     return out
 
 
@@ -472,14 +500,20 @@ def ingest(paths) -> dict:
             for beta, group in streams_by_beta(paths).items()}
 
 
+#: Clusters `find_nc` sums at a time: its working set beyond one pair's
+#: running totals.
+_BLOCK = 1 << 12
+
+
 @dataclass(frozen=True)
 class RunningTotals:
     """Cumulative a and b counts of one setting pair's events.
 
     `counts[:, k]` sums the first k events (a shape (2, events + 1)
     array), so the counts of any window are the difference of two of its
-    columns.  The totals are int32, 8 bytes per event, unless that could
-    overflow; `find_nc` holds one setting pair's at a time.
+    columns, and a slice of columns holds the totals of a stretch of
+    events.  The totals are int32, 8 bytes per event, unless that could
+    overflow.  `of` holds no cast copy of the sequence.
     """
 
     counts: np.ndarray
@@ -490,8 +524,10 @@ class RunningTotals:
         dtype = np.int32 if len(a) < 2 ** 31 else np.int64
         counts = np.empty((2, len(a) + 1), dtype=dtype)
         counts[:, 0] = 0
-        np.cumsum(a, dtype=dtype, out=counts[0, 1:])
-        np.cumsum(b, dtype=dtype, out=counts[1, 1:])
+        # cast into the totals, then sum them in place: a cast of the
+        # bits on their own would be a temporary of 4 bytes per event
+        counts[0, 1:], counts[1, 1:] = a, b
+        np.cumsum(counts[:, 1:], axis=1, out=counts[:, 1:])
         return cls(counts)
 
 
@@ -516,18 +552,21 @@ def cluster_events(sequence, n: int) -> ClusteredOutcomes:
                              discarded=int(events - m * n))
 
 
-def _correlator(clustered: ClusteredOutcomes,
-                strategy: BinningStrategy) -> float:
-    """Mean of sign(a) * sign(b) over one setting pair's clusters.
+def _signs(n: int, strategy: BinningStrategy) -> np.ndarray:
+    """`sign_vector` as int8: +-1, or 0 for a randomized tie."""
+    return sign_vector(n, strategy).astype(np.int8)
 
-    The signs are +-1 or 0, looked up as int8 and summed in int64, so
-    the sum is exact and the mean equals that of the float64 products
-    bit for bit, while 1 byte per cluster is held.
+
+def _sign_sum(clustered: ClusteredOutcomes, sign: np.ndarray) -> int:
+    """Sum of sign[a] * sign[b] over clusters, with `sign` from `_signs`.
+
+    The int8 products are summed in int64, so the sum is exact, and a
+    correlator, the sum over its clusters divided by their number,
+    equals the mean of the float64 products bit for bit.
     """
-    sign = sign_vector(clustered.n, strategy).astype(np.int8)
     product = sign[clustered.a_counts]
     product *= sign[clustered.b_counts]
-    return int(product.sum(dtype=np.int64)) / clustered.clusters
+    return int(product.sum(dtype=np.int64))
 
 
 def estimate_sn(clustered: dict, strategy: BinningStrategy) -> ChshEstimate:
@@ -535,7 +574,7 @@ def estimate_sn(clustered: dict, strategy: BinningStrategy) -> ChshEstimate:
 
     A randomized majority tie counts as sign 0, the expectation of its
     fair +-1 coin, so the estimate is deterministic.  Each correlator
-    comes from `_correlator`, as in `find_nc`.
+    is a `_sign_sum` over the pair's clusters, as in `find_nc`.
     """
     es = []
     n = clustered[SETTING_PAIRS[0]].n
@@ -546,8 +585,31 @@ def estimate_sn(clustered: dict, strategy: BinningStrategy) -> ChshEstimate:
                 f"no clusters for setting pair {key} (n={c.n})")
         if c.n != n:
             raise InvalidArgumentError("inconsistent cluster sizes")
-        es.append(_correlator(c, strategy))
+        es.append(_sign_sum(c, _signs(n, strategy)) / c.clusters)
     return chsh_value(es, n=n)
+
+
+def _pair_correlators(sequence, n_values, strategy: BinningStrategy
+                      ) -> list[float]:
+    """One setting pair's correlator at each n, n <= its events.
+
+    Each is an exact `_sign_sum` over blocks of `_BLOCK` clusters, each
+    block clustered from a slice of the pair's `RunningTotals`; the
+    totals are released when the function returns.
+    """
+    totals = RunningTotals.of(sequence).counts
+    events = totals.shape[1] - 1
+    correlators = []
+    for n in n_values:
+        sign = _signs(n, strategy)
+        m = events // n
+        total = 0
+        for first in range(0, m, _BLOCK):
+            last = min(first + _BLOCK, m)
+            block = RunningTotals(totals[:, first * n:last * n + 1])
+            total += _sign_sum(cluster_events(block, n), sign)
+        correlators.append(total / m)
+    return correlators
 
 
 def find_nc(sequences_per_beta: dict, strategy: BinningStrategy, n_values,
@@ -560,10 +622,10 @@ def find_nc(sequences_per_beta: dict, strategy: BinningStrategy, n_values,
     largest n at which any beta meets the criterion (0, with a note,
     when none does).
 
-    The setting pairs are taken one at a time, and each pair's n one at
-    a time, so one pair's `RunningTotals` and one n's clusters are held:
-    about 26 bytes per event of the pair at n = 1 (int32 totals, int64
-    counts, int8 signs), besides the sequences themselves.
+    The setting pairs are taken one at a time (`_pair_correlators`), so
+    besides the sequences themselves one pair's `RunningTotals` are
+    held, 8 bytes per event of the pair, and one block of `_BLOCK`
+    clusters at a time.
     """
     if not sequences_per_beta:
         raise InvalidArgumentError("need data for at least one beta")
@@ -572,12 +634,8 @@ def find_nc(sequences_per_beta: dict, strategy: BinningStrategy, n_values,
     for beta, sequences in sorted(sequences_per_beta.items()):
         # raises InsufficientDataError for a pair with fewer than n events
         sigmas = bootstrap_sn(sequences, n_values, strategy)[1]
-        es = np.empty((len(n_values), len(SETTING_PAIRS)))
-        for column, key in enumerate(SETTING_PAIRS):
-            totals = RunningTotals.of(sequences[key])
-            for row, n in enumerate(n_values):
-                es[row, column] = _correlator(cluster_events(totals, n),
-                                              strategy)
+        es = np.array([_pair_correlators(sequences[key], n_values, strategy)
+                       for key in SETTING_PAIRS]).T
         for n, sigma, correlators in zip(n_values, sigmas, es):
             s = chsh_value(correlators, n=n).s
             entries.append((float(beta), n, float(s), float(sigma)))

@@ -59,6 +59,59 @@ class TestIngest:
         with pytest.raises(IngestionError):
             sequences_from_streams(streams)
 
+    def test_sequences_concatenate_logical_bits(self):
+        # several streams per pair in all four variants, an empty one,
+        # pairs interleaved: each pair's bits in stream order
+        t = werner_correlators(settings_from_beta(0.2), 0.97)
+        streams = [generate_run(t, sp, 30 + 11 * i, seed=i, basis_variant=v)
+                   for i, (v, sp) in enumerate(
+                       (v, sp) for v in range(4) for sp in SETTING_PAIRS)]
+        none = np.zeros(0, dtype=np.uint8)
+        streams.insert(5, EventStream((2, 1), 3, none, none))
+        got = sequences_from_streams(streams)
+        assert list(got) == list(SETTING_PAIRS)
+        for sp in SETTING_PAIRS:
+            bits = [logical_bits(s) for s in streams if s.setting_pair == sp]
+            for party in (0, 1):
+                want = np.concatenate([b[party] for b in bits])
+                assert got[sp][party].dtype == np.uint8
+                assert np.array_equal(got[sp][party], want)
+
+    def test_bad_stream_refused_in_stream_order(self):
+        a = np.zeros(3, dtype=np.uint8)
+        streams = [EventStream(sp, 0, a, a) for sp in SETTING_PAIRS]
+        unknown = EventStream((3, 1), 0, a, a)
+        bad = EventStream((1, 1), 7, a, a)
+        with pytest.raises(IngestionError, match="unknown setting pair"):
+            sequences_from_streams(streams[:2] + [unknown, bad])
+        with pytest.raises(InvalidArgumentError, match="variant 7"):
+            sequences_from_streams(streams[:2] + [bad, unknown])
+        with pytest.raises(IngestionError, match=r"setting pair \(1, 2\)"):
+            sequences_from_streams(streams[:1] + streams[2:3])
+
+    def test_ingest_holds_the_streams_and_one_copy(self, tmp_path,
+                                                    monkeypatch):
+        # the streams' bits, 2 bytes per event and their buffers' slack,
+        # and the sequences, 2 more, besides a reader's chunk; logical
+        # copies per stream, concatenated afterwards, took 2 more
+        monkeypatch.setattr(analyze, "_CHUNK_BYTES", 1 << 14)
+        t = werner_correlators(settings_from_beta(0.3), 0.95)
+        streams = [generate_run(t, sp, 25_000 + 7 * i, seed=6,
+                                basis_variant=v)
+                   for i, (v, sp) in enumerate(
+                       (v, sp) for v in (1, 2) for sp in SETTING_PAIRS)]
+        p = tmp_path / "e.jsonl"
+        write_jsonl(streams, p)
+        events = sum(len(s) for s in streams)
+        tracemalloc.start()
+        try:
+            sequences = ingest([p])[0.0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(a) for a, _ in sequences.values()) == events
+        assert peak <= 4 * analyze._CHUNK_BYTES + 4.5 * events
+
     def test_ingest_files(self, tmp_path):
         t = CorrelatorTable(0.5, 0.5, 0.5, 0.5)
         streams = [generate_run(t, sp, 100, seed=1) for sp in SETTING_PAIRS]
@@ -330,30 +383,51 @@ class TestBulkRead:
         _same_streams(back, lines)
         _same_streams(back, streams)
 
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"],
+                             ids=["crlf", "lone-cr"])
     @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
-    def test_crlf_stream_alone_parsed_by_line(self, tmp_path, suffix,
-                                              parsed_lines):
+    def test_line_breaks_of_a_copy_read_in_bulk(self, tmp_path, suffix,
+                                                newline, parsed_lines):
+        # a copy whose line breaks are all CR LF, or all lone CRs, reads
+        # as the LF file and as the line parser reads it, and only its
+        # header lines go line by line
+        streams = _streams_with_empty()
+        write, read, oracle = ((write_csv, read_csv, read_csv_lines)
+                               if suffix == ".csv" else
+                               (write_jsonl, read_jsonl, read_jsonl_lines))
+        p = tmp_path / f"e{suffix}"
+        write(streams, p)
+        want = read(p)
+        parsed_lines.clear()
+        p.write_bytes(p.read_bytes().replace(b"\n", newline))
+        back = read(p)
+        assert len(parsed_lines) == len(streams)
+        assert not any(_is_event_line(line) for line in parsed_lines)
+        _same_streams(back, want)
+        _same_streams(back, oracle(p))
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"],
+                             ids=["crlf", "lone-cr"])
+    @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+    def test_stream_with_its_own_line_breaks_read_in_bulk(
+            self, tmp_path, suffix, newline, parsed_lines):
         streams = [s for s in _streams_with_empty(40) if len(s)]
         p = tmp_path / f"e{suffix}"
         (write_csv if suffix == ".csv" else write_jsonl)(streams, p)
         marker = b"# stream: " if suffix == ".csv" else b'{"settingPair"'
         head, *sections = p.read_bytes().split(marker)
-        sections[3] = sections[3].replace(b"\n", b"\r\n")
+        sections[3] = sections[3].replace(b"\n", newline)
         p.write_bytes(head + b"".join(marker + s for s in sections))
         _same_streams((read_csv if suffix == ".csv" else read_jsonl)(p),
                       streams)
-        events = [line for line in parsed_lines if _is_event_line(line)]
-        assert len(parsed_lines) - len(events) == len(streams)
-        assert len(events) == len(streams[3])
+        assert len(parsed_lines) == len(streams)
+        assert not any(_is_event_line(line) for line in parsed_lines)
 
     @pytest.mark.parametrize("edit", [
-        lambda text: text.replace("\n", "\r\n"),
         lambda text: text.replace("\n", "\n\n", 7),
         lambda text: text.replace('{"a": 1, "b": 0}', '{"a":1,"b":0}'),
         lambda text: "\n" + text + "\n",
-        lambda text: text.replace("\n", "\r"),
-    ], ids=["crlf", "blank-lines", "compact-records", "leading-blank-line",
-            "lone-cr"])
+    ], ids=["blank-lines", "compact-records", "leading-blank-line"])
     def test_jsonl_fallback_reads_the_same(self, tmp_path, edit,
                                            parsed_lines):
         streams = _streams_with_empty(40)
@@ -366,12 +440,10 @@ class TestBulkRead:
         _same_streams(back, streams)
 
     @pytest.mark.parametrize("edit", [
-        lambda text: text.replace("\n", "\r\n"),
         lambda text: text.replace("\n", "\n\n", 7),
         lambda text: re.sub(r"(?m)^([^,#\n]+),([^,]+),([^,]+),([^,]+),(.+)$",
                             r"\4,\5,\1,\2,\3", text),
-        lambda text: text.replace("\n", "\r"),
-    ], ids=["crlf", "blank-lines", "permuted-columns", "lone-cr"])
+    ], ids=["blank-lines", "permuted-columns"])
     def test_csv_fallback_reads_the_same(self, tmp_path, edit, parsed_lines):
         streams = [s for s in _streams_with_empty(40) if len(s)]
         p = tmp_path / "e.csv"
@@ -477,6 +549,27 @@ class TestBulkRead:
         assert str(exc.value) == f"{path}:{line}: {message}"
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "lone-cr"])
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_mixed_line_breaks_read_by_line(tmp_path, suffix, newline,
+                                        parsed_lines):
+    # the first seven line breaks are CR LF or lone CRs and the rest LF,
+    # so the first stream's run of event lines departs from any one
+    # template.  Chunks of a line or two, as `TestChunkBoundaries` takes
+    # them, would hold one kind of line break each and go in bulk.
+    streams = [s for s in _streams_with_empty(40) if len(s)]
+    write, read, oracle = ((write_csv, read_csv, read_csv_lines)
+                           if suffix == ".csv" else
+                           (write_jsonl, read_jsonl, read_jsonl_lines))
+    p = tmp_path / f"e{suffix}"
+    write(streams, p)
+    p.write_bytes(p.read_bytes().replace(b"\n", newline, 7))
+    back = read(p)
+    assert any(_is_event_line(line) for line in parsed_lines)
+    _same_streams(back, oracle(p))
+    _same_streams(back, streams)
+
+
 class TestChunkBoundaries(TestBulkRead):
     """Every `TestBulkRead` test again with chunks of a few bytes, so that
     streams, blocks and runs of lines span many chunks."""
@@ -530,8 +623,9 @@ class TestChunkBoundaries(TestBulkRead):
 
 class TestReaderMemory:
     @pytest.mark.parametrize("newline, chunk_bytes, events_per_pair", [
-        (b"\n", analyze._CHUNK_BYTES, 50_000), (b"\r", 1 << 14, 12_000)],
-        ids=["lf", "lone-cr"])
+        (b"\n", analyze._CHUNK_BYTES, 50_000), (b"\r", 1 << 14, 12_000),
+        (b"\r\n", analyze._CHUNK_BYTES, 50_000)],
+        ids=["lf", "lone-cr", "crlf"])
     @pytest.mark.parametrize("write, read", [
         (write_jsonl, read_jsonl), (write_csv, read_csv)], ids=["jsonl", "csv"])
     def test_reader_holds_one_chunk(self, tmp_path, monkeypatch, write, read,
@@ -539,9 +633,8 @@ class TestReaderMemory:
         # a chunk, its XOR with the template and the masked XOR, plus 2
         # bytes of bits per event and their buffers' slack; a reader that
         # holds the file needs about 17 bytes more per JSON-lines event
-        # and 10 per CSV row.  Lone-CR lines are parsed one by one, so
-        # that file is smaller, and its chunks too, to keep the file
-        # larger than the bound.
+        # and 10 per CSV row.  The CR LF and lone-CR copies take the
+        # same bulk path.
         monkeypatch.setattr(analyze, "_CHUNK_BYTES", chunk_bytes)
         t = werner_correlators(settings_from_beta(0.3), 0.95)
         streams = [generate_run(t, sp, events_per_pair + 7 * i, seed=6)
@@ -629,6 +722,24 @@ class TestClusterEvents:
                 assert got.a_counts.dtype == got.b_counts.dtype == np.int64
                 assert np.array_equal(got.a_counts, want.a_counts)
                 assert np.array_equal(got.b_counts, want.b_counts)
+
+    def test_running_totals_hold_no_cast_copy(self):
+        # the bits are cast into the totals and summed there; an int32
+        # copy of them first would take 4 more bytes per event
+        rng = np.random.default_rng(6)
+        a = rng.integers(0, 2, size=100_000, dtype=np.uint8)
+        b = rng.integers(0, 2, size=100_000, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            totals = RunningTotals.of((a, b)).counts
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert totals.dtype == np.int32
+        assert peak <= totals.nbytes + 4096
+        assert totals[:, 0].tolist() == [0, 0]
+        assert np.array_equal(totals[0, 1:], np.cumsum(a))
+        assert np.array_equal(totals[1, 1:], np.cumsum(b))
 
     def test_oversized_cluster_not_an_error(self):
         a = np.ones(3, dtype=np.uint8)
@@ -873,8 +984,13 @@ class TestCorrelatorOracle:
             assert s == want.s
 
     def test_find_nc_holds_one_pair_at_a_time(self):
-        # one pair's int32 totals, int64 n = 1 counts and int8 signs come
-        # to about 26 bytes per event; all four pairs' at once, over 100
+        # one pair's int32 totals, 8 bytes per event, and one block of
+        # clusters: its int64 counts, int8 signs and numpy's cast buffers
+        # stay under 64 bytes per cluster of the block.  The bootstrap's
+        # category codes and their intp `bincount` copy come to about 10
+        # bytes per event.  Two pairs' totals at once, or a whole pair's
+        # n = 1 counts, take 16 or more bytes per event; all four pairs'
+        # with their counts, over 100
         t = werner_correlators(settings_from_beta(0.3), 0.95)
         sequences = sequences_from_streams(
             [generate_run(t, sp, 100_000 + 7 * i, seed=5)
@@ -886,7 +1002,20 @@ class TestCorrelatorOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * events
+        assert peak <= 10 * events + 64 * analyze._BLOCK
+
+    @pytest.mark.parametrize("strategy", [Parity(),
+                                          Majority(TiePolicy.RANDOMIZED)],
+                             ids=repr)
+    def test_find_nc_independent_of_block(self, monkeypatch, strategy):
+        # blocks of 1, 7 and 64 clusters give the same entries
+        t = werner_correlators(settings_from_beta(0.3), 0.95)
+        per_beta = {0.3: make_sequences(t, 700, seed=2)}
+        n_values = [1, 2, 3, 7, 8, 41, 64, 65]
+        want = find_nc(per_beta, strategy, n_values)
+        for block in (1, 7, 64):
+            monkeypatch.setattr(analyze, "_BLOCK", block)
+            assert find_nc(per_beta, strategy, n_values) == want
 
 
 class TestFindNc:

@@ -106,6 +106,25 @@ class TestFastCorrelatorPath:
             binned_correlator_from_e(e, n, strategy),
             direct_binned_correlator(e, n, strategy), rtol=0.0, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 13, 64, 65, 1024, 1025])
+    def test_parity_is_one_power(self, n):
+        # parity's polynomial has a single row, so e^n is |e|^n with the
+        # sign of e for odd n, bit for bit: the matrix product and the
+        # one-block sum add no rounding.  numpy rounds |e|^2 one way in
+        # an exponent array of one row and another way in the
+        # polynomial's longer one, so |e|^n is taken as the polynomial
+        # takes it.
+        e = np.concatenate([np.linspace(-1.0, 1.0, 2001),
+                            [-1e-300, 1e-300, 0.0, -0.0, -0.7, 0.7]])
+        polynomial = optimize._response_polynomials(n, Parity())[0]
+        assert polynomial.powers[0, 0] == n
+        power = np.power(np.abs(e)[None], polynomial.powers)[0]
+        want = np.copysign(power, e if n % 2 else 1.0)
+        assert np.array_equal(binned_correlator_from_e(e, n, Parity()),
+                              want)
+        for x, value in zip(e[-6:], want[-6:]):
+            assert binned_correlator_from_e(x, n, Parity()) == value
+
     def test_majority_sheppard_limit(self):
         # large-n majority correlator tends to (2/pi) arcsin(e)
         e = np.linspace(-0.99, 0.99, 199)
