@@ -14,10 +14,9 @@ from .errors import (ConvergenceError, FitError, InfeasibleStatisticsError,
                      IngestionError, InsufficientDataError,
                      InvalidArgumentError, ManyPairsError, NoViolationError)
 from .optimize import (EXCEEDS_CAP, BinningComparison, CriticalCurve,
-                       OptimizationResult, SettingsMode, VcFit,
-                       binning_comparison, critical_pairs,
-                       critical_visibility, family_chsh, fit_vc_curve,
-                       max_chsh, parity_vc_approx,
+                       OptimizationResult, VcFit, binning_comparison,
+                       critical_pairs, critical_visibility, family_chsh,
+                       fit_vc_curve, max_chsh, parity_vc_approx,
                        scan_critical_visibilities, violation_ratio)
 from .pairstats import (SETTING_PAIRS, CorrelatorTable, MeasurementSettings,
                         PairJointDistribution, joint_table,

@@ -130,10 +130,6 @@ def _strategy(args) -> Majority | Parity:
     return Majority(TiePolicy(args.tie))
 
 
-def _mode(args) -> opt.SettingsMode:
-    return opt.SettingsMode(args.mode)
-
-
 def _write_out(path: str, write) -> None:
     """Call write(resolved path), creating its directory first.
 
@@ -186,7 +182,7 @@ def _config_dict(args, keys) -> dict:
 def cmd_scan_vc(args) -> int:
     strategy = _strategy(args)
     n_values = _parse_int_range(args.n)
-    curve = opt.scan_critical_visibilities(n_values, strategy, _mode(args),
+    curve = opt.scan_critical_visibilities(n_values, strategy,
                                            width=args.width)
     rows = []
     for n, vc in curve.points:
@@ -283,8 +279,7 @@ def cmd_analyze(args) -> int:
 def cmd_compare(args) -> int:
     v_values = _parse_float_list(args.v, args.v_points)
     n_values = _parse_int_range(args.n)
-    cmp_ = opt.binning_comparison(v_values, n_values, _mode(args),
-                                  crossover_tol=args.tol)
+    cmp_ = opt.binning_comparison(v_values, n_values, crossover_tol=args.tol)
     config = _config_dict(args, ["command", "v", "n", "mode", "tol"])
     extra = {"winners": [list(w) for w in cmp_.winners],
              "crossover": cmp_.crossover}
@@ -322,6 +317,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+#: The --mode flag of scan-vc and compare, which changes no output.
+_MODE = {"choices": ["beta-family", "full-planar"], "default": "beta-family",
+         "help": "accepted and echoed in the config, but unused: every "
+                 "maximum is the one-angle family's, certified against all "
+                 "planar settings"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="manypairs",
@@ -333,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n", type=_INT_RANGE, required=True,
                    help="pair counts, e.g. 2..64")
-    p.add_argument("--mode", choices=[m.value for m in opt.SettingsMode],
-                   default=opt.SettingsMode.BETA_FAMILY.value)
+    p.add_argument("--mode", **_MODE)
     p.add_argument("--width", type=float, default=1e-5,
                    help="slack of the monotone check")
     p.set_defaults(func=cmd_scan_vc)
@@ -396,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=_FLOAT_LIST, required=True)
     p.add_argument("--v-points", type=_POINTS, default=11)
     p.add_argument("--n", type=_INT_RANGE, required=True)
-    p.add_argument("--mode", choices=[m.value for m in opt.SettingsMode],
-                   default=opt.SettingsMode.BETA_FAMILY.value)
+    p.add_argument("--mode", **_MODE)
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_compare)
 

@@ -37,15 +37,15 @@ and V from those in float arithmetic.  Every search over a real
 variable is Newton's method: one safeguarded root finder,
 `_bracketed_newton`, gives the family's beta and the majority/parity
 crossover, and Newton's method in beta and V together gives the
-critical visibility.  FULL_PLANAR searches no further: the family
-optimum is a stationary point of the planar S, and the planar Hessian
-there certifies it as a local maximum (`_planar_hessian`).  Every step
-costs about one polynomial evaluation, and the module needs numpy alone.
+critical visibility.  No search over all planar settings is needed:
+the family optimum is a stationary point of the planar S, and two sign
+tests on values its last Newton step already has certify it as a local
+maximum there (`_planar_maximum`).  Every step costs about one
+polynomial evaluation, and the module needs numpy alone.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -57,13 +57,6 @@ from .binning import (PARITY_BETA_SCALE, BinningStrategy, Majority, Parity,
 from .errors import (ConvergenceError, FitError, InvalidArgumentError,
                      NoViolationError)
 from .pairstats import MeasurementSettings, settings_from_beta
-
-
-class SettingsMode(enum.Enum):
-    """Search space for the measurement settings."""
-
-    BETA_FAMILY = "beta-family"
-    FULL_PLANAR = "full-planar"
 
 
 class ExceedsCap:
@@ -232,66 +225,64 @@ def _chsh_derivatives(beta: float, visibility: float, n: int,
                       strategy: BinningStrategy):
     """S of the one-angle family and its derivatives in beta and in V.
 
-    Returns S, dS/dbeta, d2S/dbeta2, dS/dV and d2S/(dbeta dV), each a
-    float: S = 3 f(e1) - f(e3) needs f, f' and f'' only at e1 = V
-    cos(beta) and e3 = V cos(3 beta).
+    Returns S, dS/dbeta, d2S/dbeta2, dS/dV, d2S/(dbeta dV) and the term
+    a of the planar Hessian (`_planar_maximum`), each a float: S = 3
+    f(e1) - f(e3) needs f, f' and f'' only at e1 = V cos(beta) and e3 =
+    V cos(3 beta).
     """
     v = visibility
     c1, s1 = math.cos(beta), math.sin(beta)
     c3, s3 = math.cos(3.0 * beta), math.sin(3.0 * beta)
     (f1, f3), (g1, g3), (h1, h3) = _response_derivatives(
         np.array([v * c1, v * c3]), n, strategy).tolist()
+    bend1 = v * s1 * s1 * h1 - c1 * g1
     return (3.0 * f1 - f3,
             3.0 * v * (s3 * g3 - s1 * g1),
-            (3.0 * v * (v * s1 * s1 * h1 - c1 * g1)
-             - 9.0 * v * (v * s3 * s3 * h3 - c3 * g3)),
+            3.0 * v * bend1 - 9.0 * v * (v * s3 * s3 * h3 - c3 * g3),
             3.0 * c1 * g1 - c3 * g3,
-            3.0 * (s3 * (g3 + v * c3 * h3) - s1 * (g1 + v * c1 * h1)))
+            3.0 * (s3 * (g3 + v * c3 * h3) - s1 * (g1 + v * c1 * h1)),
+            v * bend1)
 
 
-def _planar_hessian(beta: float, visibility: float, n: int,
-                    strategy: BinningStrategy) -> np.ndarray:
-    """Hessian of S in the planar angles (theta_a2, theta_b1, theta_b2),
-    with theta_a1 = 0, at the family settings theta = beta (2, 1, -1).
+def _planar_maximum(curvature: float, a: float) -> bool:
+    """Whether S has no positive curvature in any planar direction at a
+    family optimum, given d2S/dbeta2 and a there.
 
-    There the four correlator angles are beta, -beta, beta and 3 beta.
-    With u = sin(beta) f'(e1) and w = sin(3 beta) f'(e3), e1 = V
-    cos(beta) and e3 = V cos(3 beta), the planar gradient is -V (u - w)
-    (1, 0, -1) and dS/dbeta = 3 V (w - u): wherever the family is
-    stationary in beta, S is stationary in all three angles.  The
-    Hessian is [[a+b, -a, -b], [-a, 2a, 0], [-b, 0, a+b]], with a = V (V
-    sin^2(beta) f''(e1) - cos(beta) f'(e1)) and b = -V (V sin^2(3 beta)
-    f''(e3) - cos(3 beta) f'(e3)).
+    Take the planar angles (theta_a2, theta_b1, theta_b2), theta_a1 = 0,
+    at the family settings theta = beta (2, 1, -1), where the four
+    correlator angles are beta, -beta, beta and 3 beta.  With u =
+    sin(beta) f'(e1) and w = sin(3 beta) f'(e3), e1 = V cos(beta) and e3
+    = V cos(3 beta), the planar gradient is -V (u - w) (1, 0, -1) and
+    dS/dbeta = 3 V (w - u): wherever the family is stationary in beta, S
+    is stationary in all three angles.  The Hessian is [[a+b, -a, -b],
+    [-a, 2a, 0], [-b, 0, a+b]], with a = V (V sin^2(beta) f''(e1) -
+    cos(beta) f'(e1)) and b = -V (V sin^2(3 beta) f''(e3) - cos(3 beta)
+    f'(e3)).  Its quadratic form is a [(x1 - x2)^2 + x2^2 + x3^2] +
+    b (x1 - x3)^2; the first bracket is positive definite and the largest
+    ratio of the second square to it is 3, on the family line.  So the
+    Hessian has no positive eigenvalue exactly when a <= 0 and a + 3 b <=
+    0, and d2S/dbeta2 = 3 (a + 3 b).
     """
-    v = visibility
-    c1, s1 = math.cos(beta), math.sin(beta)
-    c3, s3 = math.cos(3.0 * beta), math.sin(3.0 * beta)
-    _, (g1, g3), (h1, h3) = _response_derivatives(
-        np.array([v * c1, v * c3]), n, strategy).tolist()
-    a = v * (v * s1 * s1 * h1 - c1 * g1)
-    b = -v * (v * s3 * s3 * h3 - c3 * g3)
-    return np.array([[a + b, -a, -b], [-a, 2.0 * a, 0.0], [-b, 0.0, a + b]])
+    return curvature <= 0.0 and a <= 0.0
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
     """Best CHSH value found, with the settings that achieve it.
 
-    Both modes return the family optimum: `beta` and its settings (0,
-    2 beta, beta, -beta).  `evaluations` counts evaluations of S: the
-    beta grid, then one per Newton step, each with its first two
-    beta-derivatives, and for FULL_PLANAR one more, of the planar
-    Hessian.  `converged` says that the safeguarded Newton's method for
-    beta ended on a step of at most 1e-12 within its step cap (or its
-    bracket shrank that far), so beta is a stationary point to rounding;
-    for FULL_PLANAR it also says that the planar Hessian there has no
-    positive eigenvalue, so S curves down, or is flat, in every
-    direction of the planar settings.
+    The optimum is the family's: `beta` and its settings (0, 2 beta,
+    beta, -beta).  `evaluations` counts evaluations of S: the beta grid,
+    then one per Newton step, each with its first two beta-derivatives,
+    and one more where a grid point beats a Newton point away from it.
+    `converged` says that the safeguarded Newton's method for beta ended
+    on a step of at most 1e-12 within its step cap (or its bracket shrank
+    that far), so beta is a stationary point of S in all planar settings
+    to rounding, and that S there curves down, or is flat, in every
+    planar direction (`_planar_maximum`).
     """
 
     s_max: float
     settings: MeasurementSettings
-    mode: SettingsMode
     evaluations: int
     beta: float | None = None
     converged: bool = True
@@ -321,18 +312,19 @@ def _bracketed_newton(func, x: float, lo: float, hi: float):
         x = nxt if lo < nxt < hi else 0.5 * (lo + hi)
 
 
-def max_chsh(n: int, visibility: float, strategy: BinningStrategy,
-             mode: SettingsMode = SettingsMode.BETA_FAMILY) -> OptimizationResult:
+def max_chsh(n: int, visibility: float,
+             strategy: BinningStrategy) -> OptimizationResult:
     """Maximize the binned CHSH value over measurement settings.
 
     Searches the one-angle family on (0, pi/2]: a dense grid in one array
     evaluation, then `_bracketed_newton` on dS/dbeta = 0 from the grid's
     best point, inside the bracket of its two neighbours; the grid point
-    is kept if it is higher.  FULL_PLANAR returns the same optimum,
-    certified against all planar settings: it is a stationary point of S
-    in the three angle differences that S depends on, and it counts as
-    converged only if the planar Hessian there (`_planar_hessian`) has
-    no positive eigenvalue.
+    is kept if it is higher.  The optimum is certified against all planar
+    settings: it is a stationary point of S in the three angle
+    differences that S depends on, and it counts as converged only if
+    `_planar_maximum` holds there, on the values of the last Newton step
+    (or of one more evaluation, at a grid point that beats a Newton point
+    away from it).
     """
     vals = family_chsh(_GRID, visibility, n, strategy)
     i = int(np.argmax(vals))
@@ -340,21 +332,21 @@ def max_chsh(n: int, visibility: float, strategy: BinningStrategy,
     hi = _GRID[i + 1] if i + 1 < _GRID_POINTS else _GRID[-1]
 
     def falling_slope(beta):  # -dS/dbeta rises through the maximum
-        s, slope, curvature = _chsh_derivatives(beta, visibility, n,
-                                                strategy)[:3]
-        return -slope, -curvature, s
+        s, slope, curvature, _, _, a = _chsh_derivatives(
+            beta, visibility, n, strategy)
+        return -slope, -curvature, s, curvature, a
 
-    beta, (_, _, s_max), steps, converged = _bracketed_newton(
+    beta, (_, _, s_max, curvature, a), steps, converged = _bracketed_newton(
         falling_slope, float(_GRID[i]), float(lo), float(hi))
-    if vals[i] > s_max:
-        beta, s_max = float(_GRID[i]), float(vals[i])
     evaluations = _GRID_POINTS + steps
-    if mode is SettingsMode.FULL_PLANAR:
-        hessian = _planar_hessian(beta, visibility, n, strategy)
-        evaluations += 1
-        converged = converged and np.linalg.eigvalsh(hessian).max() <= 0.0
+    if vals[i] > s_max:
+        if beta != _GRID[i]:
+            curvature, a = falling_slope(float(_GRID[i]))[3:]
+            evaluations += 1
+        beta, s_max = float(_GRID[i]), float(vals[i])
+    converged = converged and _planar_maximum(curvature, a)
     return OptimizationResult(s_max=s_max, settings=settings_from_beta(beta),
-                              mode=mode, evaluations=evaluations, beta=beta,
+                              evaluations=evaluations, beta=beta,
                               converged=converged)
 
 
@@ -373,7 +365,7 @@ def _threshold_newton(n: int, strategy: BinningStrategy, beta: float,
     not.  Returns (beta, V, converged).
     """
     for _ in range(_NEWTON_STEPS):
-        s, slope, curvature, s_v, slope_v = _chsh_derivatives(
+        s, slope, curvature, s_v, slope_v, _ = _chsh_derivatives(
             beta, visibility, n, strategy)
         det = curvature * s_v - slope_v * slope
         if det == 0.0:
@@ -390,8 +382,7 @@ def _threshold_newton(n: int, strategy: BinningStrategy, beta: float,
     return beta, visibility, False
 
 
-def critical_visibility(n: int, strategy: BinningStrategy,
-                        mode: SettingsMode = SettingsMode.BETA_FAMILY) -> float:
+def critical_visibility(n: int, strategy: BinningStrategy) -> float:
     """Smallest visibility admitting a CHSH violation for n pairs.
 
     Parity uses the exact identity V_c = (2 / S_max(V=1))^(1/n), valid
@@ -400,13 +391,12 @@ def critical_visibility(n: int, strategy: BinningStrategy,
     and V by Newton's method, with analytic derivatives of the response
     polynomial, and converges to rounding.  It starts from the V = 1
     optimum and the linearization V = 1 - (S - 2) / (dS/dV).  One
-    max_chsh in the given mode at the root confirms it: that maximum
-    must converge, which for FULL_PLANAR includes its Hessian
-    certificate, and stay at or below 2; if it does not, Newton's method
-    restarts from its beta.  Raises ConvergenceError if the V = 1
-    maximum does not converge or no confirmed root is found.
+    max_chsh at the root confirms it: that maximum must converge, its
+    planar certificate included, and stay at or below 2; if it does not,
+    Newton's method restarts from its beta.  Raises ConvergenceError if
+    the V = 1 maximum does not converge or no confirmed root is found.
     """
-    top = max_chsh(n, 1.0, strategy, mode)
+    top = max_chsh(n, 1.0, strategy)
     if top.s_max <= 2.0:
         raise NoViolationError(
             f"no violation at V=1 for n={n}, {strategy!r}", top.s_max)
@@ -416,12 +406,12 @@ def critical_visibility(n: int, strategy: BinningStrategy,
     if isinstance(strategy, Parity):
         return (2.0 / top.s_max) ** (1.0 / n)
     beta = top.beta
-    s, _, _, s_v, _ = _chsh_derivatives(beta, 1.0, n, strategy)
+    s, _, _, s_v = _chsh_derivatives(beta, 1.0, n, strategy)[:4]
     visibility = min(max(1.0 - (s - 2.0) / s_v, 0.5), 1.0)
     for _ in range(_NEWTON_RESTARTS):
         beta, visibility, converged = _threshold_newton(
             n, strategy, beta, visibility)
-        check = max_chsh(n, visibility, strategy, mode)
+        check = max_chsh(n, visibility, strategy)
         if converged and check.converged and check.s_max <= 2.0 + 1e-12:
             return float(visibility)
         beta = check.beta
@@ -430,22 +420,25 @@ def critical_visibility(n: int, strategy: BinningStrategy,
 
 
 def critical_pairs(visibility: float, strategy: BinningStrategy,
-                   n_max: int = 4096,
-                   mode: SettingsMode = SettingsMode.BETA_FAMILY):
+                   n_max: int = 4096):
     """Largest pair count still violating CHSH at the given visibility.
 
     Exponential growth then binary search, relying on the monotonicity of
     the critical visibility in n.  Returns EXCEEDS_CAP when n_max itself
-    still violates.
+    still violates.  Raises InvalidArgumentError unless n_max is an
+    integer >= 1.
     """
     if not 0.0 < visibility <= 1.0:
         raise InvalidArgumentError(
             f"visibility {visibility!r} outside (0, 1]")
+    if not isinstance(n_max, (int, np.integer)) or n_max < 1:
+        raise InvalidArgumentError(
+            f"n_max must be an integer >= 1, got {n_max!r}")
 
     def violates(n: int) -> bool:
-        return max_chsh(n, visibility, strategy, mode).s_max > 2.0
+        return max_chsh(n, visibility, strategy).s_max > 2.0
 
-    first = max_chsh(1, visibility, strategy, mode)
+    first = max_chsh(1, visibility, strategy)
     if first.s_max <= 2.0:
         raise NoViolationError(
             f"no violation even at n=1 for V={visibility}", first.s_max)
@@ -498,7 +491,6 @@ class CriticalCurve:
 
 
 def scan_critical_visibilities(n_values, strategy: BinningStrategy,
-                               mode: SettingsMode = SettingsMode.BETA_FAMILY,
                                width: float = 1e-5) -> CriticalCurve:
     """Critical visibility over a range of n, fitted to 1 - c1/n + c2/n^2.
 
@@ -507,7 +499,7 @@ def scan_critical_visibilities(n_values, strategy: BinningStrategy,
     InvalidArgumentError unless width is a finite positive number.
     """
     _check_tolerance("width", width)
-    points = tuple((int(n), critical_visibility(int(n), strategy, mode))
+    points = tuple((int(n), critical_visibility(int(n), strategy))
                    for n in n_values)
     vcs = [vc for _, vc in points]
     monotone = all(b >= a - width for a, b in zip(vcs, vcs[1:]))
@@ -566,10 +558,10 @@ def _crossover_n_grid(n_values):
     return odd or multi or n_values
 
 
-def _maxima(n: int, visibility: float, mode: SettingsMode) -> tuple:
+def _maxima(n: int, visibility: float) -> tuple:
     """(majority, parity) max_chsh results at one grid point."""
-    return (max_chsh(n, visibility, Majority(), mode),
-            max_chsh(n, visibility, Parity(), mode))
+    return (max_chsh(n, visibility, Majority()),
+            max_chsh(n, visibility, Parity()))
 
 
 def _parity_advantage(maxima: dict) -> tuple:
@@ -579,7 +571,6 @@ def _parity_advantage(maxima: dict) -> tuple:
 
 
 def binning_comparison(v_values, n_values,
-                       mode: SettingsMode = SettingsMode.BETA_FAMILY,
                        crossover_tol: float = 1e-4) -> BinningComparison:
     """Tabulate both strategies on a grid and locate the parity crossover.
 
@@ -597,7 +588,7 @@ def binning_comparison(v_values, n_values,
     n_values = [int(n) for n in n_values]
     if not v_values or not n_values:
         raise InvalidArgumentError("grids must be nonempty")
-    table = {(v, n): _maxima(n, v, mode) for v in v_values for n in n_values}
+    table = {(v, n): _maxima(n, v) for v in v_values for n in n_values}
     rows = tuple((v, n, table[v, n][0].s_max, table[v, n][1].s_max)
                  for v in v_values for n in n_values)
     n_grid = _crossover_n_grid(n_values)
@@ -608,7 +599,7 @@ def binning_comparison(v_values, n_values,
         for v, adv in zip(v_values, advantages))
 
     def advantage(v):
-        maxima = {n: _maxima(n, v, mode) for n in n_grid}
+        maxima = {n: _maxima(n, v) for n in n_grid}
         gap, n = _parity_advantage(maxima)
         maj, par = maxima[n]
         slope = (_chsh_derivatives(par.beta, v, n, Parity())[3]

@@ -16,9 +16,9 @@ from manypairs.analyze import (_CSV_CELL, _CSV_COLUMNS, ClusteredOutcomes,
                                estimate_sn)
 from manypairs.binning import Majority, Parity, sign_vector
 from manypairs.errors import IngestionError, NoViolationError
-from manypairs.optimize import (SettingsMode, _response_derivatives,
-                                _response_weights, binned_correlator_from_e,
-                                family_chsh, max_chsh)
+from manypairs.optimize import (_response_derivatives, _response_weights,
+                                binned_correlator_from_e, family_chsh,
+                                max_chsh)
 from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
                                  MeasurementSettings, PairJointDistribution,
                                  joint_table, settings_from_beta,
@@ -126,7 +126,7 @@ def brent_family_maximum(n: int, visibility: float, strategy) -> float:
 
 
 def planar_starts(beta: float) -> list:
-    """FULL_PLANAR angles of the family settings at beta, then 8 seeded
+    """Planar angles of the family settings at beta, then 8 seeded
     perturbations of them (sigma 0.3 rad)."""
     rng = np.random.default_rng(20240817)
     seed_angles = np.array(settings_from_beta(beta).as_tuple()[1:])
@@ -165,8 +165,30 @@ def planar_chsh_gradient(theta, visibility: float, n: int,
     return grad
 
 
+def planar_hessian(beta: float, visibility: float, n: int,
+                   strategy) -> np.ndarray:
+    """Hessian of S in the planar angles (theta_a2, theta_b1, theta_b2),
+    with theta_a1 = 0, at the family settings theta = beta (2, 1, -1),
+    where the four correlator angles are beta, -beta, beta and 3 beta:
+    `hessian_of_terms` of a = V (V sin^2(beta) f''(e1) - cos(beta)
+    f'(e1)) and b = -V (V sin^2(3 beta) f''(e3) - cos(3 beta) f'(e3)),
+    with e1 = V cos(beta) and e3 = V cos(3 beta)."""
+    v = visibility
+    c1, s1 = math.cos(beta), math.sin(beta)
+    c3, s3 = math.cos(3.0 * beta), math.sin(3.0 * beta)
+    _, (g1, g3), (h1, h3) = _response_derivatives(
+        np.array([v * c1, v * c3]), n, strategy).tolist()
+    return hessian_of_terms(v * (v * s1 * s1 * h1 - c1 * g1),
+                            -v * (v * s3 * s3 * h3 - c3 * g3))
+
+
+def hessian_of_terms(a: float, b: float) -> np.ndarray:
+    """The planar Hessian [[a+b, -a, -b], [-a, 2a, 0], [-b, 0, a+b]]."""
+    return np.array([[a + b, -a, -b], [-a, 2.0 * a, 0.0], [-b, 0.0, a + b]])
+
+
 def bfgs_full_planar_maximum(n: int, visibility: float, strategy) -> float:
-    """FULL_PLANAR maximum of S by scipy's BFGS (gtol 1e-8) on
+    """Maximum of S over all planar settings by scipy's BFGS (gtol 1e-8) on
     `planar_chsh` and its gradient, from the 9 `planar_starts` around the
     family optimum; the family maximum wins if higher."""
     from scipy import optimize as sciopt
@@ -185,24 +207,23 @@ def bfgs_full_planar_maximum(n: int, visibility: float, strategy) -> float:
 
 
 def critical_visibility_bisect(n: int, strategy,
-                               mode: SettingsMode = SettingsMode.BETA_FAMILY,
                                width: float = 1e-5) -> float:
     """Bisection on V of the predicate max_chsh(..).s_max > 2."""
-    top = max_chsh(n, 1.0, strategy, mode)
+    top = max_chsh(n, 1.0, strategy)
     if top.s_max <= 2.0:
         raise NoViolationError(
             f"no violation at V=1 for n={n}, {strategy!r}", top.s_max)
     lo, hi = 0.5, 1.0
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        if max_chsh(n, mid, strategy, mode).s_max > 2.0:
+        if max_chsh(n, mid, strategy).s_max > 2.0:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
 
 
-def _crossover_bracket(v_values, n_values, mode: SettingsMode):
+def _crossover_bracket(v_values, n_values):
     """The parity advantage as a function of V, and the first pair of grid
     visibilities where it turns positive (None without one).
 
@@ -213,8 +234,8 @@ def _crossover_bracket(v_values, n_values, mode: SettingsMode):
     n_grid = odd if odd else [n for n in n_values if n >= 2]
 
     def advantage(v):
-        return max((max_chsh(n, v, Parity(), mode).s_max
-                    - max_chsh(n, v, Majority(), mode).s_max
+        return max((max_chsh(n, v, Parity()).s_max
+                    - max_chsh(n, v, Majority()).s_max
                     for n in n_grid), default=-math.inf)
 
     v_values = [float(v) for v in v_values]
@@ -226,15 +247,13 @@ def _crossover_bracket(v_values, n_values, mode: SettingsMode):
     return advantage, None
 
 
-def crossover_bisect(v_values, n_values,
-                     mode: SettingsMode = SettingsMode.BETA_FAMILY,
-                     crossover_tol: float = 1e-4):
+def crossover_bisect(v_values, n_values, crossover_tol: float = 1e-4):
     """Majority/parity crossover V* by bisection, or None without a bracket.
 
     V* is the midpoint of the final bracket of the predicate
     advantage > 0, bisected from the first grid pair where it turns true.
     """
-    advantage, bracket = _crossover_bracket(v_values, n_values, mode)
+    advantage, bracket = _crossover_bracket(v_values, n_values)
     if bracket is None:
         return None
     lo, hi = bracket
@@ -247,14 +266,13 @@ def crossover_bisect(v_values, n_values,
     return 0.5 * (lo + hi)
 
 
-def brentq_crossover(v_values, n_values,
-                     mode: SettingsMode = SettingsMode.BETA_FAMILY):
+def brentq_crossover(v_values, n_values):
     """Majority/parity crossover V* as scipy's brentq root (xtol 1e-12) of
     the parity advantage in the first bracketing grid pair, or None
     without a bracket."""
     from scipy import optimize as sciopt
 
-    advantage, bracket = _crossover_bracket(v_values, n_values, mode)
+    advantage, bracket = _crossover_bracket(v_values, n_values)
     if bracket is None:
         return None
     return sciopt.brentq(advantage, *bracket, xtol=1e-12)

@@ -276,6 +276,19 @@ class TestCompareRatio:
         assert float(last[1]) == pytest.approx(0.324, abs=2e-3)
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan-vc", "--n", "2..6", "--strategy", "majority"],
+    ["compare", "--v", "0.99,0.999", "--n", "3,5"]], ids=lambda a: a[0])
+def test_mode_changes_only_its_echo(capsys, argv):
+    docs = {}
+    for mode in ("beta-family", "full-planar"):
+        code, out, _ = run(capsys, *argv, "--mode", mode, "--format", "json")
+        assert code == 0
+        docs[mode] = json.loads(out)
+        assert docs[mode]["config"].pop("mode") == mode
+    assert docs["beta-family"] == docs["full-planar"]
+
+
 class TestErrors:
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run(capsys, "ratio", "--v", "0.5")
@@ -710,7 +723,7 @@ def run_fresh(tmp_path, script):
 
 class TestStartup:
     """The package loads numpy alone: every command runs without scipy,
-    in both settings modes, a `compare` with a crossover included."""
+    with either `--mode`, a `compare` with a crossover included."""
 
     def test_data_commands_load_no_scipy(self, tmp_path):
         out = run_fresh(tmp_path, """

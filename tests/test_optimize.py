@@ -8,19 +8,19 @@ from manypairs.binning import (PARITY_BETA_SCALE, PARITY_S_LIMIT, Majority,
                                Parity, TiePolicy, table_chsh)
 from manypairs.errors import (ConvergenceError, FitError,
                               InvalidArgumentError, NoViolationError)
-from manypairs.optimize import (EXCEEDS_CAP, SettingsMode,
-                                binned_correlator_from_e, binning_comparison,
-                                critical_pairs, critical_visibility,
-                                family_chsh, fit_vc_curve, max_chsh,
-                                parity_vc_approx, scan_critical_visibilities,
-                                violation_ratio)
+from manypairs.optimize import (EXCEEDS_CAP, binned_correlator_from_e,
+                                binning_comparison, critical_pairs,
+                                critical_visibility, family_chsh,
+                                fit_vc_curve, max_chsh, parity_vc_approx,
+                                scan_critical_visibilities, violation_ratio)
 from manypairs.pairstats import (SETTING_PAIRS, settings_from_beta,
                                  werner_correlators)
 
 from conftest import (bfgs_full_planar_maximum, brent_family_maximum,
                       brentq_crossover, critical_visibility_bisect,
                       crossover_bisect, direct_binned_correlator,
-                      planar_chsh, planar_chsh_gradient)
+                      hessian_of_terms, planar_chsh, planar_chsh_gradient,
+                      planar_hessian)
 
 
 ALL_STRATEGIES = (Majority(TiePolicy.TIE_TO_MINUS),
@@ -182,7 +182,7 @@ class TestFastCorrelatorPath:
 class TestResponseDerivatives:
     """f, f' and f'' of the response polynomial, which drive every Newton
     step, the family's beta and the critical visibility, and the planar
-    Hessian."""
+    certificate."""
 
     E = np.array([-0.99, -0.3, 0.0, 0.4, 0.999])
     NS = list(range(1, 9)) + [63, 64, 255, 256, 1023, 1024, 4095, 4096]
@@ -251,7 +251,7 @@ class TestResponseDerivatives:
         fd_hess = (4.0 * second_differences(h2 / 2.0)
                    - second_differences(h2)) / 3.0
         np.testing.assert_allclose(
-            optimize._planar_hessian(family.beta, v, n, strategy), fd_hess,
+            planar_hessian(family.beta, v, n, strategy), fd_hess,
             rtol=0.0, atol=1e-6)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
@@ -267,7 +267,7 @@ class TestResponseDerivatives:
             for beta in (0.05, 0.4, 1.2):
                 got = optimize._chsh_derivatives(beta, v, n, strategy)
                 assert all(type(x) is float for x in got)
-                s, slope, curvature, s_v, slope_v = got
+                s, slope, curvature, s_v, slope_v, _ = got
                 assert s == pytest.approx(s_of(beta), abs=1e-13)
                 assert slope == pytest.approx(
                     (s_of(beta + h) - s_of(beta - h)) / (2.0 * h), abs=1e-7)
@@ -288,18 +288,20 @@ class TestResponseDerivatives:
     def test_family_is_planar_s_on_its_line(self, strategy):
         # the family's settings (0, 2b, b, -b) are theta = b (2, 1, -1) of
         # the planar angles, so the family's S and beta-derivatives are
-        # the planar ones along that line
+        # the planar ones along that line; the Hessian's a is half its
+        # middle entry
         v, line = 0.97, np.array([2.0, 1.0, -1.0])
         for n in (3, 8, 64):
             for beta in (0.05, 0.4, 1.2):
-                s, slope, curvature = optimize._chsh_derivatives(
-                    beta, v, n, strategy)[:3]
-                hess = optimize._planar_hessian(beta, v, n, strategy)
+                s, slope, curvature, _, _, a = optimize._chsh_derivatives(
+                    beta, v, n, strategy)
+                hess = planar_hessian(beta, v, n, strategy)
                 for got, planar in (
                         (s, planar_chsh(beta * line, v, n, strategy)),
                         (slope, planar_chsh_gradient(beta * line, v, n,
                                                      strategy) @ line),
-                        (curvature, line @ hess @ line)):
+                        (curvature, line @ hess @ line),
+                        (a, hess[1, 1] / 2.0)):
                     assert got == pytest.approx(planar, abs=1e-12), (n, beta)
 
 
@@ -338,25 +340,17 @@ class TestMaxChsh:
             assert res.beta == pytest.approx(math.pi / 4.0, abs=1e-12)
             assert res.evaluations == optimize._GRID_POINTS + 1
 
-    def test_full_planar_never_below_family(self):
-        for n, v, strat in ((1, 1.0, Parity()), (3, 0.98, Majority()),
-                            (5, 1.0, Majority())):
-            fam = max_chsh(n, v, strat, SettingsMode.BETA_FAMILY)
-            full = max_chsh(n, v, strat, SettingsMode.FULL_PLANAR)
-            assert full.s_max >= fam.s_max - 1e-9
-
     @pytest.mark.parametrize("strategy", [Majority(), Parity()],
                              ids=["majority", "parity"])
     @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_full_planar_settings_reproduce_s(self, n, strategy):
+    def test_settings_reproduce_s(self, n, strategy):
         v = 0.98
-        full = max_chsh(n, v, strategy, SettingsMode.FULL_PLANAR)
-        assert full.settings.theta_a1 == 0.0
-        assert full.converged
-        table = werner_correlators(full.settings, v)
+        res = max_chsh(n, v, strategy)
+        assert res.settings.theta_a1 == 0.0
+        assert res.converged
+        table = werner_correlators(res.settings, v)
         assert table_chsh(table, n, strategy).s == pytest.approx(
-            full.s_max, abs=1e-12)
-        assert full.s_max >= max_chsh(n, v, strategy).s_max - 1e-9
+            res.s_max, abs=1e-12)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
     def test_full_planar_matches_bfgs(self, strategy):
@@ -365,52 +359,108 @@ class TestMaxChsh:
         # family optimum
         for n in range(1, 12):
             for v in (0.0, 1e-3, 0.8, 0.9, 0.97, 0.99, 0.995, 1.0):
-                full = max_chsh(n, v, strategy, SettingsMode.FULL_PLANAR)
+                res = max_chsh(n, v, strategy)
                 oracle = bfgs_full_planar_maximum(n, v, strategy)
-                assert full.s_max == pytest.approx(oracle, abs=1e-12), (n, v)
-                assert full.converged, (n, v)
+                assert res.s_max == pytest.approx(oracle, abs=1e-12), (n, v)
+                assert res.converged, (n, v)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
-    def test_full_planar_certifies_the_family_optimum(self, strategy):
-        # the same optimum, one evaluation more, and a Hessian whose
-        # eigenvalues are all clearly negative, or all 0 at V = 0
-        for n in (1, 2, 3, 8, 25, 64, 257):
-            for v in np.linspace(0.0, 1.0, 10).tolist():
-                family = max_chsh(n, v, strategy)
-                full = max_chsh(n, v, strategy, SettingsMode.FULL_PLANAR)
-                assert (full.s_max, full.settings, full.beta) == (
-                    family.s_max, family.settings, family.beta)
-                assert full.evaluations == family.evaluations + 1
-                assert full.converged, (n, v)
-                hess = optimize._planar_hessian(full.beta, v, n, strategy)
+    @pytest.mark.parametrize("ns, vs", [
+        (list(range(1, 26)) + [64, 257, 1024],
+         np.linspace(0.0, 1.0, 10).tolist()),
+        ([512, 1000, 2048, 4095, 4096], [0.5, 0.9, 0.999, 0.9999, 1.0]),
+    ], ids=["n-1-to-1024", "n-512-to-4096"])
+    def test_full_planar_certifies_the_family_optimum(self, monkeypatch,
+                                                      strategy, ns, vs):
+        # the certificate costs no evaluation beyond the grid and the
+        # Newton steps, its sign tests give the verdict of the oracle
+        # Hessian's eigenvalues, and those are all clearly negative, or
+        # all 0 at V = 0
+        calls = []
+        derivatives = optimize._chsh_derivatives
+
+        def counting(*args):
+            calls.append(args)
+            return derivatives(*args)
+
+        monkeypatch.setattr(optimize, "_chsh_derivatives", counting)
+        for n in ns:
+            for v in vs:
+                calls.clear()
+                res = max_chsh(n, v, strategy)
+                assert res.evaluations == optimize._GRID_POINTS + len(calls)
+                assert res.converged, (n, v)
+                _, _, curvature, _, _, a = derivatives(res.beta, v, n,
+                                                       strategy)
+                hess = planar_hessian(res.beta, v, n, strategy)
                 lam = np.linalg.eigvalsh(hess)
+                assert optimize._planar_maximum(curvature, a) == (
+                    lam.max() <= 0.0), (n, v)
                 if v == 0.0:
                     assert not hess.any()
-                else:
+                elif hess.any():  # parity's V^n underflows at large n
                     assert lam.max() <= -0.05 * np.abs(lam).max(), (n, v)
+
+    def test_sign_test_is_the_eigenvalue_test_on_random_terms(self):
+        # d2S/dbeta2 = 3 (a + 3 b) along the family line
+        rng = np.random.default_rng(20261020)
+        terms = rng.normal(size=(20000, 2)) * 10.0 ** rng.uniform(
+            -6.0, 3.0, size=(20000, 1))
+        verdicts = [
+            (optimize._planar_maximum(3.0 * (a + 3.0 * b), a),
+             np.linalg.eigvalsh(hessian_of_terms(a, b)).max() <= 0.0)
+            for a, b in terms.tolist() + [[0.0, 0.0]]]
+        assert all(sign == eigen for sign, eigen in verdicts)
+        # both verdicts are drawn
+        assert 0 < sum(sign for sign, _ in verdicts) < len(verdicts)
+
+    def test_winning_grid_point_is_certified(self, monkeypatch):
+        # a grid lifted above every Newton point is returned, and the
+        # certificate is read at its best point, one evaluation more: a
+        # saddle there alone is not converged
+        family, derivatives = optimize.family_chsh, optimize._chsh_derivatives
+        calls = []
+
+        def counting(beta, v, n, strategy):
+            calls.append(beta)
+            values = derivatives(beta, v, n, strategy)
+            return values[:5] + (1e-9,) if beta == calls[0] else values
+
+        monkeypatch.setattr(optimize, "family_chsh",
+                            lambda *args: family(*args) + 1.0)
+        monkeypatch.setattr(optimize, "_chsh_derivatives", counting)
+        res = max_chsh(5, 0.99, Majority())
+        assert res.beta == calls[0] == calls[-1] != calls[-2]
+        assert res.beta in optimize._GRID
+        assert res.evaluations == optimize._GRID_POINTS + len(calls)
+        assert not res.converged
 
     def test_positive_eigenvalue_is_not_converged(self, monkeypatch):
         # a saddle of the planar S is no maximum, and no critical
         # visibility is confirmed on one: not at V = 1, and not at the
-        # root when only the maxima below V = 1 are saddles
-        hessian = optimize._planar_hessian
-        saddle = np.diag([-2.0, -1.0, 1e-9])
-        mode = SettingsMode.FULL_PLANAR
-        monkeypatch.setattr(optimize, "_planar_hessian", lambda *args: saddle)
+        # root when only the maxima below V = 1 are saddles.  A positive
+        # a is a positive eigenvalue off the family line.
+        derivatives = optimize._chsh_derivatives
+
+        def saddle(beta, v, n, strategy):
+            return derivatives(beta, v, n, strategy)[:5] + (1e-9,)
+
         for strategy in (Majority(), Parity()):
             assert max_chsh(5, 0.99, strategy).converged
-            assert not max_chsh(5, 0.99, strategy, mode).converged
-            with pytest.raises(ConvergenceError, match="n=5"):
-                critical_visibility(5, strategy, mode)
             assert critical_visibility(5, strategy) > 0.0
+        monkeypatch.setattr(optimize, "_chsh_derivatives", saddle)
+        for strategy in (Majority(), Parity()):
+            assert not max_chsh(5, 0.99, strategy).converged
+            with pytest.raises(ConvergenceError, match="n=5"):
+                critical_visibility(5, strategy)
         monkeypatch.setattr(
-            optimize, "_planar_hessian",
+            optimize, "_chsh_derivatives",
             lambda beta, v, n, strategy: (
-                hessian(beta, v, n, strategy) if v == 1.0 else saddle))
-        assert max_chsh(5, 1.0, Majority(), mode).converged
+                derivatives if v == 1.0 else saddle)(beta, v, n, strategy))
+        assert max_chsh(5, 1.0, Majority()).converged
         with pytest.raises(ConvergenceError,
                            match="no critical visibility found for n=5"):
-            critical_visibility(5, Majority(), mode)
+            critical_visibility(5, Majority())
 
     def test_monotone_in_visibility(self):
         for strat in (Majority(), Parity()):
@@ -431,11 +481,10 @@ class TestCriticalVisibility:
             assert critical_visibility(1, strat) == pytest.approx(
                 1.0 / math.sqrt(2.0), abs=2e-5)
 
-    @pytest.mark.parametrize("mode", list(SettingsMode), ids=str)
     @pytest.mark.parametrize("strategy", [Majority(), Parity()],
                              ids=["majority", "parity"])
-    def test_returns_a_float(self, strategy, mode):
-        assert type(critical_visibility(3, strategy, mode)) is float
+    def test_returns_a_float(self, strategy):
+        assert type(critical_visibility(3, strategy)) is float
 
     def test_majority_21(self):
         assert critical_visibility(21, Majority()) == pytest.approx(
@@ -476,16 +525,6 @@ class TestCriticalVisibility:
             assert abs(root - bisect) <= 1e-9, n
             assert max_chsh(n, root, strategy).s_max == pytest.approx(
                 2.0, abs=1e-12), n
-
-    def test_full_planar_root_pinned_to_fine_bisection(self):
-        mode = SettingsMode.FULL_PLANAR
-        root = critical_visibility(3, Majority(), mode)
-        bisect = critical_visibility_bisect(3, Majority(), mode, width=1e-10)
-        assert abs(root - bisect) <= 1e-9
-        # the certified family root, bit for bit
-        assert root == critical_visibility(3, Majority())
-        assert max_chsh(3, root, Majority(), mode).s_max == pytest.approx(
-            2.0, abs=1e-12)
 
     def test_newton_restarts_from_a_better_setting(self, monkeypatch):
         # a first "root" at V = 0.99, where other settings still violate,
@@ -535,6 +574,16 @@ class TestCriticalPairs:
         with pytest.raises(NoViolationError) as err:
             critical_pairs(0.5, Majority())
         assert err.value.s_max <= 2.0
+
+    @pytest.mark.parametrize("n_max", [0, -3, 2.5, 64.0, "64", None])
+    def test_bad_n_max_rejected(self, monkeypatch, n_max):
+        monkeypatch.setattr(optimize, "max_chsh", _no_optimization)
+        with pytest.raises(InvalidArgumentError, match="n_max"):
+            critical_pairs(0.99, Parity(), n_max=n_max)
+
+    def test_smallest_n_max(self):
+        assert critical_pairs(0.99, Parity(), n_max=1) is EXCEEDS_CAP
+        assert critical_pairs(0.99, Parity(), n_max=np.int64(4)) is EXCEEDS_CAP
 
 
 class TestFitVcCurve:
@@ -624,14 +673,14 @@ class TestScanAndComparison:
         assert cmp_.crossover is not None and expected is not None
         assert abs(cmp_.crossover - expected) <= 1e-4
 
-    @pytest.mark.parametrize("mode, v_values, n_values", [
-        (SettingsMode.BETA_FAMILY, [0.99, 0.999], [3, 9]),
-        (SettingsMode.BETA_FAMILY, [0.988, 0.9885, 0.999], [3, 5, 7, 9, 11]),
-        (SettingsMode.FULL_PLANAR, [0.99, 0.999], [3, 5]),
-    ], ids=["family-3-9", "family-3-to-11", "full-planar-3-5"])
-    def test_crossover_matches_brentq(self, mode, v_values, n_values):
-        cmp_ = binning_comparison(v_values, n_values, mode)
-        expected = brentq_crossover(v_values, n_values, mode)
+    @pytest.mark.parametrize("v_values, n_values", [
+        ([0.99, 0.999], [3, 9]),
+        ([0.988, 0.9885, 0.999], [3, 5, 7, 9, 11]),
+        ([0.99, 0.999], [3, 5]),
+    ], ids=["3-9", "3-to-11", "3-5"])
+    def test_crossover_matches_brentq(self, v_values, n_values):
+        cmp_ = binning_comparison(v_values, n_values)
+        expected = brentq_crossover(v_values, n_values)
         assert cmp_.crossover is not None and expected is not None
         assert abs(cmp_.crossover - expected) <= 1e-9
 
