@@ -430,11 +430,15 @@ def streams_by_beta(paths) -> dict:
 
     Streams without a beta group under 0.0.  Streams of one beta must
     agree in visibility, detector, discard probability and, per setting
-    pair, correlator table; otherwise raises IngestionError naming two
-    files whose streams differ.
+    pair, correlator table, and no two of them may share a seed, setting
+    pair and basis variant: their draws would overlap, so the events
+    would count twice.  Otherwise raises IngestionError naming two files
+    whose streams differ or repeat a draw.  Streams without a seed are
+    not checked for repeats.
     """
     groups: dict[float, list] = {}
     seen: dict[tuple, tuple] = {}
+    draws: dict[tuple, object] = {}
     for path in paths:
         for stream in read_streams(path):
             beta = float(stream.meta.get("beta", 0.0))
@@ -448,6 +452,16 @@ def streams_by_beta(paths) -> dict:
                     raise IngestionError(
                         f"{first_path} and {path}: streams at beta={beta} "
                         f"differ in {name}{where}; analyze them separately")
+            if stream.meta.get("seed") is not None:
+                pair, variant = stream.setting_pair, stream.basis_variant
+                seed = json.dumps(stream.meta["seed"])
+                draw = (beta, seed, pair, variant)
+                if draw in draws:
+                    raise IngestionError(
+                        f"{draws[draw]} and {path}: streams at beta={beta} "
+                        f"repeat seed {seed} for setting pair {pair}, basis "
+                        f"variant {variant}; their events would count twice")
+                draws[draw] = path
             groups.setdefault(beta, []).append(stream)
     return groups
 
@@ -494,7 +508,8 @@ def ingest(paths) -> dict:
     """Read event files into {beta: logical sequences by setting pair}.
 
     Streams are grouped and checked by `streams_by_beta`, so streams of
-    one beta with different provenance raise IngestionError.
+    one beta with different provenance, or that repeat a draw, raise
+    IngestionError.
     """
     return {beta: sequences_from_streams(group)
             for beta, group in streams_by_beta(paths).items()}
@@ -505,51 +520,41 @@ def ingest(paths) -> dict:
 _BLOCK = 1 << 12
 
 
-@dataclass(frozen=True)
-class RunningTotals:
-    """Cumulative a and b counts of one setting pair's events.
-
-    `counts[:, k]` sums the first k events (a shape (2, events + 1)
-    array), so the counts of any window are the difference of two of its
-    columns, and a slice of columns holds the totals of a stretch of
-    events.  The totals are int32, 8 bytes per event, unless that could
-    overflow.  `of` holds no cast copy of the sequence.
+def _running_totals(sequence: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Cumulative a and b counts of a setting pair's (a, b) bits: column
+    k sums the first k events, so a slice of columns holds the totals of
+    a stretch of events.  int32, 8 bytes per event, unless that could
+    overflow; no cast copy of the bits is held.
     """
+    a, b = sequence
+    dtype = np.int32 if len(a) < 2 ** 31 else np.int64
+    totals = np.empty((2, len(a) + 1), dtype=dtype)
+    totals[:, 0] = 0
+    # cast into the totals, then sum them in place: a cast of the bits on
+    # their own would be a temporary of 4 bytes per event
+    totals[0, 1:], totals[1, 1:] = a, b
+    np.cumsum(totals[:, 1:], axis=1, out=totals[:, 1:])
+    return totals
 
-    counts: np.ndarray
 
-    @classmethod
-    def of(cls, sequence: tuple[np.ndarray, np.ndarray]) -> "RunningTotals":
-        a, b = sequence
-        dtype = np.int32 if len(a) < 2 ** 31 else np.int64
-        counts = np.empty((2, len(a) + 1), dtype=dtype)
-        counts[:, 0] = 0
-        # cast into the totals, then sum them in place: a cast of the
-        # bits on their own would be a temporary of 4 bytes per event
-        counts[0, 1:], counts[1, 1:] = a, b
-        np.cumsum(counts[:, 1:], axis=1, out=counts[:, 1:])
-        return cls(counts)
+def _windows(totals: np.ndarray, n: int) -> np.ndarray:
+    """a and b counts, rows of an int64 array, of each whole window of n
+    events of the running totals `totals` (`_running_totals`)."""
+    m = (totals.shape[1] - 1) // n
+    # int64 counts whatever the totals' width: numpy indexes with int64
+    # at about twice the speed of int32
+    return np.subtract(totals[:, n:m * n + 1:n], totals[:, :m * n:n],
+                       dtype=np.int64)
 
 
 def cluster_events(sequence, n: int) -> ClusteredOutcomes:
-    """Sum bits over sequential non-overlapping windows of n events.
-
-    `sequence` is a setting pair's (a, b) bit arrays or their
-    `RunningTotals`; with the totals at hand each n costs O(events / n).
-    """
+    """Sum a setting pair's (a, b) bits over sequential non-overlapping
+    windows of n events."""
     if n < 1:
         raise InvalidArgumentError(f"cluster size must be >= 1, got {n!r}")
-    if not isinstance(sequence, RunningTotals):
-        sequence = RunningTotals.of(sequence)
-    totals = sequence.counts
-    events = totals.shape[1] - 1
-    m = events // n
-    # int64 counts whatever the totals' width: numpy indexes with int64
-    # at about twice the speed of int32
-    a_counts, b_counts = np.subtract(totals[:, n:m * n + 1:n],
-                                     totals[:, :m * n:n], dtype=np.int64)
+    a_counts, b_counts = _windows(_running_totals(sequence), n)
     return ClusteredOutcomes(n=int(n), a_counts=a_counts, b_counts=b_counts,
-                             discarded=int(events - m * n))
+                             discarded=int(len(sequence[0]) % n))
 
 
 def _signs(n: int, strategy: BinningStrategy) -> np.ndarray:
@@ -557,15 +562,16 @@ def _signs(n: int, strategy: BinningStrategy) -> np.ndarray:
     return sign_vector(n, strategy).astype(np.int8)
 
 
-def _sign_sum(clustered: ClusteredOutcomes, sign: np.ndarray) -> int:
+def _sign_sum(a_counts: np.ndarray, b_counts: np.ndarray,
+              sign: np.ndarray) -> int:
     """Sum of sign[a] * sign[b] over clusters, with `sign` from `_signs`.
 
     The int8 products are summed in int64, so the sum is exact, and a
     correlator, the sum over its clusters divided by their number,
     equals the mean of the float64 products bit for bit.
     """
-    product = sign[clustered.a_counts]
-    product *= sign[clustered.b_counts]
+    product = sign[a_counts]
+    product *= sign[b_counts]
     return int(product.sum(dtype=np.int64))
 
 
@@ -585,7 +591,8 @@ def estimate_sn(clustered: dict, strategy: BinningStrategy) -> ChshEstimate:
                 f"no clusters for setting pair {key} (n={c.n})")
         if c.n != n:
             raise InvalidArgumentError("inconsistent cluster sizes")
-        es.append(_sign_sum(c, _signs(n, strategy)) / c.clusters)
+        es.append(_sign_sum(c.a_counts, c.b_counts, _signs(n, strategy))
+                  / c.clusters)
     return chsh_value(es, n=n)
 
 
@@ -594,21 +601,17 @@ def _pair_correlators(sequence, n_values, strategy: BinningStrategy
     """One setting pair's correlator at each n, n <= its events.
 
     Each is an exact `_sign_sum` over blocks of `_BLOCK` clusters, each
-    block clustered from a slice of the pair's `RunningTotals`; the
-    totals are released when the function returns.
+    block windowed (`_windows`) from a slice of the pair's running
+    totals; the totals are released when the function returns.
     """
-    totals = RunningTotals.of(sequence).counts
+    totals = _running_totals(sequence)
     events = totals.shape[1] - 1
     correlators = []
     for n in n_values:
-        sign = _signs(n, strategy)
-        m = events // n
-        total = 0
-        for first in range(0, m, _BLOCK):
-            last = min(first + _BLOCK, m)
-            block = RunningTotals(totals[:, first * n:last * n + 1])
-            total += _sign_sum(cluster_events(block, n), sign)
-        correlators.append(total / m)
+        sign, step = _signs(n, strategy), _BLOCK * n
+        total = sum(_sign_sum(*_windows(totals[:, lo:lo + step + 1], n), sign)
+                    for lo in range(0, events - n + 1, step))
+        correlators.append(total / (events // n))
     return correlators
 
 
@@ -623,9 +626,9 @@ def find_nc(sequences_per_beta: dict, strategy: BinningStrategy, n_values,
     when none does).
 
     The setting pairs are taken one at a time (`_pair_correlators`), so
-    besides the sequences themselves one pair's `RunningTotals` are
-    held, 8 bytes per event of the pair, and one block of `_BLOCK`
-    clusters at a time.
+    besides the sequences themselves one pair's running totals are held,
+    8 bytes per event of the pair, and one block of `_BLOCK` clusters at
+    a time.
     """
     if not sequences_per_beta:
         raise InvalidArgumentError("need data for at least one beta")

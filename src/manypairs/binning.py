@@ -68,27 +68,25 @@ def sign_vector(n: int, strategy: BinningStrategy) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChshEstimate:
-    """A CHSH value with its four correlators and optional error bar."""
+    """A CHSH value with its four correlators."""
 
     s: float
     correlators: tuple[float, float, float, float]
     n: int | None = None
-    sigma: float | None = None
 
     @property
     def violation(self) -> bool:
         return self.s > 2.0
 
 
-def chsh_value(correlators, n: int | None = None,
-               sigma: float | None = None) -> ChshEstimate:
+def chsh_value(correlators, n: int | None = None) -> ChshEstimate:
     """Combine four binned correlators (E11, E12, E21, E22) into S."""
     e11, e12, e21, e22 = (float(v) for v in correlators)
     for v in (e11, e12, e21, e22):
         if not math.isfinite(v) or abs(v) > 1.0 + 1e-9:
             raise InvalidArgumentError(f"correlator {v!r} outside [-1, 1]")
     s = e11 + e12 + e21 - e22
-    return ChshEstimate(s=s, correlators=(e11, e12, e21, e22), n=n, sigma=sigma)
+    return ChshEstimate(s=s, correlators=(e11, e12, e21, e22), n=n)
 
 
 #: log(c!) - c log(c) + c for c = 0..15, with 0 log(0) = 0.

@@ -201,8 +201,7 @@ def cmd_scan_vc(args) -> int:
     if curve.fit is not None:
         extra["fit"] = {"c1": curve.fit.c1, "c2": curve.fit.c2,
                         "residual": curve.fit.residual}
-    config = _config_dict(args, ["command", "strategy", "tie", "mode", "n",
-                                 "width"])
+    config = _config_dict(args, ["command", "strategy", "tie", "n", "width"])
     _emit(config, columns, rows, extra, args)
     return 0
 
@@ -279,7 +278,10 @@ def cmd_analyze(args) -> int:
 def cmd_compare(args) -> int:
     v_values = _parse_float_list(args.v, args.v_points)
     n_values = _parse_int_range(args.n)
-    cmp_ = opt.binning_comparison(v_values, n_values, crossover_tol=args.tol)
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ManyPairsError(
+            f"--tol must be a finite positive number, got {args.tol!r}")
+    cmp_ = opt.binning_comparison(v_values, n_values)
     config = _config_dict(args, ["command", "v", "n", "mode", "tol"])
     extra = {"winners": [list(w) for w in cmp_.winners],
              "crossover": cmp_.crossover}
@@ -317,13 +319,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-#: The --mode flag of scan-vc and compare, which changes no output.
-_MODE = {"choices": ["beta-family", "full-planar"], "default": "beta-family",
-         "help": "accepted and echoed in the config, but unused: every "
-                 "maximum is the one-angle family's, certified against all "
-                 "planar settings"}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="manypairs",
@@ -335,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n", type=_INT_RANGE, required=True,
                    help="pair counts, e.g. 2..64")
-    p.add_argument("--mode", **_MODE)
     p.add_argument("--width", type=float, default=1e-5,
                    help="slack of the monotone check")
     p.set_defaults(func=cmd_scan_vc)
@@ -397,8 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=_FLOAT_LIST, required=True)
     p.add_argument("--v-points", type=_POINTS, default=11)
     p.add_argument("--n", type=_INT_RANGE, required=True)
-    p.add_argument("--mode", **_MODE)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--mode", choices=["beta-family", "full-planar"],
+                   default="beta-family",
+                   help="accepted and echoed in the config, but unused: "
+                        "every maximum is the one-angle family's, certified "
+                        "against all planar settings")
+    p.add_argument("--tol", type=float, default=1e-4,
+                   help="checked and echoed in the config, but unused: the "
+                        "crossover is converged to rounding")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("ratio", help="remaining parity violation at n_c/2")

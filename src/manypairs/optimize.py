@@ -270,10 +270,11 @@ def _planar_maximum(curvature: float, a: float) -> bool:
 class OptimizationResult:
     """Best CHSH value found, with the settings that achieve it.
 
-    The optimum is the family's: `beta` and its settings (0, 2 beta,
-    beta, -beta).  `evaluations` counts evaluations of S: the beta grid,
-    then one per Newton step, each with its first two beta-derivatives,
-    and one more where a grid point beats a Newton point away from it.
+    The optimum is the family's: `beta`, always set, and its settings
+    (0, 2 beta, beta, -beta).  `evaluations` counts evaluations of S: the
+    beta grid, then one per Newton step, each with its first two
+    beta-derivatives, and one more where a grid point beats a Newton
+    point away from it.
     `converged` says that the safeguarded Newton's method for beta ended
     on a step of at most 1e-12 within its step cap (or its bracket shrank
     that far), so beta is a stationary point of S in all planar settings
@@ -284,7 +285,7 @@ class OptimizationResult:
     s_max: float
     settings: MeasurementSettings
     evaluations: int
-    beta: float | None = None
+    beta: float
     converged: bool = True
 
 
@@ -348,12 +349,6 @@ def max_chsh(n: int, visibility: float,
     return OptimizationResult(s_max=s_max, settings=settings_from_beta(beta),
                               evaluations=evaluations, beta=beta,
                               converged=converged)
-
-
-def _check_tolerance(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise InvalidArgumentError(
-            f"{name} must be a finite positive number, got {value!r}")
 
 
 def _threshold_newton(n: int, strategy: BinningStrategy, beta: float,
@@ -498,7 +493,9 @@ def scan_critical_visibilities(n_values, strategy: BinningStrategy,
     no V_c falls by more than width from one n to the next.  Raises
     InvalidArgumentError unless width is a finite positive number.
     """
-    _check_tolerance("width", width)
+    if not (math.isfinite(width) and width > 0.0):
+        raise InvalidArgumentError(
+            f"width must be a finite positive number, got {width!r}")
     points = tuple((int(n), critical_visibility(int(n), strategy))
                    for n in n_values)
     vcs = [vc for _, vc in points]
@@ -570,8 +567,7 @@ def _parity_advantage(maxima: dict) -> tuple:
     return max((par.s_max - maj.s_max, n) for n, (maj, par) in maxima.items())
 
 
-def binning_comparison(v_values, n_values,
-                       crossover_tol: float = 1e-4) -> BinningComparison:
+def binning_comparison(v_values, n_values) -> BinningComparison:
     """Tabulate both strategies on a grid and locate the parity crossover.
 
     The crossover V* is where, for some tie-free (odd) n in the grid, the
@@ -579,11 +575,10 @@ def binning_comparison(v_values, n_values,
     such n uses its n >= 2, and one of n = 1 alone ties.  The winners come
     from the table.  V* is the root of the parity advantage a(V) in the
     first bracketing pair of grid visibilities, by `_bracketed_newton`
-    from their false-position point, within crossover_tol / 2 (in fact to
-    rounding).  By the envelope theorem, a'(V) is dS/dV of the two
-    maxima at the arg-max n, at their own settings.
+    from their false-position point, to rounding.  By the envelope
+    theorem, a'(V) is dS/dV of the two maxima at the arg-max n, at their
+    own settings.
     """
-    _check_tolerance("crossover_tol", crossover_tol)
     v_values = [float(v) for v in v_values]
     n_values = [int(n) for n in n_values]
     if not v_values or not n_values:

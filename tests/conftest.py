@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from manypairs.analyze import (_CSV_CELL, _CSV_COLUMNS, ClusteredOutcomes,
-                               RunningTotals, _is_json_int, _no_constant,
-                               _stream_header, _stream_meta, cluster_events,
+                               _is_json_int, _no_constant, _running_totals,
+                               _stream_header, _stream_meta, _windows,
                                estimate_sn)
 from manypairs.binning import Majority, Parity, sign_vector
 from manypairs.errors import IngestionError, NoViolationError
@@ -327,8 +327,8 @@ def monte_carlo_bootstrap_sn(sequences: dict, n_values, strategy,
 
     Both arrays follow `n_values`.  Each resample permutes every setting
     pair's event order once and re-clusters that order at every n from
-    one running total per pair.  The generator is seeded from `seed` and
-    draws only permutations.
+    one running total per pair (`_running_totals`, `_windows`).  The
+    generator is seeded from `seed` and draws only permutations.
     """
     n_values = [int(n) for n in n_values]
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -341,11 +341,12 @@ def monte_carlo_bootstrap_sn(sequences: dict, n_values, strategy,
     for i in range(resamples):
         for key in SETTING_PAIRS:
             codes = shuffle_rng.permuted(packed[key])
-            totals[key] = RunningTotals.of((codes & np.uint8(1),
-                                            codes >> np.uint8(1)))
+            totals[key] = _running_totals((codes & np.uint8(1),
+                                           codes >> np.uint8(1)))
         for j, n in enumerate(n_values):
-            clustered = {key: cluster_events(totals[key], n)
-                         for key in SETTING_PAIRS}
+            clustered = {key: ClusteredOutcomes(n, *_windows(t, n),
+                                                (t.shape[1] - 1) % n)
+                         for key, t in totals.items()}
             values[j, i] = estimate_sn(clustered, strategy).s
     return values.mean(axis=1), values.std(axis=1, ddof=1)
 

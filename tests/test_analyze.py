@@ -7,7 +7,7 @@ import pytest
 
 from manypairs import analyze
 from manypairs.analyze import (ClusteredOutcomes, MinusKSigma, PointEstimate,
-                               RunningTotals, bootstrap_sn, cluster_events,
+                               _running_totals, bootstrap_sn, cluster_events,
                                estimate_sn, find_nc, ingest, logical_bits,
                                read_csv, read_jsonl, sequences_from_streams)
 from manypairs.binning import (Majority, Parity, TiePolicy, chsh_value,
@@ -124,6 +124,19 @@ class TestIngest:
         assert set(per_beta[0.0]) == set(SETTING_PAIRS)
         assert all(len(a) == len(b) == 100
                    for a, b in per_beta[0.0].values())
+
+    def test_streams_without_seed_pool_unchecked(self, tmp_path):
+        t = CorrelatorTable(0.5, 0.5, 0.5, 0.5)
+        streams = [generate_run(t, sp, 100, seed=1) for sp in SETTING_PAIRS]
+        unseeded = [EventStream(s.setting_pair, s.basis_variant, s.a, s.b,
+                                {k: v for k, v in s.meta.items()
+                                 if k != "seed"}) for s in streams]
+        p = tmp_path / "a.jsonl"
+        write_jsonl(unseeded, p)
+        assert all(len(a) == 200 for a, _ in ingest([p, p])[0.0].values())
+        write_jsonl(streams, p)
+        with pytest.raises(IngestionError, match="repeat seed 1"):
+            ingest([p, p])
 
     def test_ingest_refuses_mixed_visibility(self, tmp_path):
         paths = []
@@ -714,14 +727,13 @@ class TestClusterEvents:
         rng = np.random.default_rng(5)
         a = rng.integers(0, 2, size=37, dtype=np.uint8)
         b = rng.integers(0, 2, size=37, dtype=np.uint8)
-        totals = RunningTotals.of((a, b))
         for n in range(1, 39):
             want = reshape_cluster_events((a, b), n)
-            for got in (cluster_events((a, b), n), cluster_events(totals, n)):
-                assert got.n == want.n and got.discarded == want.discarded
-                assert got.a_counts.dtype == got.b_counts.dtype == np.int64
-                assert np.array_equal(got.a_counts, want.a_counts)
-                assert np.array_equal(got.b_counts, want.b_counts)
+            got = cluster_events((a, b), n)
+            assert got.n == want.n and got.discarded == want.discarded
+            assert got.a_counts.dtype == got.b_counts.dtype == np.int64
+            assert np.array_equal(got.a_counts, want.a_counts)
+            assert np.array_equal(got.b_counts, want.b_counts)
 
     def test_running_totals_hold_no_cast_copy(self):
         # the bits are cast into the totals and summed there; an int32
@@ -731,7 +743,7 @@ class TestClusterEvents:
         b = rng.integers(0, 2, size=100_000, dtype=np.uint8)
         tracemalloc.start()
         try:
-            totals = RunningTotals.of((a, b)).counts
+            totals = _running_totals((a, b))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1081,13 +1093,17 @@ class TestFindNc:
         per_beta = {0.3: make_sequences(t, 3000, seed=2),
                     0.2: make_sequences(t, 3000, seed=3)}
         fast = find_nc(per_beta, strategy, range(1, 9))
+        calls = []
 
-        def reshape(sequence, n):
-            if isinstance(sequence, RunningTotals):
-                sequence = np.diff(sequence.counts, axis=1).astype(np.uint8)
-            return reshape_cluster_events(sequence, n)
+        def reshape(totals, n):
+            # the bits of the block, from its totals, summed by reshaping
+            calls.append(n)
+            bits = np.diff(totals, axis=1).astype(np.uint8)
+            c = reshape_cluster_events(bits, n)
+            return np.array([c.a_counts, c.b_counts])
 
-        monkeypatch.setattr(analyze, "cluster_events", reshape)
+        monkeypatch.setattr(analyze, "_windows", reshape)
         slow = find_nc(per_beta, strategy, range(1, 9))
+        assert sorted(set(calls)) == list(range(1, 9))
         assert fast.entries == slow.entries
         assert fast.n_critical == slow.n_critical

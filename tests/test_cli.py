@@ -233,6 +233,26 @@ class TestSimulateAnalyze:
         assert code == 0
         assert [r[0] for r in json.loads(out)["rows"]] == [0.151]
 
+    @pytest.mark.parametrize("second", ["same", "copy", "more-events"])
+    def test_repeated_draw_refused(self, tmp_path, capsys, second):
+        # a seed's events pooled twice would count double and shrink sigma
+        # by sqrt(2); a seed drawn again with more events overlaps too
+        first = tmp_path / "a.jsonl"
+        self._simulate(capsys, first, "0.9871", "1", "--symmetrize")
+        other = {"same": first, "copy": tmp_path / "b.jsonl",
+                 "more-events": tmp_path / "b.csv"}[second]
+        if second == "copy":
+            other.write_bytes(first.read_bytes())
+        elif second == "more-events":
+            self._simulate(capsys, other, "0.9871", "1", "--symmetrize",
+                           events="500")
+        code, out, err = run(capsys, "analyze", "--files", str(first),
+                             str(other), "--n", "1")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert f"{first} and {other}" in err and "repeat seed 1" in err
+
     def test_override(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
         code, _, _ = run(capsys, "simulate", "--beta", "0.3", "--v", "1.0",
@@ -276,13 +296,11 @@ class TestCompareRatio:
         assert float(last[1]) == pytest.approx(0.324, abs=2e-3)
 
 
-@pytest.mark.parametrize("argv", [
-    ["scan-vc", "--n", "2..6", "--strategy", "majority"],
-    ["compare", "--v", "0.99,0.999", "--n", "3,5"]], ids=lambda a: a[0])
-def test_mode_changes_only_its_echo(capsys, argv):
+def test_compare_mode_changes_only_its_echo(capsys):
     docs = {}
     for mode in ("beta-family", "full-planar"):
-        code, out, _ = run(capsys, *argv, "--mode", mode, "--format", "json")
+        code, out, _ = run(capsys, "compare", "--v", "0.99,0.999", "--n",
+                           "3,5", "--mode", mode, "--format", "json")
         assert code == 0
         docs[mode] = json.loads(out)
         assert docs[mode]["config"].pop("mode") == mode
@@ -342,6 +360,7 @@ class TestErrors:
         ("compare", "--v", "0.988..0.999", "--v-points", "23", "--n",
          "3,5,7,9,11", "--tol", "-1"),
         ("compare", "--v", "0.99,0.995", "--n", "3", "--tol", "nan"),
+        ("compare", "--v", "0.99,0.995", "--n", "3", "--tol", "inf"),
         ("scan-vc", "--n", "2..4", "--width", "0"),
         ("scan-vc", "--n", "2..4", "--width", "nan"),
         ("analyze", "--files", "missing.jsonl", "--n", "1", "--seed", "0"),
@@ -366,9 +385,9 @@ class TestErrors:
         ("analyze", "--files", "detx.jsonl", "--n", "1"),
         ("analyze", "--files", "discard7.jsonl", "--n", "1"),
     ], ids=["compare-tol-0", "compare-tol-negative", "compare-tol-nan",
-            "scan-vc-width-0", "scan-vc-width-nan", "analyze-missing-file",
-            "analyze-binary-file", "analyze-csv-stream-not-object",
-            "analyze-jsonl-record-not-object",
+            "compare-tol-inf", "scan-vc-width-0", "scan-vc-width-nan",
+            "analyze-missing-file", "analyze-binary-file",
+            "analyze-csv-stream-not-object", "analyze-jsonl-record-not-object",
             "analyze-jsonl-variant-not-integer",
             "analyze-jsonl-pair-not-list", "analyze-jsonl-long-integer",
             "analyze-ksigma-nan", "analyze-ksigma-negative",
@@ -471,12 +490,14 @@ class TestErrors:
         ("analyze", "--files", "e.jsonl", "--n", "1", "--seed", "-1"),
         ("analyze", "--files", "e.jsonl", "--n", "1", "--seed", "0",
          "--threads", "2"),
+        ("scan-vc", "--n", "2..4", "--mode", "beta-family"),
     ], ids=["malformed-n", "malformed-beta", "malformed-v",
             "malformed-override", "simulate-without-out",
             "format-contradicts-suffix", "ratio-negative-points",
             "ratio-zero-points", "compare-zero-points", "max-s-zero-points",
             "empty-n-range", "empty-n-list", "simulate-negative-seed",
-            "analyze-negative-seed", "analyze-threads-gone"])
+            "analyze-negative-seed", "analyze-threads-gone",
+            "scan-vc-mode-gone"])
     def test_usage_error_exit_2(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -580,8 +601,7 @@ _COMMON = {"--strategy": _ENUMS + ["parity"],
 #: subcommand: (cheap valid arguments, edge values per flag)
 _FUZZ_COMMANDS = {
     "scan-vc": (["--n", "2..4"],
-                {**_COMMON, "--n": _INTS, "--width": _FLOATS,
-                 "--mode": _ENUMS + ["full-planar"]}),
+                {**_COMMON, "--n": _INTS, "--width": _FLOATS}),
     "max-s": (["--n", "3", "--beta", "0.1..0.3", "--beta-points", "5"],
               {**_COMMON, "--n": _INTS, "--beta": _FLOAT_LISTS,
                "--beta-points": _POINTS, "--v": _FLOATS}),
@@ -723,7 +743,7 @@ def run_fresh(tmp_path, script):
 
 class TestStartup:
     """The package loads numpy alone: every command runs without scipy,
-    with either `--mode`, a `compare` with a crossover included."""
+    `compare` with either `--mode` and with a crossover included."""
 
     def test_data_commands_load_no_scipy(self, tmp_path):
         out = run_fresh(tmp_path, """
@@ -785,8 +805,6 @@ for argv in (["analyze", "--files", "ev.jsonl", "--n", "1..4",
               "8", "--v", "0.99", "--strategy", "parity"],
              ["ratio", "--v", "0.99"],
              ["scan-vc", "--n", "2..8", "--strategy", "majority"],
-             ["scan-vc", "--n", "2..4", "--strategy", "majority", "--mode",
-              "full-planar"],
              # the parity advantage changes sign between 0.99 and 0.999
              ["compare", "--v", "0.99,0.999", "--n", "3,9"],
              ["compare", "--v", "0.99,0.999", "--n", "3,5", "--mode",
@@ -799,5 +817,5 @@ print(json.dumps(codes))
         codes = json.loads(out.splitlines()[-1])
         assert [[name, code] for name, code, _ in codes] == [
             ["simulate", 0], ["analyze", 0], ["max-s", 0], ["ratio", 0],
-            ["scan-vc", 0], ["scan-vc", 0], ["compare", 0], ["compare", 0]]
+            ["scan-vc", 0], ["compare", 0], ["compare", 0]]
         assert all(0.99 < v_star < 0.999 for _, _, v_star in codes[-2:])

@@ -668,7 +668,7 @@ class TestScanAndComparison:
     def test_crossover_matches_bisection(self):
         v_values = list(np.linspace(0.988, 0.999, 23))
         n_values = list(range(3, 40, 2))
-        cmp_ = binning_comparison(v_values, n_values, crossover_tol=1e-4)
+        cmp_ = binning_comparison(v_values, n_values)
         expected = crossover_bisect(v_values, n_values, crossover_tol=1e-4)
         assert cmp_.crossover is not None and expected is not None
         assert abs(cmp_.crossover - expected) <= 1e-4
@@ -696,12 +696,6 @@ class TestScanAndComparison:
         cmp_ = binning_comparison(v_values, n_values)
         assert cmp_.crossover is None
         assert len(calls) == 2 * len(v_values) * len(n_values)
-
-    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
-    def test_bad_crossover_tol_rejected(self, monkeypatch, tol):
-        monkeypatch.setattr(optimize, "max_chsh", _no_optimization)
-        with pytest.raises(InvalidArgumentError, match="crossover_tol"):
-            binning_comparison([0.99, 0.995], [3, 5], crossover_tol=tol)
 
 
 class TestDecayLaws:
