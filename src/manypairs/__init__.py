@@ -19,7 +19,6 @@ from .optimize import (EXCEEDS_CAP, BinningComparison, CriticalCurve,
                        fit_vc_curve, max_chsh, parity_vc_approx,
                        scan_critical_visibilities, violation_ratio)
 from .pairstats import (SETTING_PAIRS, CorrelatorTable, MeasurementSettings,
-                        PairJointDistribution, joint_table,
-                        settings_from_beta, werner_correlators)
+                        joint_table, settings_from_beta, werner_correlators)
 
 __version__ = "0.1.0"

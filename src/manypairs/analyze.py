@@ -24,11 +24,8 @@ from .errors import (IngestionError, InsufficientDataError,
                      InvalidArgumentError)
 from .pairstats import SETTING_PAIRS, CorrelatorTable
 from .sampling import bootstrap_sn
-from .simulate import (CSV_EVENT, CSV_STREAM_PREFIX, JSONL_EVENT, EventStream,
-                       event_format, variant_inversions)
-
-#: Column names of the CSV event form.
-_CSV_COLUMNS = ("x", "y", "variant", "a", "b")
+from .simulate import (CSV_COLUMNS, CSV_EVENT, CSV_STREAM_PREFIX, JSONL_EVENT,
+                       EventStream, event_format, variant_inversions)
 
 #: One cell of a CSV event row: a run of ASCII digits.
 _CSV_CELL = re.compile(r"[0-9]+")
@@ -57,15 +54,11 @@ class ClusteredOutcomes:
 
 
 @dataclass(frozen=True)
-class PointEstimate:
-    """Violation criterion: the point estimate itself exceeds 2."""
-
-
-@dataclass(frozen=True)
 class MinusKSigma:
     """Violation criterion: s - k*sigma exceeds 2.
 
-    Raises InvalidArgumentError unless k is a finite number >= 0.
+    k = 0 is the point criterion, s > 2.  Raises InvalidArgumentError
+    unless k is a finite number >= 0.
     """
 
     k: float = 1.0
@@ -83,7 +76,7 @@ class SnCurve:
     strategy: BinningStrategy
     entries: tuple  # (beta, n, s, sigma), sorted by (n, beta)
     n_critical: int
-    criterion: object
+    criterion: MinusKSigma
     note: str | None = None
 
 
@@ -402,10 +395,11 @@ def read_csv(path) -> list[EventStream]:
 
     with path.open("rb") as fh:
         names = _to_line_end(fh, b"").decode().strip().split(",")
-        if sorted(names) != sorted(_CSV_COLUMNS):
-            raise _error(path, 0, "expected columns x,y,variant,a,b")
-        cols = [names.index(c) for c in _CSV_COLUMNS]
-        in_order = names == list(_CSV_COLUMNS)
+        if sorted(names) != sorted(CSV_COLUMNS):
+            raise _error(path, 0,
+                         f"expected columns {','.join(CSV_COLUMNS)}")
+        cols = [names.index(c) for c in CSV_COLUMNS]
+        in_order = names == list(CSV_COLUMNS)
         _read_chunks(fh, CSV_STREAM_PREFIX.encode(), block, line)
     return [stream.stream() for stream in streams.values()]
 
@@ -466,18 +460,12 @@ def streams_by_beta(paths) -> dict:
     return groups
 
 
-def logical_bits(stream: EventStream) -> tuple[np.ndarray, np.ndarray]:
-    """Undo the stream's basis-variant inversion on the physical bits."""
-    inv_a, inv_b = variant_inversions(stream.basis_variant)
-    return stream.a ^ np.uint8(inv_a), stream.b ^ np.uint8(inv_b)
-
-
 def sequences_from_streams(streams) -> dict:
     """Concatenate logical bit sequences per setting pair, in stream order.
 
     Each stream's bits are XORed with its basis variant's inversions
-    (`logical_bits`) straight into one uint8 array per party and setting
-    pair, so nothing is held besides the streams and the sequences.
+    (`variant_inversions`) straight into one uint8 array per party and
+    setting pair, so nothing is held besides the streams and the sequences.
     Raises IngestionError for a stream of an unknown setting pair and
     for a setting pair without any stream.
     """
@@ -616,7 +604,7 @@ def _pair_correlators(sequence, n_values, strategy: BinningStrategy
 
 
 def find_nc(sequences_per_beta: dict, strategy: BinningStrategy, n_values,
-            criterion=PointEstimate()) -> SnCurve:
+            criterion: MinusKSigma = MinusKSigma(0.0)) -> SnCurve:
     """S_n with error bars over a (beta, n) grid, plus the largest violating n.
 
     The point estimate comes from the unshuffled ordering, as in
@@ -628,8 +616,12 @@ def find_nc(sequences_per_beta: dict, strategy: BinningStrategy, n_values,
     The setting pairs are taken one at a time (`_pair_correlators`), so
     besides the sequences themselves one pair's running totals are held,
     8 bytes per event of the pair, and one block of `_BLOCK` clusters at
-    a time.
+    a time.  Raises InvalidArgumentError, before any work, unless the
+    criterion is a MinusKSigma.
     """
+    if not isinstance(criterion, MinusKSigma):
+        raise InvalidArgumentError(
+            f"criterion {criterion!r} is not a MinusKSigma")
     if not sequences_per_beta:
         raise InvalidArgumentError("need data for at least one beta")
     n_values = sorted({int(n) for n in n_values})
@@ -643,9 +635,8 @@ def find_nc(sequences_per_beta: dict, strategy: BinningStrategy, n_values,
             s = chsh_value(correlators, n=n).s
             entries.append((float(beta), n, float(s), float(sigma)))
     entries.sort(key=lambda entry: (entry[1], entry[0]))
-    k = criterion.k if isinstance(criterion, MinusKSigma) else 0.0
     n_critical = max((n for _, n, s, sigma in entries
-                      if s - k * sigma > 2.0), default=0)
+                      if s - criterion.k * sigma > 2.0), default=0)
     note = None if n_critical > 0 else "no n satisfied the criterion"
     return SnCurve(strategy=strategy, entries=tuple(entries),
                    n_critical=n_critical, criterion=criterion, note=note)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .pairstats import SETTING_PAIRS, CorrelatorTable, joint_table
+from .pairstats import CorrelatorTable, joint_table
 
 #: Large-n ceiling of the parity-binned CHSH value at unit visibility.
 PARITY_S_LIMIT = 8.0 * 3.0 ** (-9.0 / 8.0)
@@ -133,8 +133,7 @@ def table_chsh(table: CorrelatorTable, n: int,
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidArgumentError(f"pair count n must be >= 1, got {n!r}")
     n = int(n)
-    joint = joint_table(table)
-    p = np.array([joint.table(x, y) for (x, y) in SETTING_PAIRS])
+    p = joint_table(table)
     p_a0 = p[:, 0, 0] + p[:, 0, 1]
     q0 = np.divide(p[:, 0, 1], p_a0, out=np.zeros(4), where=p_a0 > 0.0)
     # log P(a, i) = log(n!) - n log(n) + n + the terms of the three counts,

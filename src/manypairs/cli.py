@@ -23,12 +23,11 @@ from . import optimize as opt
 from . import simulate as sim
 from .binning import Majority, Parity, TiePolicy
 from .errors import ManyPairsError
+from .optimize import N_MAX
 from .pairstats import SETTING_PAIRS, settings_from_beta, werner_correlators
 
 OUTDIR_ENV = "MANYPAIRS_OUTDIR"
 
-#: Largest pair count a command takes, the cap of `critical_pairs`.
-N_MAX = 4096
 #: Largest --v-points and --beta-points.
 POINTS_MAX = 10_000
 #: Largest --events: at about 8 bytes per event and array, 10^7 events
@@ -179,6 +178,12 @@ def _config_dict(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
 
 
+def _grid_keys(args, name: str) -> list[str]:
+    """Config keys of a float list: `name`, and its point count when the
+    list is an 'a..b' range, the only case where the count shapes it."""
+    return [name, f"{name}_points"] if ".." in getattr(args, name) else [name]
+
+
 def cmd_scan_vc(args) -> int:
     strategy = _strategy(args)
     n_values = _parse_int_range(args.n)
@@ -214,8 +219,8 @@ def cmd_max_s(args) -> int:
     for n in n_values:
         s = opt.family_chsh(np.array(betas), args.v, n, strategy).tolist()
         rows += [(beta, n, value) for beta, value in zip(betas, s)]
-    config = _config_dict(args, ["command", "strategy", "tie", "n", "beta",
-                                 "v"])
+    config = _config_dict(args, ["command", "strategy", "tie", "n",
+                                 *_grid_keys(args, "beta"), "v"])
     _emit(config, ["beta", "n", "s"], rows, {}, args)
     return 0
 
@@ -246,7 +251,7 @@ def cmd_simulate(args) -> int:
 
 def _criterion(text: str):
     if text == "point":
-        return ana.PointEstimate()
+        return ana.MinusKSigma(0.0)
     if text.startswith("ksigma:"):
         try:
             k = float(text.split(":", 1)[1])
@@ -282,7 +287,8 @@ def cmd_compare(args) -> int:
         raise ManyPairsError(
             f"--tol must be a finite positive number, got {args.tol!r}")
     cmp_ = opt.binning_comparison(v_values, n_values)
-    config = _config_dict(args, ["command", "v", "n", "mode", "tol"])
+    config = _config_dict(args, ["command", *_grid_keys(args, "v"), "n",
+                                 "mode", "tol"])
     extra = {"winners": [list(w) for w in cmp_.winners],
              "crossover": cmp_.crossover}
     _emit(config, ["v", "n", "s_majority", "s_parity"], list(cmp_.rows),
@@ -293,7 +299,7 @@ def cmd_compare(args) -> int:
 def cmd_ratio(args) -> int:
     v_values = _parse_float_list(args.v, args.v_points)
     rows = [(v, opt.violation_ratio(v)) for v in v_values]
-    config = _config_dict(args, ["command", "v"])
+    config = _config_dict(args, ["command", *_grid_keys(args, "v")])
     _emit(config, ["v", "ratio"], rows, {}, args)
     return 0
 

@@ -68,6 +68,10 @@ class ExceedsCap:
 
 EXCEEDS_CAP = ExceedsCap()
 
+#: The default cap of `critical_pairs`, and the largest pair count a
+#: command takes.
+N_MAX = 4096
+
 _GRID_POINTS = 256
 #: The beta grid of the one-angle family on (0, pi/2].
 _GRID = np.linspace(math.pi / 2.0 / _GRID_POINTS, math.pi / 2.0,
@@ -415,7 +419,7 @@ def critical_visibility(n: int, strategy: BinningStrategy) -> float:
 
 
 def critical_pairs(visibility: float, strategy: BinningStrategy,
-                   n_max: int = 4096):
+                   n_max: int = N_MAX):
     """Largest pair count still violating CHSH at the given visibility.
 
     Exponential growth then binary search, relying on the monotonicity of

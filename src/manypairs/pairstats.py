@@ -140,35 +140,19 @@ def werner_correlators(settings: MeasurementSettings,
                            e21=e[(2, 1)], e22=e[(2, 2)])
 
 
-@dataclass(frozen=True)
-class PairJointDistribution:
-    """Per setting pair, the 2x2 joint outcome distribution p(a, b).
-
-    ``tables[(x, y)]`` is a read-only (2, 2) array indexed [a, b] with
-    a, b in {0, 1}.
-    """
-
-    tables: dict
-
-    def table(self, x: int, y: int) -> np.ndarray:
-        return self.tables[(x, y)]
-
-    def correlator(self, x: int, y: int) -> float:
-        p = self.tables[(x, y)]
-        return float(p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0])
-
-
 #: (-1)^a, (-1)^b and (-1)^(a+b) over the cells [a, b] of a 2x2 joint.
 _SIGN_A = np.array([[1.0, 1.0], [-1.0, -1.0]])
 _SIGN_B = _SIGN_A.T
 _SIGN_AB = _SIGN_A * _SIGN_B
 
 
-def joint_table(table: CorrelatorTable) -> PairJointDistribution:
+def joint_table(table: CorrelatorTable) -> np.ndarray:
     """Reconstruct the 2x2 joint p(a,b) per setting pair from the table.
 
     p(a,b) = (1 + (-1)^a margA + (-1)^b margB + (-1)^(a+b) e) / 4.
-    Raises InfeasibleStatisticsError if any cell would be negative.
+    Returns a read-only (4, 2, 2) array indexed [pair, a, b], the pairs
+    in SETTING_PAIRS order and a, b in {0, 1}.  Raises
+    InfeasibleStatisticsError if any cell would be negative.
     """
     e = [table.correlator(x, y) for (x, y) in SETTING_PAIRS]
     ma = [table.marginal_a(x) for (x, _) in SETTING_PAIRS]
@@ -184,4 +168,4 @@ def joint_table(table: CorrelatorTable) -> PairJointDistribution:
             f"margB={mb[i]} imply a negative probability ({lowest[i]:.3e})")
     p = np.maximum(p, 0.0)
     p.setflags(write=False)
-    return PairJointDistribution(tables=dict(zip(SETTING_PAIRS, p)))
+    return p

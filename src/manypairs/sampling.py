@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .binning import BinningStrategy, sign_vector
+from .binning import BinningStrategy, chsh_value, sign_vector
 from .errors import InsufficientDataError, InvalidArgumentError
 from .pairstats import SETTING_PAIRS
 
@@ -156,7 +156,7 @@ def bootstrap_sn(sequences: dict, n_values, strategy: BinningStrategy
             dg = x_slope - g_rest[:, None] * slope
             cov_12[multi] = -(cov_x_k * dg).sum(axis=1)
         var = (x_sq - g * g) / m + (1.0 - 1.0 / m) * cov_12
-        means[j] = g[0] + g[1] + g[2] - g[3]
+        means[j] = chsh_value(g).s
         # at n = 1 the two terms cancel exactly, but not in floating point
         sigmas[j] = 0.0 if n == 1 else math.sqrt(max(float(var.sum()), 0.0))
     return means, sigmas

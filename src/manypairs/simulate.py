@@ -25,8 +25,8 @@ DEFAULT_EVENTS_PER_RUN = 16000
 #: Prefix of the CSV comment line that carries one stream's metadata.
 CSV_STREAM_PREFIX = "# stream: "
 
-#: First line of the CSV form, naming its columns.
-CSV_HEADER = "x,y,variant,a,b\n"
+#: Column names of the CSV form, in the order of its first line.
+CSV_COLUMNS = ("x", "y", "variant", "a", "b")
 
 #: An event line of each format with both bits 0, and the byte columns of
 #: its a and b bits.  A CSV event line starts with the stream's
@@ -93,11 +93,6 @@ def check_seed(seed: int) -> None:
         raise InvalidArgumentError(f"seed must be >= 0, got {seed!r}")
 
 
-def stream_seed(seed: int, variant: int, setting_pair: tuple[int, int]) -> int:
-    """Fixed sub-stream seed splitting rule: seed + variant*1e9 + index."""
-    return int(seed) + variant * 10 ** 9 + setting_index(setting_pair)
-
-
 def generate_run(table: CorrelatorTable, setting_pair: tuple[int, int],
                  n_events: int, detector: DetectorModel = PERFECT_DETECTORS,
                  seed: int = 0, basis_variant: int = 0,
@@ -109,6 +104,12 @@ def generate_run(table: CorrelatorTable, setting_pair: tuple[int, int],
     the basis variant's inversion is applied to obtain physical port bits,
     and each event then survives thinning with probability
     eta_A(port) * eta_B(port).  Fully reproducible from the seed.
+
+    The stream's generator is seeded with the tuple (basis variant,
+    setting index, seed), so no two seeds, variants or setting pairs
+    share a stream.  The seed goes last: `SeedSequence` splits a seed of
+    2^32 or more into several words and pads with zero words, so a seed
+    put first could alias a smaller seed at another variant and index.
 
     An event's category c = 2a + b is the number of the joint's three
     inner cdf values at or below one uniform draw, which is how
@@ -122,19 +123,19 @@ def generate_run(table: CorrelatorTable, setting_pair: tuple[int, int],
         raise InvalidArgumentError(
             f"discard_prob {discard_prob!r} outside [0, 1)")
     x, y = setting_pair
-    p = joint_table(table).table(x, y)
-    flat = np.array([p[0, 0], p[0, 1], p[1, 0], p[1, 1]])
+    index = setting_index(setting_pair)
+    flat = joint_table(table)[index].ravel()
     flat = flat / flat.sum()
     cdf = flat.cumsum()
     cdf /= cdf[-1]  # as `Generator.choice` normalizes it
 
-    rng = np.random.default_rng(stream_seed(seed, basis_variant, setting_pair))
+    inv_a, inv_b = variant_inversions(basis_variant)
+    rng = np.random.default_rng((basis_variant, index, int(seed)))
     u = rng.random(n_events)
     cat = (u >= cdf[0]).view(np.uint8)
     cat += u >= cdf[1]
     cat += u >= cdf[2]
     del u
-    inv_a, inv_b = variant_inversions(basis_variant)
     cat ^= np.uint8(2 * inv_a + inv_b)  # physical ports from here on
 
     keep = np.ones(n_events, dtype=bool)
@@ -230,7 +231,7 @@ def write_csv(streams, path) -> None:
     """
     suffix, columns = CSV_EVENT
     with Path(path).open("wb") as fh:
-        fh.write(CSV_HEADER.encode())
+        fh.write((",".join(CSV_COLUMNS) + "\n").encode())
         for stream in streams:
             fh.write((CSV_STREAM_PREFIX + json.dumps(_header(stream))
                       + "\n").encode())

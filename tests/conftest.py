@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from manypairs.analyze import (_CSV_CELL, _CSV_COLUMNS, ClusteredOutcomes,
+from manypairs.analyze import (_CSV_CELL, ClusteredOutcomes,
                                _is_json_int, _no_constant, _running_totals,
                                _stream_header, _stream_meta, _windows,
                                estimate_sn)
@@ -20,11 +20,10 @@ from manypairs.optimize import (_response_derivatives, _response_weights,
                                 binned_correlator_from_e, family_chsh,
                                 max_chsh)
 from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
-                                 MeasurementSettings, PairJointDistribution,
-                                 joint_table, settings_from_beta,
-                                 werner_correlators)
-from manypairs.simulate import (CSV_STREAM_PREFIX, PERFECT_DETECTORS,
-                                EventStream, _header, stream_seed,
+                                 MeasurementSettings, joint_table,
+                                 settings_from_beta, werner_correlators)
+from manypairs.simulate import (CSV_COLUMNS, CSV_STREAM_PREFIX,
+                                PERFECT_DETECTORS, EventStream, _header,
                                 variant_inversions)
 
 
@@ -51,11 +50,11 @@ def random_feasible_table(rng: np.random.Generator,
                            marg_b1=mb1, marg_b2=mb2)
 
 
-def brute_force_counts(pair: PairJointDistribution, n: int) -> dict:
-    """Count distribution by enumerating all 4^n outcome strings."""
+def brute_force_counts(pair: np.ndarray, n: int) -> dict:
+    """Count distribution by enumerating all 4^n outcome strings, from
+    the (4, 2, 2) joint of `joint_table`."""
     out = {}
-    for (x, y) in SETTING_PAIRS:
-        p = pair.table(x, y)
+    for p, (x, y) in zip(pair, SETTING_PAIRS):
         mat = np.zeros((n + 1, n + 1))
         for outcomes in itertools.product(range(4), repeat=n):
             prob = 1.0
@@ -71,15 +70,15 @@ def brute_force_counts(pair: PairJointDistribution, n: int) -> dict:
     return out
 
 
-def convolve_counts(pair: PairJointDistribution, n: int) -> dict:
-    """Count distribution by n-fold convolution of each 2x2 joint.
+def convolve_counts(pair: np.ndarray, n: int) -> dict:
+    """Count distribution by n-fold convolution of each 2x2 joint of the
+    (4, 2, 2) array of `joint_table`.
 
     Entry [a, b] of each (n+1, n+1) matrix is Prob(count_A = a,
     count_B = b); each step adds one pair as four shifted copies.
     """
     out = {}
-    for (x, y) in SETTING_PAIRS:
-        p2 = pair.table(x, y)
+    for p2, (x, y) in zip(pair, SETTING_PAIRS):
         cur = p2.astype(float)
         for k in range(1, n):
             nxt = np.zeros((k + 2, k + 2))
@@ -387,11 +386,12 @@ def choice_generate_run(table: CorrelatorTable, setting_pair, n_events: int,
     event's efficiencies by `np.where` on its physical bits.
     """
     x, y = setting_pair
-    p = joint_table(table).table(x, y)
+    index = SETTING_PAIRS.index((x, y))
+    p = joint_table(table)[index]
     flat = np.array([p[0, 0], p[0, 1], p[1, 0], p[1, 1]])
     flat = flat / flat.sum()
 
-    rng = np.random.default_rng(stream_seed(seed, basis_variant, setting_pair))
+    rng = np.random.default_rng((basis_variant, index, seed))
     cat = rng.choice(4, size=n_events, p=flat)
     a_logical = (cat >> 1).astype(np.uint8)
     b_logical = (cat & 1).astype(np.uint8)
@@ -469,6 +469,13 @@ def exact_shuffle_sigma(sequences: dict, n: int, strategy) -> float:
                     for k in _compositions(n) if prob(population, k) > 0.0)
         var += (1.0 - 1.0 / m) * (joint - mean ** 2)
     return math.sqrt(max(var, 0.0))
+
+
+def logical_bits(stream: EventStream) -> tuple[np.ndarray, np.ndarray]:
+    """Undo the stream's basis-variant inversion on the physical bits, one
+    stream on its own."""
+    inv_a, inv_b = variant_inversions(stream.basis_variant)
+    return stream.a ^ np.uint8(inv_a), stream.b ^ np.uint8(inv_b)
 
 
 def reshape_cluster_events(sequence, n: int) -> ClusteredOutcomes:
@@ -559,10 +566,10 @@ def read_csv_lines(path: Path) -> list[EventStream]:
     chunks: dict[tuple, list] = {}
     with path.open() as fh:
         names = fh.readline().strip().split(",")
-        if sorted(names) != sorted(_CSV_COLUMNS):
+        if sorted(names) != sorted(CSV_COLUMNS):
             raise IngestionError(
                 f"{path}:1: expected columns x,y,variant,a,b")
-        cols = [names.index(c) for c in _CSV_COLUMNS]
+        cols = [names.index(c) for c in CSV_COLUMNS]
         for lineno, line in enumerate(fh, start=2):
             if line.startswith(CSV_STREAM_PREFIX):
                 try:

@@ -18,7 +18,7 @@ from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable, joint_table,
                                  settings_from_beta, werner_correlators)
 from manypairs.simulate import DetectorModel, generate_run, generate_symmetrized
 
-from conftest import (brute_force_counts, counts_correlators,
+from conftest import (brute_force_counts, counts_correlators, logical_bits,
                       random_feasible_table)
 
 
@@ -138,7 +138,6 @@ def test_criterion_10_symmetrization():
     detector = DetectorModel(eta_t_a=0.8)
     streams = generate_symmetrized(table, (1, 1), 250_000, detector,
                                    seed=1010)
-    from manypairs.analyze import logical_bits
     a0, _ = logical_bits(streams[0])
     m0 = 1.0 - 2.0 * float(a0.mean())
     pulls0 = abs(m0) * math.sqrt(len(a0))

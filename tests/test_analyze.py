@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from manypairs import analyze
-from manypairs.analyze import (ClusteredOutcomes, MinusKSigma, PointEstimate,
-                               _running_totals, bootstrap_sn, cluster_events,
-                               estimate_sn, find_nc, ingest, logical_bits,
-                               read_csv, read_jsonl, sequences_from_streams)
+from manypairs.analyze import (ClusteredOutcomes, MinusKSigma, _running_totals,
+                               bootstrap_sn, cluster_events, estimate_sn,
+                               find_nc, ingest, read_csv, read_jsonl,
+                               sequences_from_streams)
 from manypairs.binning import (Majority, Parity, TiePolicy, chsh_value,
                                parity_chsh_analytic, table_chsh)
 from manypairs.errors import (IngestionError, InsufficientDataError,
@@ -20,10 +20,10 @@ from manypairs.simulate import (DetectorModel, EventStream, generate_run,
                                 generate_symmetrized, write_csv, write_jsonl)
 
 from conftest import (coin_estimate_sn, exact_shuffle_sigma,
-                      finite_population_parity_sigma, mean_correlator,
-                      monte_carlo_bootstrap_sn, read_csv_lines,
-                      read_jsonl_lines, reshape_cluster_events,
-                      shuffle_parity_mean)
+                      finite_population_parity_sigma, logical_bits,
+                      mean_correlator, monte_carlo_bootstrap_sn,
+                      read_csv_lines, read_jsonl_lines,
+                      reshape_cluster_events, shuffle_parity_mean)
 
 
 def make_sequences(table, n_events, seed, extra_meta=None):
@@ -38,19 +38,23 @@ def constant_sequences(n_events, bit=1):
     return {sp: (a, a.copy()) for sp in SETTING_PAIRS}
 
 
+def variant_sequences(variant, a, b) -> dict:
+    """`sequences_from_streams` of one stream per setting pair, each of
+    the basis variant and the physical bits a and b."""
+    return sequences_from_streams([
+        EventStream(sp, variant, a=np.array(a, dtype=np.uint8),
+                    b=np.array(b, dtype=np.uint8)) for sp in SETTING_PAIRS])
+
+
 class TestIngest:
     def test_variant_inversion(self):
-        s = EventStream((1, 1), 1, a=np.array([0], dtype=np.uint8),
-                        b=np.array([1], dtype=np.uint8))
-        a, b = logical_bits(s)
-        assert (a[0], b[0]) == (1, 1)
+        for a, b in variant_sequences(1, [0], [1]).values():
+            assert (a[0], b[0]) == (1, 1)
 
     def test_variant0_passthrough(self):
-        s = EventStream((1, 1), 0, a=np.array([0, 1], dtype=np.uint8),
-                        b=np.array([1, 0], dtype=np.uint8))
-        a, b = logical_bits(s)
-        assert np.array_equal(a, s.a)
-        assert np.array_equal(b, s.b)
+        for a, b in variant_sequences(0, [0, 1], [1, 0]).values():
+            assert a.tolist() == [0, 1]
+            assert b.tolist() == [1, 0]
 
     def test_missing_setting_pair(self):
         streams = [EventStream(sp, 0, a=np.zeros(3, dtype=np.uint8),
@@ -1049,11 +1053,19 @@ class TestFindNc:
     def test_minus_k_sigma_stricter(self):
         t = werner_correlators(settings_from_beta(0.23), 0.99)
         seqs = make_sequences(t, 20_000, seed=10)
-        point = find_nc({0.23: seqs}, Parity(), range(1, 8),
-                        criterion=PointEstimate())
+        point = find_nc({0.23: seqs}, Parity(), range(1, 8))
+        assert point.criterion == MinusKSigma(0.0)  # the default
+        assert point.n_critical == max(
+            (n for _, n, s, _ in point.entries if s > 2.0), default=0)
         strict = find_nc({0.23: seqs}, Parity(), range(1, 8),
                          criterion=MinusKSigma(k=3.0))
         assert strict.n_critical <= point.n_critical
+
+    @pytest.mark.parametrize("criterion", [3.0, "ksigma:3", None])
+    def test_criterion_must_be_minus_k_sigma(self, criterion):
+        # no data would raise too: the criterion is checked first
+        with pytest.raises(InvalidArgumentError, match="criterion"):
+            find_nc({}, Parity(), [1], criterion=criterion)
 
     def test_entries_sorted(self):
         t = werner_correlators(settings_from_beta(0.3), 0.95)

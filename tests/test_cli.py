@@ -287,7 +287,32 @@ class TestCompareRatio:
         assert code == 0
         assert out.splitlines()[0] == (
             '# config: {"command": "compare", "v": "0.98..0.985", '
-            '"n": "3", "mode": "beta-family", "tol": 0.001}')
+            '"v_points": 2, "n": "3", "mode": "beta-family", "tol": 0.001}')
+
+    @pytest.mark.parametrize("argv, grid", [
+        (("compare", "--v", "0.98..0.985", "--v-points", "2", "--n", "3"),
+         {"v": "0.98..0.985", "v_points": 2}),
+        (("compare", "--v", "0.98,0.985", "--v-points", "2", "--n", "3"),
+         {"v": "0.98,0.985"}),
+        (("ratio", "--v", "0.98..0.985", "--v-points", "3"),
+         {"v": "0.98..0.985", "v_points": 3}),
+        (("ratio", "--v", "0.98", "--v-points", "3"), {"v": "0.98"}),
+        (("max-s", "--n", "3", "--beta", "0.1..0.2", "--beta-points", "4"),
+         {"beta": "0.1..0.2", "beta_points": 4}),
+        (("max-s", "--n", "3", "--beta", "0.1..0.2"),
+         {"beta": "0.1..0.2", "beta_points": 64}),
+        (("max-s", "--n", "3", "--beta", "0.1,0.2", "--beta-points", "4"),
+         {"beta": "0.1,0.2"}),
+    ], ids=["compare-range", "compare-list", "ratio-range", "ratio-list",
+            "max-s-range", "max-s-default-points", "max-s-list"])
+    def test_config_echo_determines_grid(self, capsys, argv, grid):
+        # the point count is echoed exactly when it shapes the grid
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        config = json.loads(out)["config"]
+        name = next(iter(grid))
+        assert {k: v for k, v in config.items()
+                if k.startswith(name)} == grid
 
     def test_ratio_value(self, capsys):
         code, out, _ = run(capsys, "ratio", "--v", "0.99")

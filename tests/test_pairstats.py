@@ -14,6 +14,11 @@ from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
 from conftest import random_feasible_table
 
 
+def joint_correlator(p: np.ndarray) -> float:
+    """P(a = b) - P(a != b) of one (2, 2) joint p[a, b]."""
+    return float(p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0])
+
+
 class TestSettingsFromBeta:
     def test_zero_beta_degenerate(self):
         s = settings_from_beta(0.0)
@@ -82,14 +87,16 @@ class TestWernerCorrelators:
 class TestJointTable:
     def test_perfect_correlation(self):
         t = CorrelatorTable(1.0, 1.0, 1.0, 1.0)
-        p = joint_table(t).table(1, 1)
+        p = joint_table(t)[SETTING_PAIRS.index((1, 1))]
         assert p[0, 0] == pytest.approx(0.5)
         assert p[1, 1] == pytest.approx(0.5)
         assert p[0, 1] == p[1, 0] == 0.0
 
     def test_uniform(self):
         t = CorrelatorTable(0.0, 0.0, 0.0, 0.0)
-        assert np.allclose(joint_table(t).table(2, 2), 0.25)
+        joint = joint_table(t)
+        assert joint.shape == (4, 2, 2)
+        assert np.allclose(joint, 0.25)
 
     def test_infeasible(self):
         t = CorrelatorTable(-1.0, 0.0, 0.0, 0.0, marg_a1=1.0)
@@ -112,7 +119,9 @@ class TestJointTable:
                                       marg_a1=0.3, marg_b1=0.1))
         for t in tables:
             joint = joint_table(t)
-            for (x, y) in SETTING_PAIRS:
+            assert joint.shape == (4, 2, 2)
+            assert not joint.flags.writeable
+            for p, (x, y) in zip(joint, SETTING_PAIRS):
                 e = t.correlator(x, y)
                 ma, mb = t.marginal_a(x), t.marginal_b(y)
                 want = np.empty((2, 2))
@@ -122,7 +131,6 @@ class TestJointTable:
                         sb = 1.0 if b == 0 else -1.0
                         want[a, b] = max((1.0 + sa * ma + sb * mb
                                           + sa * sb * e) / 4.0, 0.0)
-                p = joint.table(x, y)
                 assert np.array_equal(p, want)
                 assert np.all(p >= 0.0)
                 assert not p.flags.writeable
@@ -130,11 +138,9 @@ class TestJointTable:
     def test_round_trip_random_tables(self, rng):
         for _ in range(50):
             t = random_feasible_table(rng)
-            joint = joint_table(t)
-            for (x, y) in SETTING_PAIRS:
-                p = joint.table(x, y)
+            for p, (x, y) in zip(joint_table(t), SETTING_PAIRS):
                 assert p.sum() == pytest.approx(1.0, abs=1e-12)
-                assert joint.correlator(x, y) == pytest.approx(
+                assert joint_correlator(p) == pytest.approx(
                     t.correlator(x, y), abs=1e-12)
                 marg_a = p[0, :].sum() - p[1, :].sum()
                 marg_b = p[:, 0].sum() - p[:, 1].sum()
@@ -149,8 +155,8 @@ class TestJointTable:
             return
         t = CorrelatorTable(e, e, e, e, marg_a1=m, marg_a2=m,
                             marg_b1=m, marg_b2=m)
-        joint = joint_table(t)
-        assert joint.correlator(1, 1) == pytest.approx(e, abs=1e-12)
+        assert joint_correlator(joint_table(t)[0]) == pytest.approx(
+            e, abs=1e-12)
 
 
 class TestSerialization:

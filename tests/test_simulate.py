@@ -8,13 +8,13 @@ from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
                                  settings_from_beta, werner_correlators)
 from manypairs.simulate import (DetectorModel, PERFECT_DETECTORS, EventStream,
                                 generate_run, generate_symmetrized,
-                                stream_seed, variant_inversions, write_csv,
-                                write_jsonl)
-from manypairs.analyze import logical_bits, read_csv, read_jsonl
+                                variant_inversions, write_csv, write_jsonl)
+from manypairs.analyze import read_csv, read_jsonl
 from manypairs.cli import main
 
-from conftest import (choice_generate_run, random_feasible_table,
-                      write_csv_lines, write_jsonl_lines)
+from conftest import (choice_generate_run, logical_bits,
+                      random_feasible_table, write_csv_lines,
+                      write_jsonl_lines)
 
 
 def empirical_correlator(stream: EventStream) -> float:
@@ -50,9 +50,19 @@ class TestGenerateRun:
         assert np.array_equal(s1.a, s2.a)
         assert np.array_equal(s1.b, s2.b)
 
-    def test_seed_splitting_rule(self):
-        assert stream_seed(7, 0, (1, 1)) == 7
-        assert stream_seed(7, 2, (2, 1)) == 7 + 2 * 10 ** 9 + 2
+    def test_seeds_share_no_stream(self):
+        # every category equally likely and the logical bits compared,
+        # so two streams agree only where they share a generator; a seed
+        # of 2^32 or more is several SeedSequence words
+        t = CorrelatorTable(0.0, 0.0, 0.0, 0.0)
+        streams = {}
+        for seed in (1, 2, 5, 2 ** 32 + 5):
+            for v in range(4):
+                for sp in SETTING_PAIRS:
+                    s = generate_run(t, sp, 64, seed=seed, basis_variant=v)
+                    a, b = logical_bits(s)
+                    streams[(seed, v, sp)] = (a.tobytes(), b.tobytes())
+        assert len(set(streams.values())) == len(streams)
 
     def test_infeasible_table_propagates(self):
         t = CorrelatorTable(-1.0, 0, 0, 0, marg_a1=1.0)
@@ -65,10 +75,13 @@ class TestGenerateRun:
         with pytest.raises(InvalidArgumentError, match="seed"):
             generate_run(t, (2, 1), 10, seed=seed, basis_variant=3)
 
-    def test_invalid_event_count(self):
+    @pytest.mark.parametrize("setting_pair, n_events, variant", [
+        ((1, 1), 0, 0), ((3, 1), 10, 0), ((1, 1), 10, -1)])
+    def test_invalid_input(self, setting_pair, n_events, variant):
         t = CorrelatorTable(0, 0, 0, 0)
         with pytest.raises(InvalidArgumentError):
-            generate_run(t, (1, 1), 0, seed=0)
+            generate_run(t, setting_pair, n_events, seed=0,
+                         basis_variant=variant)
 
     def test_discard_hook_thins_uniformly(self):
         t = CorrelatorTable(0.0, 0.0, 0.0, 0.0)

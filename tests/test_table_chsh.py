@@ -35,8 +35,8 @@ class TestConvolveCounts:
     def test_n_one_is_input(self, rng):
         pair = joint_table(random_feasible_table(rng))
         dist = convolve_counts(pair, 1)
-        for (x, y) in SETTING_PAIRS:
-            assert np.allclose(dist[(x, y)], pair.table(x, y))
+        for p, (x, y) in zip(pair, SETTING_PAIRS):
+            assert np.allclose(dist[(x, y)], p)
 
     def test_perfect_correlation_binomial_diagonal(self):
         pair = joint_table(uniform_correlator_table(1.0))
