@@ -30,9 +30,9 @@ from .simulate import (CSV_COLUMNS, CSV_EVENT, CSV_STREAM_PREFIX, JSONL_EVENT,
 #: One cell of a CSV event row: a run of ASCII digits.
 _CSV_CELL = re.compile(r"[0-9]+")
 
-#: First row of a run of CSV rows that `read_csv` checks as one block,
-#: and its cells before the bits.
-_CSV_FIRST_ROW = re.compile(rb"([0-9],[0-9],[0-3],)[01],[01](?:\r\n|\r|\n)")
+#: First row of a run of CSV rows that `read_csv` checks as one block:
+#: its cells before the bits, and each of them.
+_CSV_FIRST_ROW = re.compile(rb"(([0-9]),([0-9]),([0-3]),)[01],[01]\n")
 
 #: Stream metadata that must agree between streams pooled under one beta;
 #: "table" is compared per setting pair.  Seeds and event counts may differ.
@@ -142,17 +142,24 @@ def _stream_header(header: dict) -> tuple[tuple, int, dict]:
     variant = header.get("basisVariant")
     if not (_is_json_int(variant) and variant in (0, 1, 2, 3)):
         raise ValueError("basis variant outside 0..3")
-    pair = header["settingPair"]
+    pair = header.get("settingPair")
     if not (isinstance(pair, list) and len(pair) == 2
             and all(_is_json_int(v) for v in pair)):
         raise ValueError(f"setting pair {pair!r} is not two integers")
     return tuple(pair), variant, _stream_meta(header)
 
 
+def _lf(raw: bytes) -> bytes:
+    """raw with its line breaks as text mode reads them: each CR LF pair
+    and each lone CR becomes an LF."""
+    if b"\r" not in raw:
+        return raw
+    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+
+
 def _error(path: Path, offset: int, message: str):
     """IngestionError naming `path:line` for the line at byte `offset` of
-    the file, counting line breaks as text mode does: LF, CR LF and a
-    lone CR.
+    the file's LF form (`_lf`).
 
     Only the error path reads the file a second time, whole: it raises
     UnicodeDecodeError instead if the file is not UTF-8.  A reader
@@ -162,8 +169,7 @@ def _error(path: Path, offset: int, message: str):
     """
     raw = path.read_bytes()
     raw.decode()
-    line = (raw.count(b"\n", 0, offset) + raw.count(b"\r", 0, offset)
-            - raw.count(b"\r\n", 0, offset) + 1)
+    line = _lf(raw).count(b"\n", 0, offset) + 1
     return IngestionError(f"{path}:{line}: {message}")
 
 
@@ -171,46 +177,26 @@ def _error(path: Path, offset: int, message: str):
 #: the chunk to the end of its line (`_to_line_end`).
 _CHUNK_BYTES = 1 << 18
 
-#: One line and its line break, as text mode splits a file.
-_LINE = re.compile(rb"([^\r\n]*)(\r\n|\r|\n)?")
-
 
 def _lines(raw: bytes, lo: int, hi: int):
-    """(offset, text, line break) of each line of raw[lo:hi]; the line
-    break is normalised to LF, or is "" for a last line without one."""
-    for match in _LINE.finditer(raw, lo, hi):
-        if match.end() > match.start():
-            yield (match.start(), match[1].decode(),
-                   "\n" if match[2] else "")
-
-
-def _runs(raw: bytes, pos: int, marker: bytes):
-    """Cut raw[pos:] before and after each line holding `marker`.
-
-    Yields (lo, start, end): raw[lo:start] is the run of lines before
-    such a line and raw[start:end] the line itself (empty at the end).
-    Lines end in LF, CR LF or a lone CR.
-    """
-    while pos < len(raw):
-        key = raw.find(marker, pos)
-        if key < 0:
-            yield pos, len(raw), len(raw)
-            return
-        lf = max(raw.rfind(b"\n", pos, key) + 1, pos)
-        start = raw.rfind(b"\r", lf, key) + 1 or lf
-        end = _LINE.match(raw, key).end()
-        yield pos, start, end
-        pos = end
+    """(offset, text) of each line of raw[lo:hi], an LF-only chunk; the
+    text keeps its LF, which a last line may lack."""
+    while lo < hi:
+        end = raw.find(b"\n", lo, hi) + 1 or hi
+        yield lo, raw[lo:end].decode()
+        lo = end
 
 
 def _to_line_end(fh, head: bytes) -> bytes:
     """head, read on from the buffered file `fh` through the next line
     break: an LF, a CR LF pair or a lone CR.  A head that ends in a line
-    break takes at most the LF of a CR LF pair."""
+    break takes at most the LF of a CR LF pair, so no chunk ends between
+    the two."""
     while not head.endswith(b"\n") and (ahead := fh.peek()):
         if head.endswith(b"\r"):
             return head + fh.read(1 if ahead.startswith(b"\n") else 0)
-        head += fh.read(_LINE.match(ahead).end())
+        ends = [i for i in (ahead.find(b"\n"), ahead.find(b"\r")) if i >= 0]
+        head += fh.read(min(ends, default=len(ahead) - 1) + 1)
     return head
 
 
@@ -219,45 +205,48 @@ def _read_chunks(fh, marker: bytes, block, line) -> None:
 
     Each chunk is `_CHUNK_BYTES` bytes completed to the next line break
     (`_to_line_end`), so no line, CR LF pair or UTF-8 sequence is split,
-    and a file whose lines end in lone CRs is held a chunk at a time
-    too.  A chunk is cut before and after each line holding `marker`
-    (`_runs`).  Each run of lines in between goes to `block(chunk, lo,
+    and its line breaks are made LFs (`_lf`); offsets count bytes of the
+    file's LF form.  A chunk is cut before and after each line holding
+    `marker`.  Each run of lines in between goes to `block(chunk, lo,
     hi)`, which returns true if it took the run as one block; the lines
     of a run it did not take, and each line holding `marker`, go one by
-    one to `line(file offset, text, line break)` (`_lines`).
+    one to `line(file offset, text)` (`_lines`).
     """
-    base = fh.tell()
+    head = fh.tell()
+    fh.seek(0)
+    base = len(_lf(fh.read(head)))
     while chunk := fh.read(_CHUNK_BYTES):
-        chunk = _to_line_end(fh, chunk)
-        for lo, start, end in _runs(chunk, 0, marker):
+        chunk = _lf(_to_line_end(fh, chunk))
+        lo = 0
+        while lo < len(chunk):
+            key = chunk.find(marker, lo)
+            if key < 0:
+                start = end = len(chunk)
+            else:
+                start = chunk.rfind(b"\n", 0, key) + 1
+                end = chunk.find(b"\n", key) + 1 or len(chunk)
             spans = ((start, end),) if block(chunk, lo, start) else (
                 (lo, start), (start, end))
             for span in spans:
-                for offset, text, newline in _lines(chunk, *span):
-                    line(base + offset, text, newline)
+                for offset, text in _lines(chunk, *span):
+                    line(base + offset, text)
+            lo = end
         base += len(chunk)
 
 
 def _event_bits(raw: bytes, lo: int, hi: int, template: bytes, columns):
     """(a, b) of the event lines raw[lo:hi], or None if any line departs
-    from `template` other than by a 0 or 1 bit at `columns`.
-
-    `template` ends in LF; the lines are checked against it ending in
-    the line break of their first line instead, so a run of lines that
-    all end in CR LF, or all in a lone CR, is one block too.
-    """
-    columns = [column % len(template) for column in columns]
-    template = template[:-1] + (_LINE.match(raw, lo, hi)[2] or b"\n")
+    from `template` other than by a 0 or 1 bit at `columns`."""
     width = len(template)
     if (hi - lo) % width:
         return None
     block = np.frombuffer(raw, np.uint8)[lo:hi].reshape(-1, width)
     diff = block ^ np.frombuffer(template, np.uint8)
-    mask = np.full(width, 0xFF, dtype=np.uint8)
-    mask[list(columns)] = 0xFE
-    if np.any(diff & mask):
+    for column in columns:
+        diff[:, column] &= 0xFE
+    if diff.any():
         return None
-    return diff[:, columns[0]].copy(), diff[:, columns[1]].copy()
+    return block[:, columns[0]] & 1, block[:, columns[1]] & 1
 
 
 class _Events:
@@ -283,10 +272,9 @@ def read_jsonl(path) -> list[EventStream]:
     The file is read in chunks of whole lines (`_read_chunks`), so the
     reader holds one chunk and the bits read so far, not the file.  In
     each chunk, each run of event lines is checked as one block against
-    `write_jsonl`'s layout, ending in the run's own line break, and
-    appended to the latest stream; only the lines of a run that departs
-    from it, and the header lines, are parsed one by one.  Errors name
-    `path:line`.
+    `write_jsonl`'s layout and appended to the latest stream; only the
+    lines of a run that departs from it, and the header lines, are
+    parsed one by one.  Errors name `path:line`.
     """
     path = Path(path)
     template, columns = JSONL_EVENT
@@ -298,7 +286,7 @@ def read_jsonl(path) -> list[EventStream]:
             streams[-1].extend(*bits)
         return bool(bits)
 
-    def line(offset: int, text: str, newline: str) -> None:
+    def line(offset: int, text: str) -> None:
         text = text.strip()
         if not text:
             return
@@ -332,51 +320,64 @@ def read_csv(path) -> list[EventStream]:
     """Parse the compact CSV form (x, y, variant, a, b) into streams.
 
     A `# stream: {json}` comment line carries the metadata of the rows
-    after it; files without such lines read with empty metadata.  After
-    the column line, the file is read in chunks of whole lines
-    (`_read_chunks`), so the reader holds one chunk and the bits read so
-    far, not the file.  Under `write_csv`'s column line, each run of rows
-    of a chunk between two such comment lines is checked as one block
-    against the layout of its first row, line break included; only the
-    rows of a run that departs from it, and the comment lines, are parsed
-    one by one.
+    after it; files without such lines read with empty metadata.  If it
+    names a setting pair or basis variant, it must name both, as a
+    JSON-lines header does (`_stream_header`), and every row after it
+    must be of that pair and variant.  After the column line, the file
+    is read in chunks of whole lines (`_read_chunks`), so the reader
+    holds one chunk and the bits read so far, not the file.  Under
+    `write_csv`'s column line, each run of rows of a chunk between two
+    such comment lines is checked as one block against the layout of
+    its first row; only the rows of a run that departs from it, and the
+    comment lines, are parsed one by one.
     Errors name `path:line`.
     """
     path = Path(path)
     suffix, columns = CSV_EVENT
-    metas: list[dict] = [{}]
+    # each header's metadata, and the (pair, variant) it names, or None
+    headers: list[tuple[dict, tuple | None]] = [({}, None)]
     streams: dict[tuple, _Events] = {}
 
-    def events(pair: tuple, variant: int) -> _Events:
-        key = (len(metas) - 1, pair, variant)
+    def events(pair: tuple, variant: int) -> _Events | None:
+        """The stream of rows of `pair` and `variant` under the latest
+        header, or None if that header names another pair or variant."""
+        meta, named = headers[-1]
+        if named not in (None, (pair, variant)):
+            return None
+        key = (len(headers) - 1, pair, variant)
         if key not in streams:
-            streams[key] = _Events(pair, variant, dict(metas[-1]))
+            streams[key] = _Events(pair, variant, dict(meta))
         return streams[key]
 
     def block(chunk: bytes, lo: int, hi: int) -> bool:
-        row = _LINE.match(chunk, lo, hi)[0]
-        first = in_order and _CSV_FIRST_ROW.fullmatch(row)
-        bits = first and _event_bits(chunk, lo, hi, first[1] + suffix,
-                                     columns)
+        first = in_order and _CSV_FIRST_ROW.match(chunk, lo, hi)
+        # a row its header does not name is left to the line path
+        stream = first and events((int(first[2]), int(first[3])),
+                                  int(first[4]))
+        bits = stream and _event_bits(chunk, lo, hi, first[1] + suffix,
+                                      columns)
         if bits:
-            x, y, variant = map(int, row[:5].split(b","))
-            events((x, y), variant).extend(*bits)
+            stream.extend(*bits)
         return bool(bits)
 
-    def line(offset: int, row: str, newline: str) -> None:
-        if row.startswith(CSV_STREAM_PREFIX):
+    def line(offset: int, text: str) -> None:
+        if text.startswith(CSV_STREAM_PREFIX):
             try:
-                header = json.loads(row[len(CSV_STREAM_PREFIX):] + newline,
+                header = json.loads(text[len(CSV_STREAM_PREFIX):],
                                     parse_constant=_no_constant)
             except (ValueError, RecursionError) as exc:
                 raise _error(path, offset, f"bad stream metadata ({exc})")
             if not isinstance(header, dict):
                 raise _error(path, offset, "stream metadata is not an object")
             try:
-                metas.append(_stream_meta(header))
+                named = None
+                if header.keys() & {"settingPair", "basisVariant"}:
+                    named = _stream_header(header)[:2]
+                headers.append((_stream_meta(header), named))
             except ValueError as exc:
                 raise _error(path, offset, str(exc))
             return
+        row = text.removesuffix("\n")
         if not row.strip():
             return
         cells = row.split(",")
@@ -391,7 +392,14 @@ def read_csv(path) -> list[EventStream]:
             raise _error(path, offset, "basis variant outside 0..3")
         if a not in (0, 1) or b not in (0, 1):
             raise _error(path, offset, "outcomes must be bits")
-        events((x, y), v).extend((a,), (b,))
+        stream = events((x, y), v)
+        if stream is None:
+            pair, variant = headers[-1][1]
+            raise _error(path, offset,
+                         f"row of setting pair {(x, y)}, basis variant {v} "
+                         f"under the header of setting pair {pair}, basis "
+                         f"variant {variant}")
+        stream.extend((a,), (b,))
 
     with path.open("rb") as fh:
         names = _to_line_end(fh, b"").decode().strip().split(",")

@@ -56,9 +56,14 @@ class MeasurementSettings:
 
 
 def settings_from_beta(beta: float) -> MeasurementSettings:
-    """One-parameter settings family: (0, 2*beta, beta, -beta)."""
-    if not isinstance(beta, (int, float)) or not math.isfinite(beta):
-        raise InvalidArgumentError(f"beta must be a finite number, got {beta!r}")
+    """One-parameter settings family: (0, 2*beta, beta, -beta).
+
+    Raises InvalidArgumentError unless beta and 3 * beta are finite, as
+    `optimize.family_chsh` does.
+    """
+    if not (isinstance(beta, (int, float)) and math.isfinite(3.0 * beta)):
+        raise InvalidArgumentError(
+            f"beta and 3 * beta must be finite, got {beta!r}")
     return MeasurementSettings(0.0, 2.0 * beta, beta, -beta)
 
 

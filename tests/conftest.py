@@ -561,8 +561,14 @@ def read_jsonl_lines(path: Path) -> list[EventStream]:
 
 
 def read_csv_lines(path: Path) -> list[EventStream]:
-    """CSV event reader that parses every line on its own."""
+    """CSV event reader that parses every line on its own.
+
+    A `# stream:` header that names a setting pair or basis variant must
+    name both, as a JSON-lines header does, and binds the rows after it
+    to them.
+    """
     metas: list[dict] = [{}]
+    named: list = [None]
     chunks: dict[tuple, list] = {}
     with path.open() as fh:
         names = fh.readline().strip().split(",")
@@ -582,9 +588,15 @@ def read_csv_lines(path: Path) -> list[EventStream]:
                     raise IngestionError(
                         f"{path}:{lineno}: stream metadata is not an object")
                 try:
-                    metas.append(_stream_meta(header))
+                    if "settingPair" in header or "basisVariant" in header:
+                        pair, variant, meta = _stream_header(header)
+                        named.append((pair, variant))
+                    else:
+                        meta = _stream_meta(header)
+                        named.append(None)
                 except ValueError as exc:
                     raise IngestionError(f"{path}:{lineno}: {exc}")
+                metas.append(meta)
                 continue
             row = line.rstrip("\n")
             if not row.strip():
@@ -603,6 +615,12 @@ def read_csv_lines(path: Path) -> list[EventStream]:
                     f"{path}:{lineno}: basis variant outside 0..3")
             if a not in (0, 1) or b not in (0, 1):
                 raise IngestionError(f"{path}:{lineno}: outcomes must be bits")
+            if named[-1] not in (None, ((x, y), v)):
+                pair, variant = named[-1]
+                raise IngestionError(
+                    f"{path}:{lineno}: row of setting pair {(x, y)}, basis "
+                    f"variant {v} under the header of setting pair {pair}, "
+                    f"basis variant {variant}")
             chunks.setdefault((len(metas) - 1, (x, y), v), []).append((a, b))
     streams = []
     for (block, setting_pair, variant), rows in chunks.items():

@@ -14,7 +14,7 @@ from manypairs.binning import (PARITY_BETA_SCALE, PARITY_S_LIMIT, Majority,
                                Parity, parity_chsh_analytic, table_chsh)
 from manypairs.optimize import (binning_comparison, critical_pairs,
                                 critical_visibility, fit_vc_curve, max_chsh)
-from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable, joint_table,
+from manypairs.pairstats import (SETTING_PAIRS, joint_table,
                                  settings_from_beta, werner_correlators)
 from manypairs.simulate import DetectorModel, generate_run, generate_symmetrized
 

@@ -233,6 +233,22 @@ class TestIngest:
         ("bad.csv", 'x,y,variant,a,b\n# stream: {"discardProb": 1.0}\n'
          '1,1,0,1,0\n', "2: discardProb 1.0 is not a finite number in "
          "[0, 1)"),
+        ("bad.csv", 'x,y,variant,a,b\n# stream: {"settingPair": [1, 1], '
+         '"basisVariant": 0, "seed": 1}\n2,2,3,1,0\n2,2,3,0,0\n',
+         "3: row of setting pair (2, 2), basis variant 3 under the header "
+         "of setting pair (1, 1), basis variant 0"),
+        ("bad.csv", 'x,y,variant,a,b\n# stream: {"settingPair": [1, 1], '
+         '"basisVariant": 0}\n1,1,0,1,0\n# stream: {"settingPair": [1, 2], '
+         '"basisVariant": 0}\n1,2,2,0,1\n',
+         "5: row of setting pair (1, 2), basis variant 2 under the header "
+         "of setting pair (1, 2), basis variant 0"),
+        ("bad.csv", 'x,y,variant,a,b\n# stream: {"settingPair": [1, 1]}\n'
+         '1,1,0,1,0\n', "2: basis variant outside 0..3"),
+        ("bad.csv", 'x,y,variant,a,b\n# stream: {"basisVariant": 0}\n'
+         '1,1,0,1,0\n', "2: setting pair None is not two integers"),
+        ("bad.csv", 'x,y,variant,a,b\n# stream: {"settingPair": [1, true], '
+         '"basisVariant": 0}\n1,1,0,1,0\n',
+         "2: setting pair [1, True] is not two integers"),
     ], ids=["csv-stream-not-object", "jsonl-record-not-object",
             "jsonl-variant-not-integer", "jsonl-pair-not-list",
             "jsonl-beta-string", "jsonl-beta-nan", "jsonl-beta-overflow",
@@ -243,7 +259,10 @@ class TestIngest:
             "jsonl-table-out-of-range", "jsonl-table-bool",
             "jsonl-detector-string",
             "csv-detector-efficiency-above-1", "jsonl-detector-incomplete",
-            "jsonl-discard-above-1", "csv-discard-1"])
+            "jsonl-discard-above-1", "csv-discard-1",
+            "csv-row-of-another-pair", "csv-row-of-another-variant",
+            "csv-header-without-variant", "csv-header-without-pair",
+            "csv-header-pair-bool"])
     def test_malformed_header_names_location(self, tmp_path, name, text,
                                              message):
         p = tmp_path / name
@@ -547,9 +566,14 @@ class TestBulkRead:
         (5, "1,1,0,1, 0", "malformed row '1,1,0,1, 0'"),
         (5, " 1,1,0,1,0", "malformed row ' 1,1,0,1,0'"),
         (5, "1,1,0,1,\u0661", "malformed row '1,1,0,1,\u0661'"),
+        (4, "1,2,0,1,0", "row of setting pair (1, 2), basis variant 0 "
+         "under the header of setting pair (1, 1), basis variant 0"),
+        (9, "1,2,3,1,0", "row of setting pair (1, 2), basis variant 3 "
+         "under the header of setting pair (1, 2), basis variant 0"),
     ], ids=["columns", "bad-metadata", "short-row", "bad-variant",
             "not-bits", "six-cells", "underscore", "plus-sign",
-            "space-in-cell", "leading-space", "non-ascii-digit"])
+            "space-in-cell", "leading-space", "non-ascii-digit",
+            "row-of-another-pair", "row-of-another-variant"])
     def test_csv_malformed_line(self, tmp_path, line, replacement, message):
         self._check_malformed(tmp_path / "e.csv", write_csv, line,
                               replacement, message)
@@ -568,12 +592,11 @@ class TestBulkRead:
 
 @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "lone-cr"])
 @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
-def test_mixed_line_breaks_read_by_line(tmp_path, suffix, newline,
+def test_mixed_line_breaks_read_in_bulk(tmp_path, suffix, newline,
                                         parsed_lines):
     # the first seven line breaks are CR LF or lone CRs and the rest LF,
-    # so the first stream's run of event lines departs from any one
-    # template.  Chunks of a line or two, as `TestChunkBoundaries` takes
-    # them, would hold one kind of line break each and go in bulk.
+    # inside the first stream's run of event lines; each chunk's line
+    # breaks are made LFs before it is cut, so the run is one block
     streams = [s for s in _streams_with_empty(40) if len(s)]
     write, read, oracle = ((write_csv, read_csv, read_csv_lines)
                            if suffix == ".csv" else
@@ -582,7 +605,8 @@ def test_mixed_line_breaks_read_by_line(tmp_path, suffix, newline,
     write(streams, p)
     p.write_bytes(p.read_bytes().replace(b"\n", newline, 7))
     back = read(p)
-    assert any(_is_event_line(line) for line in parsed_lines)
+    assert len(parsed_lines) == len(streams)
+    assert not any(_is_event_line(line) for line in parsed_lines)
     _same_streams(back, oracle(p))
     _same_streams(back, streams)
 
@@ -647,11 +671,11 @@ class TestReaderMemory:
         (write_jsonl, read_jsonl), (write_csv, read_csv)], ids=["jsonl", "csv"])
     def test_reader_holds_one_chunk(self, tmp_path, monkeypatch, write, read,
                                     newline, chunk_bytes, events_per_pair):
-        # a chunk, its XOR with the template and the masked XOR, plus 2
-        # bytes of bits per event and their buffers' slack; a reader that
-        # holds the file needs about 17 bytes more per JSON-lines event
-        # and 10 per CSV row.  The CR LF and lone-CR copies take the
-        # same bulk path.
+        # a chunk and its XOR with the template, or a chunk and its LF
+        # form, plus 2 bytes of bits per event and their buffers' slack;
+        # a reader that holds the file needs about 17 bytes more per
+        # JSON-lines event and 10 per CSV row.  The CR LF and lone-CR
+        # copies take the same bulk path.
         monkeypatch.setattr(analyze, "_CHUNK_BYTES", chunk_bytes)
         t = werner_correlators(settings_from_beta(0.3), 0.95)
         streams = [generate_run(t, sp, events_per_pair + 7 * i, seed=6)
@@ -667,13 +691,14 @@ class TestReaderMemory:
         finally:
             tracemalloc.stop()
         _same_streams(back, streams)
-        assert peak <= 4 * analyze._CHUNK_BYTES + 4 * events
+        assert peak <= 2 * analyze._CHUNK_BYTES + 4 * events
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"],
                              ids=["lf", "crlf", "lone-cr"])
     def test_chunks_end_at_line_breaks(self, tmp_path, monkeypatch, newline):
         # LF and CR LF files take the chunks of read() completed by
-        # readline(), as they did before lone CRs ended a chunk
+        # readline(), as they did before lone CRs ended a chunk; every
+        # chunk comes with its line breaks made LFs
         size = 100
         monkeypatch.setattr(analyze, "_CHUNK_BYTES", size)
         t = werner_correlators(settings_from_beta(0.3), 0.95)
@@ -692,17 +717,17 @@ class TestReaderMemory:
         with p.open("rb") as fh:
             analyze._read_chunks(fh, b'"settingPair"', block,
                                  lambda *line: None)
-        assert b"".join(chunks) == raw
+        assert b"".join(chunks) == analyze._lf(raw)
         if newline == b"\r":
             longest = max(map(len, raw.split(b"\r")))
-            assert all(c.endswith(b"\r") for c in chunks)
+            assert all(c.endswith(b"\n") for c in chunks)
             assert max(map(len, chunks)) <= size + longest
             return
         expected = []
         with p.open("rb") as fh:
             while chunk := fh.read(size):
-                expected.append(chunk if chunk.endswith(b"\n")
-                                else chunk + fh.readline())
+                expected.append(analyze._lf(chunk if chunk.endswith(b"\n")
+                                            else chunk + fh.readline()))
         assert chunks == expected
 
 

@@ -409,6 +409,8 @@ class TestErrors:
         ("analyze", "--files", "table5.jsonl", "--n", "1"),
         ("analyze", "--files", "detx.jsonl", "--n", "1"),
         ("analyze", "--files", "discard7.jsonl", "--n", "1"),
+        ("simulate", "--beta", "1e308", "--v", "0.9", "--events", "40",
+         "--seed", "0", "--out", "big.jsonl"),
     ], ids=["compare-tol-0", "compare-tol-negative", "compare-tol-nan",
             "compare-tol-inf", "scan-vc-width-0", "scan-vc-width-nan",
             "analyze-missing-file", "analyze-binary-file",
@@ -419,7 +421,8 @@ class TestErrors:
             "analyze-ksigma-inf", "analyze-beta-string", "analyze-beta-nan",
             "analyze-visibility-nan", "analyze-visibility-string",
             "analyze-visibility-negative", "analyze-table-number",
-            "analyze-detector-string", "analyze-discard-above-1"])
+            "analyze-detector-string", "analyze-discard-above-1",
+            "simulate-beta-triple-overflows"])
     def test_bad_value_exit_1(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         run(capsys, "simulate", "--beta", "0.2", "--v", "0.9", "--events",

@@ -7,9 +7,8 @@ from hypothesis import given, strategies as st
 
 from manypairs.errors import InfeasibleStatisticsError, InvalidArgumentError
 from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
-                                 MeasurementSettings, joint_table,
-                                 normalize_angle, settings_from_beta,
-                                 werner_correlators)
+                                 joint_table, normalize_angle,
+                                 settings_from_beta, werner_correlators)
 
 from conftest import random_feasible_table
 
@@ -34,9 +33,12 @@ class TestSettingsFromBeta:
         assert s.theta_a2 == pytest.approx(0.0, abs=1e-15)
         assert s.theta_b1 == pytest.approx(math.pi)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308,
+                                     -1e308])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(InvalidArgumentError):
+        # 2 * 1e308 would overflow in the settings: beta is named instead
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^beta and 3 \* beta must be finite"):
             settings_from_beta(bad)
 
 
