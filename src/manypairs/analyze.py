@@ -157,33 +157,17 @@ def _lf(raw: bytes) -> bytes:
     return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
-def _error(path: Path, offset: int, message: str):
-    """IngestionError naming `path:line` for the line at byte `offset` of
-    the file's LF form (`_lf`).
-
-    Only the error path reads the file a second time, whole: it raises
-    UnicodeDecodeError instead if the file is not UTF-8.  A reader
-    decodes every line it parses and checks every other byte against an
-    ASCII template, so a file that is not UTF-8 is refused as such
-    whichever of its lines is also malformed, in whichever chunk.
-    """
-    raw = path.read_bytes()
-    raw.decode()
-    line = _lf(raw).count(b"\n", 0, offset) + 1
-    return IngestionError(f"{path}:{line}: {message}")
-
-
 #: Bytes a reader takes from an event file at a time, before it completes
 #: the chunk to the end of its line (`_to_line_end`).
 _CHUNK_BYTES = 1 << 18
 
 
 def _lines(raw: bytes, lo: int, hi: int):
-    """(offset, text) of each line of raw[lo:hi], an LF-only chunk; the
-    text keeps its LF, which a last line may lack."""
+    """The text of each line of raw[lo:hi], an LF-only chunk; the text
+    keeps its LF, which a last line may lack."""
     while lo < hi:
         end = raw.find(b"\n", lo, hi) + 1 or hi
-        yield lo, raw[lo:end].decode()
+        yield raw[lo:end].decode()
         lo = end
 
 
@@ -200,21 +184,21 @@ def _to_line_end(fh, head: bytes) -> bytes:
     return head
 
 
-def _read_chunks(fh, marker: bytes, block, line) -> None:
-    """Read `fh` from its position on, in chunks of whole lines.
+def _read_chunks(path, fh, marker: bytes, block, line,
+                 number: int = 1) -> None:
+    """Read `fh` from its position on, line `number` of `path`, in
+    chunks of whole lines.
 
     Each chunk is `_CHUNK_BYTES` bytes completed to the next line break
     (`_to_line_end`), so no line, CR LF pair or UTF-8 sequence is split,
-    and its line breaks are made LFs (`_lf`); offsets count bytes of the
-    file's LF form.  A chunk is cut before and after each line holding
-    `marker`.  Each run of lines in between goes to `block(chunk, lo,
-    hi)`, which returns true if it took the run as one block; the lines
-    of a run it did not take, and each line holding `marker`, go one by
-    one to `line(file offset, text)` (`_lines`).
+    and its line breaks are made LFs (`_lf`).  A chunk is cut before and
+    after each line holding `marker`.  Each run of lines in between goes
+    to `block(chunk, lo, hi)`, which returns the number of lines it took
+    as one block, or 0 if it did not take the run; the lines of a run it
+    did not take, and each line holding `marker`, go one by one to
+    `line(text)` (`_lines`).  A ValueError that `line` raises is raised
+    as IngestionError naming `path:line`.
     """
-    head = fh.tell()
-    fh.seek(0)
-    base = len(_lf(fh.read(head)))
     while chunk := fh.read(_CHUNK_BYTES):
         chunk = _lf(_to_line_end(fh, chunk))
         lo = 0
@@ -225,13 +209,15 @@ def _read_chunks(fh, marker: bytes, block, line) -> None:
             else:
                 start = chunk.rfind(b"\n", 0, key) + 1
                 end = chunk.find(b"\n", key) + 1 or len(chunk)
-            spans = ((start, end),) if block(chunk, lo, start) else (
-                (lo, start), (start, end))
-            for span in spans:
-                for offset, text in _lines(chunk, *span):
-                    line(base + offset, text)
+            taken = block(chunk, lo, start)
+            number += taken
+            for text in _lines(chunk, start if taken else lo, end):
+                try:
+                    line(text)
+                except ValueError as exc:
+                    raise IngestionError(f"{path}:{number}: {exc}") from exc
+                number += 1
             lo = end
-        base += len(chunk)
 
 
 def _event_bits(raw: bytes, lo: int, hi: int, template: bytes, columns):
@@ -280,13 +266,13 @@ def read_jsonl(path) -> list[EventStream]:
     template, columns = JSONL_EVENT
     streams: list[_Events] = []
 
-    def block(chunk: bytes, lo: int, hi: int) -> bool:
+    def block(chunk: bytes, lo: int, hi: int) -> int:
         bits = streams and _event_bits(chunk, lo, hi, template, columns)
         if bits:
             streams[-1].extend(*bits)
-        return bool(bits)
+        return len(bits[0]) if bits else 0
 
-    def line(offset: int, text: str) -> None:
+    def line(text: str) -> None:
         text = text.strip()
         if not text:
             return
@@ -295,24 +281,21 @@ def read_jsonl(path) -> list[EventStream]:
         except (ValueError, RecursionError) as exc:
             # ValueError covers JSONDecodeError and integers longer than
             # Python converts; RecursionError, deep nesting
-            raise _error(path, offset, f"bad JSON ({exc})")
+            raise ValueError(f"bad JSON ({exc})")
         if isinstance(obj, dict) and "settingPair" in obj:
-            try:
-                streams.append(_Events(*_stream_header(obj)))
-            except ValueError as exc:
-                raise _error(path, offset, str(exc))
+            streams.append(_Events(*_stream_header(obj)))
         elif isinstance(obj, dict) and "a" in obj and "b" in obj:
             if not streams:
-                raise _error(path, offset, "event record before any header")
+                raise ValueError("event record before any header")
             if not all(_is_json_int(obj[k]) and obj[k] in (0, 1)
                        for k in ("a", "b")):
-                raise _error(path, offset, "outcomes must be bits")
+                raise ValueError("outcomes must be bits")
             streams[-1].extend((obj["a"],), (obj["b"],))
         else:
-            raise _error(path, offset, f"unrecognized record {obj!r}")
+            raise ValueError(f"unrecognized record {obj!r}")
 
     with path.open("rb") as fh:
-        _read_chunks(fh, b'"settingPair"', block, line)
+        _read_chunks(path, fh, b'"settingPair"', block, line)
     return [events.stream() for events in streams]
 
 
@@ -349,7 +332,7 @@ def read_csv(path) -> list[EventStream]:
             streams[key] = _Events(pair, variant, dict(meta))
         return streams[key]
 
-    def block(chunk: bytes, lo: int, hi: int) -> bool:
+    def block(chunk: bytes, lo: int, hi: int) -> int:
         first = in_order and _CSV_FIRST_ROW.match(chunk, lo, hi)
         # a row its header does not name is left to the line path
         stream = first and events((int(first[2]), int(first[3])),
@@ -358,24 +341,21 @@ def read_csv(path) -> list[EventStream]:
                                       columns)
         if bits:
             stream.extend(*bits)
-        return bool(bits)
+        return len(bits[0]) if bits else 0
 
-    def line(offset: int, text: str) -> None:
+    def line(text: str) -> None:
         if text.startswith(CSV_STREAM_PREFIX):
             try:
                 header = json.loads(text[len(CSV_STREAM_PREFIX):],
                                     parse_constant=_no_constant)
             except (ValueError, RecursionError) as exc:
-                raise _error(path, offset, f"bad stream metadata ({exc})")
+                raise ValueError(f"bad stream metadata ({exc})")
             if not isinstance(header, dict):
-                raise _error(path, offset, "stream metadata is not an object")
-            try:
-                named = None
-                if header.keys() & {"settingPair", "basisVariant"}:
-                    named = _stream_header(header)[:2]
-                headers.append((_stream_meta(header), named))
-            except ValueError as exc:
-                raise _error(path, offset, str(exc))
+                raise ValueError("stream metadata is not an object")
+            named = None
+            if header.keys() & {"settingPair", "basisVariant"}:
+                named = _stream_header(header)[:2]
+            headers.append((_stream_meta(header), named))
             return
         row = text.removesuffix("\n")
         if not row.strip():
@@ -387,44 +367,47 @@ def read_csv(path) -> list[EventStream]:
                 raise ValueError
             x, y, v, a, b = (int(cells[i]) for i in cols)
         except ValueError:  # int() also refuses over 4300 digits
-            raise _error(path, offset, f"malformed row {row!r}")
+            raise ValueError(f"malformed row {row!r}")
         if v not in (0, 1, 2, 3):
-            raise _error(path, offset, "basis variant outside 0..3")
+            raise ValueError("basis variant outside 0..3")
         if a not in (0, 1) or b not in (0, 1):
-            raise _error(path, offset, "outcomes must be bits")
+            raise ValueError("outcomes must be bits")
         stream = events((x, y), v)
         if stream is None:
             pair, variant = headers[-1][1]
-            raise _error(path, offset,
-                         f"row of setting pair {(x, y)}, basis variant {v} "
-                         f"under the header of setting pair {pair}, basis "
-                         f"variant {variant}")
+            raise ValueError(f"row of setting pair {(x, y)}, basis variant "
+                             f"{v} under the header of setting pair {pair}, "
+                             f"basis variant {variant}")
         stream.extend((a,), (b,))
 
     with path.open("rb") as fh:
         names = _to_line_end(fh, b"").decode().strip().split(",")
         if sorted(names) != sorted(CSV_COLUMNS):
-            raise _error(path, 0,
-                         f"expected columns {','.join(CSV_COLUMNS)}")
+            raise IngestionError(
+                f"{path}:1: expected columns {','.join(CSV_COLUMNS)}")
         cols = [names.index(c) for c in CSV_COLUMNS]
         in_order = names == list(CSV_COLUMNS)
-        _read_chunks(fh, CSV_STREAM_PREFIX.encode(), block, line)
+        _read_chunks(path, fh, CSV_STREAM_PREFIX.encode(), block, line, 2)
     return [stream.stream() for stream in streams.values()]
 
 
 def read_streams(path) -> list[EventStream]:
-    """Read an event file in the format its suffix names.
+    """Read an event file in the format its suffix names (`event_format`),
+    so a pipe such as /dev/stdin reads as JSON lines.
 
-    Raises IngestionError naming the path when the file cannot be read
-    or is not UTF-8 text.
+    Raises IngestionError naming the path when the file cannot be read,
+    is not UTF-8 text or holds no stream.
     """
     read = read_csv if event_format(path) == "csv" else read_jsonl
     try:
-        return read(path)
+        streams = read(path)
     except OSError as exc:
         raise IngestionError(f"{path}: cannot read ({exc.strerror})") from exc
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path}: not UTF-8 text") from exc
+    if not streams:
+        raise IngestionError(f"{path}: no event stream")
+    return streams
 
 
 def streams_by_beta(paths) -> dict:

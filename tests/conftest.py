@@ -509,6 +509,16 @@ def write_csv_lines(streams, path) -> None:
                 fh.write(f"{x},{y},{v},{a},{b}\n")
 
 
+def _text_lines(path: Path):
+    """Each line of the file at `path`, decoded on its own, so bytes that
+    are not UTF-8 are met in file order.  Its line break (an LF, a CR LF
+    pair or a lone CR, where text mode splits) becomes an LF; a last
+    line may lack one."""
+    for raw in path.read_bytes().splitlines(keepends=True):
+        text = raw.rstrip(b"\r\n")
+        yield text.decode() + "\n" * (len(text) < len(raw))
+
+
 def read_jsonl_lines(path: Path) -> list[EventStream]:
     """JSON-lines event reader that parses every line on its own."""
     streams: list[EventStream] = []
@@ -525,37 +535,36 @@ def read_jsonl_lines(path: Path) -> list[EventStream]:
             a=np.array(a_bits, dtype=np.uint8),
             b=np.array(b_bits, dtype=np.uint8), meta=meta))
 
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line, parse_constant=_no_constant)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and integers longer
+            # than Python converts; RecursionError, deep nesting
+            raise IngestionError(f"{path}:{lineno}: bad JSON ({exc})")
+        if isinstance(obj, dict) and "settingPair" in obj:
+            flush()
             try:
-                obj = json.loads(line, parse_constant=_no_constant)
-            except (ValueError, RecursionError) as exc:
-                # ValueError covers JSONDecodeError and integers longer
-                # than Python converts; RecursionError, deep nesting
-                raise IngestionError(f"{path}:{lineno}: bad JSON ({exc})")
-            if isinstance(obj, dict) and "settingPair" in obj:
-                flush()
-                try:
-                    fields = _stream_header(obj)
-                except ValueError as exc:
-                    raise IngestionError(f"{path}:{lineno}: {exc}")
-                a_bits, b_bits = [], []
-            elif isinstance(obj, dict) and "a" in obj and "b" in obj:
-                if fields is None:
-                    raise IngestionError(
-                        f"{path}:{lineno}: event record before any header")
-                if not all(_is_json_int(obj[k]) and obj[k] in (0, 1)
-                           for k in ("a", "b")):
-                    raise IngestionError(
-                        f"{path}:{lineno}: outcomes must be bits")
-                a_bits.append(obj["a"])
-                b_bits.append(obj["b"])
-            else:
+                fields = _stream_header(obj)
+            except ValueError as exc:
+                raise IngestionError(f"{path}:{lineno}: {exc}")
+            a_bits, b_bits = [], []
+        elif isinstance(obj, dict) and "a" in obj and "b" in obj:
+            if fields is None:
                 raise IngestionError(
-                    f"{path}:{lineno}: unrecognized record {obj!r}")
+                    f"{path}:{lineno}: event record before any header")
+            if not all(_is_json_int(obj[k]) and obj[k] in (0, 1)
+                       for k in ("a", "b")):
+                raise IngestionError(
+                    f"{path}:{lineno}: outcomes must be bits")
+            a_bits.append(obj["a"])
+            b_bits.append(obj["b"])
+        else:
+            raise IngestionError(
+                f"{path}:{lineno}: unrecognized record {obj!r}")
     flush()
     return streams
 
@@ -570,58 +579,58 @@ def read_csv_lines(path: Path) -> list[EventStream]:
     metas: list[dict] = [{}]
     named: list = [None]
     chunks: dict[tuple, list] = {}
-    with path.open() as fh:
-        names = fh.readline().strip().split(",")
-        if sorted(names) != sorted(CSV_COLUMNS):
-            raise IngestionError(
-                f"{path}:1: expected columns x,y,variant,a,b")
-        cols = [names.index(c) for c in CSV_COLUMNS]
-        for lineno, line in enumerate(fh, start=2):
-            if line.startswith(CSV_STREAM_PREFIX):
-                try:
-                    header = json.loads(line[len(CSV_STREAM_PREFIX):],
-                                        parse_constant=_no_constant)
-                except (ValueError, RecursionError) as exc:
-                    raise IngestionError(
-                        f"{path}:{lineno}: bad stream metadata ({exc})")
-                if not isinstance(header, dict):
-                    raise IngestionError(
-                        f"{path}:{lineno}: stream metadata is not an object")
-                try:
-                    if "settingPair" in header or "basisVariant" in header:
-                        pair, variant, meta = _stream_header(header)
-                        named.append((pair, variant))
-                    else:
-                        meta = _stream_meta(header)
-                        named.append(None)
-                except ValueError as exc:
-                    raise IngestionError(f"{path}:{lineno}: {exc}")
-                metas.append(meta)
-                continue
-            row = line.rstrip("\n")
-            if not row.strip():
-                continue
-            cells = row.split(",")
+    lines = _text_lines(path)
+    names = next(lines, "").strip().split(",")
+    if sorted(names) != sorted(CSV_COLUMNS):
+        raise IngestionError(
+            f"{path}:1: expected columns x,y,variant,a,b")
+    cols = [names.index(c) for c in CSV_COLUMNS]
+    for lineno, line in enumerate(lines, start=2):
+        if line.startswith(CSV_STREAM_PREFIX):
             try:
-                if len(cells) != len(cols) or not all(
-                        _CSV_CELL.fullmatch(c) for c in cells):
-                    raise ValueError
-                x, y, v, a, b = (int(cells[i]) for i in cols)
-            except ValueError:  # int() also refuses over 4300 digits
+                header = json.loads(line[len(CSV_STREAM_PREFIX):],
+                                    parse_constant=_no_constant)
+            except (ValueError, RecursionError) as exc:
                 raise IngestionError(
-                    f"{path}:{lineno}: malformed row {row!r}")
-            if v not in (0, 1, 2, 3):
+                    f"{path}:{lineno}: bad stream metadata ({exc})")
+            if not isinstance(header, dict):
                 raise IngestionError(
-                    f"{path}:{lineno}: basis variant outside 0..3")
-            if a not in (0, 1) or b not in (0, 1):
-                raise IngestionError(f"{path}:{lineno}: outcomes must be bits")
-            if named[-1] not in (None, ((x, y), v)):
-                pair, variant = named[-1]
-                raise IngestionError(
-                    f"{path}:{lineno}: row of setting pair {(x, y)}, basis "
-                    f"variant {v} under the header of setting pair {pair}, "
-                    f"basis variant {variant}")
-            chunks.setdefault((len(metas) - 1, (x, y), v), []).append((a, b))
+                    f"{path}:{lineno}: stream metadata is not an object")
+            try:
+                if "settingPair" in header or "basisVariant" in header:
+                    pair, variant, meta = _stream_header(header)
+                    named.append((pair, variant))
+                else:
+                    meta = _stream_meta(header)
+                    named.append(None)
+            except ValueError as exc:
+                raise IngestionError(f"{path}:{lineno}: {exc}")
+            metas.append(meta)
+            continue
+        row = line.rstrip("\n")
+        if not row.strip():
+            continue
+        cells = row.split(",")
+        try:
+            if len(cells) != len(cols) or not all(
+                    _CSV_CELL.fullmatch(c) for c in cells):
+                raise ValueError
+            x, y, v, a, b = (int(cells[i]) for i in cols)
+        except ValueError:  # int() also refuses over 4300 digits
+            raise IngestionError(
+                f"{path}:{lineno}: malformed row {row!r}")
+        if v not in (0, 1, 2, 3):
+            raise IngestionError(
+                f"{path}:{lineno}: basis variant outside 0..3")
+        if a not in (0, 1) or b not in (0, 1):
+            raise IngestionError(f"{path}:{lineno}: outcomes must be bits")
+        if named[-1] not in (None, ((x, y), v)):
+            pair, variant = named[-1]
+            raise IngestionError(
+                f"{path}:{lineno}: row of setting pair {(x, y)}, basis "
+                f"variant {v} under the header of setting pair {pair}, "
+                f"basis variant {variant}")
+        chunks.setdefault((len(metas) - 1, (x, y), v), []).append((a, b))
     streams = []
     for (block, setting_pair, variant), rows in chunks.items():
         pairs = np.array(rows, dtype=np.uint8)

@@ -160,6 +160,25 @@ class TestIngest:
         with pytest.raises(IngestionError, match="missing.jsonl"):
             ingest([missing])
 
+    @pytest.mark.parametrize("name, text", [
+        ("e.jsonl", ""), ("e.jsonl", "\n \r\n\r\n"),
+        ("e.csv", "x,y,variant,a,b\n"),
+    ], ids=["empty-jsonl", "blank-lines", "csv-column-line"])
+    @pytest.mark.parametrize("alone", [True, False],
+                             ids=["alone", "after-a-file"])
+    def test_file_without_stream_named(self, tmp_path, name, text, alone):
+        # a file that holds no stream is refused, also next to one that
+        # holds all four setting pairs
+        full = tmp_path / "full.jsonl"
+        t = CorrelatorTable(0.5, 0.5, 0.5, 0.5)
+        write_jsonl([generate_run(t, sp, 10, seed=1) for sp in SETTING_PAIRS],
+                    full)
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(IngestionError) as exc:
+            ingest([p] if alone else [full, p])
+        assert str(exc.value) == f"{p}: no event stream"
+
     def test_malformed_record_names_location(self, tmp_path):
         p = tmp_path / "bad.jsonl"
         p.write_text('{"settingPair": [1, 1], "basisVariant": 0}\n'
@@ -387,9 +406,9 @@ def parsed_lines(monkeypatch):
     lines = analyze._lines
 
     def spy(raw, lo, hi):
-        for item in lines(raw, lo, hi):
-            seen.append(item[1])
-            yield item
+        for text in lines(raw, lo, hi):
+            seen.append(text)
+            yield text
 
     monkeypatch.setattr(analyze, "_lines", spy)
     return seen
@@ -509,16 +528,8 @@ class TestBulkRead:
             picks = rng.choice(len(pool), size=int(rng.integers(1, 5)))
             write([pool[i] for i in picks], p)
             p.write_bytes(_mutate(p.read_bytes(), rng))
-            got, want = _outcome(read, p), _outcome(oracle, p)
-            if got != want:
-                # the line parser decodes as it reads, so it meets an
-                # unfinished UTF-8 sequence at the end of the file only
-                # after the lines before it; the reader decodes the whole
-                # file before it reports any malformed line
-                assert got == "not UTF-8 text" and isinstance(want, str)
-                with pytest.raises(UnicodeDecodeError,
-                                   match="unexpected end of data"):
-                    p.read_bytes().decode()
+            got = _outcome(read, p)
+            assert got == _outcome(oracle, p)
             refused += isinstance(got, str)
         assert 30 < refused < 270
 
@@ -649,8 +660,8 @@ class TestChunkBoundaries(TestBulkRead):
     @pytest.mark.parametrize("write", [write_jsonl, write_csv],
                              ids=["jsonl", "csv"])
     def test_non_utf8_byte_in_later_chunk(self, tmp_path, write, malformed):
-        # with a malformed line 3 the reader stops chunks before the byte,
-        # and the error path decodes the whole file
+        # the first fault in file order is reported: a malformed line 3
+        # stops the reader chunks before the byte
         p = tmp_path / ("e.csv" if write is write_csv else "e.jsonl")
         lines = [line.encode() for line in self._written_lines(p, write)]
         if malformed:
@@ -659,7 +670,10 @@ class TestChunkBoundaries(TestBulkRead):
         p.write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(IngestionError) as exc:
             ingest([p])
-        assert str(exc.value) == f"{p}: not UTF-8 text"
+        line3 = ("malformed row '1,'" if write is write_csv else
+                 "bad JSON (Extra data: line 1 column 2 (char 1))")
+        assert str(exc.value) == (f"{p}:3: {line3}" if malformed else
+                                  f"{p}: not UTF-8 text")
 
 
 class TestReaderMemory:
@@ -712,11 +726,11 @@ class TestReaderMemory:
         def block(chunk, lo, hi):
             if not chunks or chunks[-1] is not chunk:
                 chunks.append(chunk)
-            return True
+            return chunk.count(b"\n", lo, hi)
 
         with p.open("rb") as fh:
-            analyze._read_chunks(fh, b'"settingPair"', block,
-                                 lambda *line: None)
+            analyze._read_chunks(p, fh, b'"settingPair"', block,
+                                 lambda text: None)
         assert b"".join(chunks) == analyze._lf(raw)
         if newline == b"\r":
             longest = max(map(len, raw.split(b"\r")))

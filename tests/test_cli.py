@@ -755,18 +755,64 @@ def test_readme_library_sketch_runs(capsys):
     assert all(math.isfinite(float(v)) for v in printed)
 
 
-def run_fresh(tmp_path, script):
-    """Run a Python script in a fresh interpreter that imports this
-    package, and return its stdout; pytest's own imports stay out."""
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
     src = str(Path(manypairs.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_fresh(tmp_path, script):
+    """Run a Python script in a fresh interpreter that imports this
+    package, and return its stdout; pytest's own imports stay out."""
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
-                          env=env, capture_output=True, text=True,
+                          env=fresh_env(), capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+class TestPipe:
+    """An event file on a pipe, `--files /dev/stdin`, reads as JSON lines,
+    front to back, as the file does."""
+
+    @staticmethod
+    def analyze_stdin(tmp_path, data: bytes):
+        return subprocess.run(
+            [sys.executable, "-m", "manypairs.cli", "analyze", "--files",
+             "/dev/stdin", "--n", "1..3", "--format", "json"],
+            cwd=tmp_path, env=fresh_env(), input=data, capture_output=True,
+            timeout=120)
+
+    @pytest.fixture
+    def events(self, tmp_path, capsys):
+        path = tmp_path / "ev.jsonl"
+        assert run(capsys, "simulate", "--beta", "0.25", "--v", "0.99",
+                   "--events", "400", "--seed", "3", "--symmetrize",
+                   "--out", str(path))[0] == 0
+        return path
+
+    def test_pipe_reads_as_file(self, tmp_path, capsys, events):
+        code, out, _ = run(capsys, "analyze", "--files", str(events), "--n",
+                           "1..3", "--format", "json")
+        assert code == 0
+        done = self.analyze_stdin(tmp_path, events.read_bytes())
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == out.encode()
+
+    def test_malformed_line_named(self, tmp_path, events):
+        lines = events.read_bytes().split(b"\n")
+        lines[6] = b'{"a": 2, "b": 0}'
+        done = self.analyze_stdin(tmp_path, b"\n".join(lines))
+        assert done.returncode == 1 and done.stdout == b""
+        assert done.stderr == b"error: /dev/stdin:7: outcomes must be bits\n"
+
+    def test_empty_pipe_refused(self, tmp_path):
+        done = self.analyze_stdin(tmp_path, b"")
+        assert done.returncode == 1 and done.stdout == b""
+        assert done.stderr == b"error: /dev/stdin: no event stream\n"
 
 
 class TestStartup:
