@@ -264,9 +264,8 @@ def _criterion(text: str):
 def cmd_analyze(args) -> int:
     strategy = _strategy(args)
     criterion = _criterion(args.criterion)
-    sequences_per_beta = ana.ingest(args.files)
-    curve = ana.find_nc(sequences_per_beta, strategy,
-                        _parse_int_range(args.n), criterion=criterion)
+    curve = ana.find_nc(args.files, strategy, _parse_int_range(args.n),
+                        criterion=criterion)
     rows = list(curve.entries)
     # --resamples and a given --seed are echoed, though nothing is drawn
     config = _config_dict(args, ["command", "strategy", "tie", "n",

@@ -92,14 +92,16 @@ def _cluster_moments(population: np.ndarray, n: int, sign: np.ndarray,
     return x_mean / total, x_t / total[:, None], t / total[:, None]
 
 
-def bootstrap_sn(sequences: dict, n_values, strategy: BinningStrategy
+def bootstrap_sn(counts, n_values, strategy: BinningStrategy
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and sigma of S_n over shuffled event orders, in closed form.
 
-    Both arrays follow `n_values`.  They are the limit, as resamples
-    grow, of a shuffle-recluster bootstrap: permute each setting pair's
-    events, cluster the order into m = N // n windows and recompute S_n.
-    Nothing is drawn, and each n is computed on its own.
+    `counts` holds each setting pair's four category counts, a row per
+    pair in `SETTING_PAIRS` order, column c = 2a + b for the logical
+    bits (a, b).  Both arrays follow `n_values`.  They are the limit, as
+    resamples grow, of a shuffle-recluster bootstrap: permute each
+    setting pair's events, cluster the order into m = N // n windows and
+    recompute S_n.  Nothing is drawn, and each n is computed on its own.
 
     For one setting pair the m clusters are drawn without replacement,
     so the correlator estimate E has
@@ -121,10 +123,7 @@ def bootstrap_sn(sequences: dict, n_values, strategy: BinningStrategy
     Costs O(n^3) time and O(n^2) memory per n.  Raises
     InsufficientDataError when a setting pair has fewer than n events.
     """
-    population = np.array([np.bincount((a << np.uint8(1)) | b, minlength=4)
-                           for a, b in (sequences[key]
-                                        for key in SETTING_PAIRS)],
-                          dtype=float)
+    population = np.array(counts, dtype=float)
     events = population.sum(axis=1)
     n_values = [int(n) for n in n_values]
     means = np.empty(len(n_values))

@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from manypairs.analyze import (_CSV_CELL, ClusteredOutcomes,
-                               _is_json_int, _no_constant, _running_totals,
-                               _stream_header, _stream_meta, _windows,
+from manypairs.analyze import (ClusteredOutcomes, _running_totals, _windows,
                                estimate_sn)
 from manypairs.binning import Majority, Parity, sign_vector
 from manypairs.errors import IngestionError, NoViolationError
+from manypairs.eventfile import (_CSV_CELL, _is_json_int, _no_constant,
+                                 _stream_header, _stream_meta)
 from manypairs.optimize import (_response_derivatives, _response_weights,
                                 binned_correlator_from_e, family_chsh,
                                 max_chsh)
@@ -290,6 +290,13 @@ def parity_moment(total: int, discordant: int, k: int) -> float:
 def _parity_moments(sequences: dict, k: int) -> dict:
     return {key: parity_moment(len(a), int(np.count_nonzero(a != b)), k)
             for key, (a, b) in sequences.items()}
+
+
+def category_counts(sequences: dict) -> np.ndarray:
+    """Each setting pair's four category counts, c = 2a + b, a row per
+    pair in SETTING_PAIRS order, by `bincount` of its whole sequence."""
+    return np.array([np.bincount((a << np.uint8(1)) | b, minlength=4)
+                     for a, b in (sequences[key] for key in SETTING_PAIRS)])
 
 
 def shuffle_parity_mean(sequences: dict, n: int) -> float:

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from manypairs import analyze
+from manypairs import cli, eventfile
 from manypairs.analyze import (ClusteredOutcomes, MinusKSigma, _running_totals,
                                bootstrap_sn, cluster_events, estimate_sn,
                                find_nc, ingest, read_csv, read_jsonl,
@@ -16,12 +17,13 @@ from manypairs.errors import (IngestionError, InsufficientDataError,
                               InvalidArgumentError)
 from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
                                  settings_from_beta, werner_correlators)
-from manypairs.simulate import (DetectorModel, EventStream, generate_run,
-                                generate_symmetrized, write_csv, write_jsonl)
+from manypairs.simulate import (DetectorModel, EventStream, _header,
+                                generate_run, generate_symmetrized, write_csv,
+                                write_jsonl)
 
-from conftest import (coin_estimate_sn, exact_shuffle_sigma,
-                      finite_population_parity_sigma, logical_bits,
-                      mean_correlator, monte_carlo_bootstrap_sn,
+from conftest import (category_counts, coin_estimate_sn,
+                      exact_shuffle_sigma, finite_population_parity_sigma,
+                      logical_bits, mean_correlator, monte_carlo_bootstrap_sn,
                       read_csv_lines, read_jsonl_lines,
                       reshape_cluster_events, shuffle_parity_mean)
 
@@ -98,7 +100,7 @@ class TestIngest:
         # the streams' bits, 2 bytes per event and their buffers' slack,
         # and the sequences, 2 more, besides a reader's chunk; logical
         # copies per stream, concatenated afterwards, took 2 more
-        monkeypatch.setattr(analyze, "_CHUNK_BYTES", 1 << 14)
+        monkeypatch.setattr(eventfile, "_CHUNK_BYTES", 1 << 14)
         t = werner_correlators(settings_from_beta(0.3), 0.95)
         streams = [generate_run(t, sp, 25_000 + 7 * i, seed=6,
                                 basis_variant=v)
@@ -114,7 +116,7 @@ class TestIngest:
         finally:
             tracemalloc.stop()
         assert sum(len(a) for a, _ in sequences.values()) == events
-        assert peak <= 4 * analyze._CHUNK_BYTES + 4.5 * events
+        assert peak <= 4 * eventfile._CHUNK_BYTES + 4.5 * events
 
     def test_ingest_files(self, tmp_path):
         t = CorrelatorTable(0.5, 0.5, 0.5, 0.5)
@@ -403,14 +405,14 @@ def _outcome(read, path):
 def parsed_lines(monkeypatch):
     """The text of every line that the readers parse one by one."""
     seen = []
-    lines = analyze._lines
+    lines = eventfile._lines
 
     def spy(raw, lo, hi):
         for text in lines(raw, lo, hi):
             seen.append(text)
             yield text
 
-    monkeypatch.setattr(analyze, "_lines", spy)
+    monkeypatch.setattr(eventfile, "_lines", spy)
     return seen
 
 
@@ -628,7 +630,7 @@ class TestChunkBoundaries(TestBulkRead):
 
     @pytest.fixture(autouse=True, params=[1, 7, 64])
     def chunk_bytes(self, request, monkeypatch):
-        monkeypatch.setattr(analyze, "_CHUNK_BYTES", request.param)
+        monkeypatch.setattr(eventfile, "_CHUNK_BYTES", request.param)
 
     @staticmethod
     def _written_lines(path, write):
@@ -678,8 +680,8 @@ class TestChunkBoundaries(TestBulkRead):
 
 class TestReaderMemory:
     @pytest.mark.parametrize("newline, chunk_bytes, events_per_pair", [
-        (b"\n", analyze._CHUNK_BYTES, 50_000), (b"\r", 1 << 14, 12_000),
-        (b"\r\n", analyze._CHUNK_BYTES, 50_000)],
+        (b"\n", eventfile._CHUNK_BYTES, 50_000), (b"\r", 1 << 14, 12_000),
+        (b"\r\n", eventfile._CHUNK_BYTES, 50_000)],
         ids=["lf", "lone-cr", "crlf"])
     @pytest.mark.parametrize("write, read", [
         (write_jsonl, read_jsonl), (write_csv, read_csv)], ids=["jsonl", "csv"])
@@ -690,7 +692,7 @@ class TestReaderMemory:
         # a reader that holds the file needs about 17 bytes more per
         # JSON-lines event and 10 per CSV row.  The CR LF and lone-CR
         # copies take the same bulk path.
-        monkeypatch.setattr(analyze, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(eventfile, "_CHUNK_BYTES", chunk_bytes)
         t = werner_correlators(settings_from_beta(0.3), 0.95)
         streams = [generate_run(t, sp, events_per_pair + 7 * i, seed=6)
                    for i, sp in enumerate(SETTING_PAIRS)]
@@ -705,7 +707,7 @@ class TestReaderMemory:
         finally:
             tracemalloc.stop()
         _same_streams(back, streams)
-        assert peak <= 2 * analyze._CHUNK_BYTES + 4 * events
+        assert peak <= 2 * eventfile._CHUNK_BYTES + 4 * events
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"],
                              ids=["lf", "crlf", "lone-cr"])
@@ -714,7 +716,7 @@ class TestReaderMemory:
         # readline(), as they did before lone CRs ended a chunk; every
         # chunk comes with its line breaks made LFs
         size = 100
-        monkeypatch.setattr(analyze, "_CHUNK_BYTES", size)
+        monkeypatch.setattr(eventfile, "_CHUNK_BYTES", size)
         t = werner_correlators(settings_from_beta(0.3), 0.95)
         p = tmp_path / "e.jsonl"
         write_jsonl([generate_run(t, sp, 40, seed=6) for sp in SETTING_PAIRS],
@@ -729,9 +731,9 @@ class TestReaderMemory:
             return chunk.count(b"\n", lo, hi)
 
         with p.open("rb") as fh:
-            analyze._read_chunks(p, fh, b'"settingPair"', block,
-                                 lambda text: None)
-        assert b"".join(chunks) == analyze._lf(raw)
+            eventfile._read_chunks(p, fh, b'"settingPair"', block,
+                                 lambda text: None, lambda: None)
+        assert b"".join(chunks) == eventfile._lf(raw)
         if newline == b"\r":
             longest = max(map(len, raw.split(b"\r")))
             assert all(c.endswith(b"\n") for c in chunks)
@@ -740,7 +742,7 @@ class TestReaderMemory:
         expected = []
         with p.open("rb") as fh:
             while chunk := fh.read(size):
-                expected.append(analyze._lf(chunk if chunk.endswith(b"\n")
+                expected.append(eventfile._lf(chunk if chunk.endswith(b"\n")
                                             else chunk + fh.readline()))
         assert chunks == expected
 
@@ -874,7 +876,8 @@ class TestEstimateSn:
 class TestBootstrap:
     def test_constant_data_zero_sigma(self):
         seqs = constant_sequences(40)
-        means, sigmas = bootstrap_sn(seqs, [1, 2, 4], Majority())
+        means, sigmas = bootstrap_sn(category_counts(seqs), [1, 2, 4],
+                                     Majority())
         assert np.array_equal(sigmas, np.zeros(3))
         assert np.array_equal(means, np.full(3, 2.0))
 
@@ -884,7 +887,7 @@ class TestBootstrap:
     def test_sigma_exactly_zero_at_n1(self, strategy):
         t = werner_correlators(settings_from_beta(0.3), 0.9)
         seqs = make_sequences(t, 30_001, seed=13)
-        _, sigmas = bootstrap_sn(seqs, [1, 2], strategy)
+        _, sigmas = bootstrap_sn(category_counts(seqs), [1, 2], strategy)
         assert sigmas[0] == 0.0
         assert sigmas[1] > 0.0
 
@@ -892,15 +895,15 @@ class TestBootstrap:
         t = werner_correlators(settings_from_beta(0.4), 0.97)
         seqs = make_sequences(t, 4000, seed=6)
         strategy = Majority(TiePolicy.RANDOMIZED)
-        alone = bootstrap_sn(seqs, [4], strategy)
-        grid = bootstrap_sn(seqs, [1, 2, 4, 6], strategy)
+        alone = bootstrap_sn(category_counts(seqs), [4], strategy)
+        grid = bootstrap_sn(category_counts(seqs), [1, 2, 4, 6], strategy)
         assert alone[0][0] == grid[0][2]
         assert alone[1][0] == grid[1][2]
 
     def test_shuffle_invariance_of_expectation(self):
         t = werner_correlators(settings_from_beta(0.3), 0.95)
         seqs = make_sequences(t, 30_000, seed=12)
-        means, _ = bootstrap_sn(seqs, [1, 2, 4, 12], Parity())
+        means, _ = bootstrap_sn(category_counts(seqs), [1, 2, 4, 12], Parity())
         for n, mean in zip([1, 2, 4, 12], means):
             assert mean == pytest.approx(shuffle_parity_mean(seqs, n),
                                          abs=1e-12), n
@@ -910,7 +913,7 @@ class TestBootstrap:
         beta, v, n = 0.234, 0.99, 5
         t = werner_correlators(settings_from_beta(beta), v)
         seqs = make_sequences(t, 100_000, seed=8)
-        _, sigmas = bootstrap_sn(seqs, [n], Parity())
+        _, sigmas = bootstrap_sn(category_counts(seqs), [n], Parity())
         m = 100_000 // n
         var = 0.0
         for sp in SETTING_PAIRS:
@@ -924,7 +927,7 @@ class TestBootstrap:
         t = werner_correlators(settings_from_beta(0.25), 0.99)
         seqs = make_sequences(t, 20_000, seed=21)
         n_values = [2, 4, 12]
-        _, sigmas = bootstrap_sn(seqs, n_values, Parity())
+        _, sigmas = bootstrap_sn(category_counts(seqs), n_values, Parity())
         for n, sigma in zip(n_values, sigmas):
             exact = finite_population_parity_sigma(seqs, n)
             assert sigma == pytest.approx(exact, rel=1e-4), n
@@ -937,7 +940,7 @@ class TestBootstrap:
         n_values = [3, 4, 12]
         resamples = 400
         strategy = Majority(tie)
-        _, sigmas = bootstrap_sn(seqs, n_values, strategy)
+        _, sigmas = bootstrap_sn(category_counts(seqs), n_values, strategy)
         _, drawn = monte_carlo_bootstrap_sn(seqs, n_values, strategy,
                                             resamples, seed=2)
         for n, sigma, mc in zip(n_values, sigmas, drawn):
@@ -952,7 +955,7 @@ class TestBootstrap:
         t = werner_correlators(settings_from_beta(0.3), 0.9)
         seqs = make_sequences(t, events, seed=events + 1)
         n_values = [2, 3, 4, 5]
-        _, sigmas = bootstrap_sn(seqs, n_values, strategy)
+        _, sigmas = bootstrap_sn(category_counts(seqs), n_values, strategy)
         for n, sigma in zip(n_values, sigmas):
             exact = exact_shuffle_sigma(seqs, n, strategy)
             assert sigma == pytest.approx(exact, rel=0.01), n
@@ -968,7 +971,7 @@ class TestBootstrap:
         seqs = {sp: (a[:size], b[:size]) for size, (sp, (a, b))
                 in zip((9, 10, 11, 12), full.items())}
         n_values = [7, 8]
-        _, sigmas = bootstrap_sn(seqs, n_values, strategy)
+        _, sigmas = bootstrap_sn(category_counts(seqs), n_values, strategy)
         resamples = 400
         _, drawn = monte_carlo_bootstrap_sn(seqs, n_values, strategy,
                                             resamples, seed=4)
@@ -988,13 +991,13 @@ class TestBootstrap:
         for sp in SETTING_PAIRS:
             a = rng.integers(0, 2, size=5000, dtype=np.uint8)
             seqs[sp] = (a, a.copy())
-        _, sigmas = bootstrap_sn(seqs, range(1, 9), strategy)
+        _, sigmas = bootstrap_sn(category_counts(seqs), range(1, 9), strategy)
         assert np.all(sigmas < 1e-6)
 
     def test_too_few_events(self):
         seqs = constant_sequences(10)
         with pytest.raises(InsufficientDataError, match="n=11"):
-            bootstrap_sn(seqs, [2, 11], Parity())
+            bootstrap_sn(category_counts(seqs), [2, 11], Parity())
 
     def test_draws_nothing(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -1002,7 +1005,8 @@ class TestBootstrap:
         t = werner_correlators(settings_from_beta(0.3), 0.95)
         seqs = make_sequences(t, 2000, seed=2)
         monkeypatch.setattr(np.random, "default_rng", fail)
-        bootstrap_sn(seqs, [1, 2, 4], Majority(TiePolicy.RANDOMIZED))
+        bootstrap_sn(category_counts(seqs), [1, 2, 4],
+                     Majority(TiePolicy.RANDOMIZED))
 
 
 STRATEGIES = [Parity(), Majority(TiePolicy.TIE_TO_MINUS),
@@ -1038,39 +1042,139 @@ class TestCorrelatorOracle:
                 sequences[sp], n), strategy) for sp in SETTING_PAIRS])
             assert s == want.s
 
-    def test_find_nc_holds_one_pair_at_a_time(self):
-        # one pair's int32 totals, 8 bytes per event, and one block of
-        # clusters: its int64 counts, int8 signs and numpy's cast buffers
-        # stay under 64 bytes per cluster of the block.  The bootstrap's
-        # category codes and their intp `bincount` copy come to about 10
-        # bytes per event.  Two pairs' totals at once, or a whole pair's
-        # n = 1 counts, take 16 or more bytes per event; all four pairs'
-        # with their counts, over 100
-        t = werner_correlators(settings_from_beta(0.3), 0.95)
-        sequences = sequences_from_streams(
-            [generate_run(t, sp, 100_000 + 7 * i, seed=5)
-             for i, sp in enumerate(SETTING_PAIRS)])
-        events = max(len(a) for a, _ in sequences.values())
-        tracemalloc.start()
-        try:
-            find_nc({0.3: sequences}, Parity(), [1])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 10 * events + 64 * analyze._BLOCK
 
+def _runs(beta, seed, events=37, variants=(0, 1)):
+    """Streams of every setting pair at `beta`, one per basis variant,
+    each a few events short of a multiple of the cluster sizes."""
+    t = werner_correlators(settings_from_beta(beta), 0.95)
+    return [generate_run(t, sp, events + 4 * i + v, seed=seed,
+                         basis_variant=v, extra_meta={"beta": beta})
+            for v in variants for i, sp in enumerate(SETTING_PAIRS)]
+
+
+def _write_compact(streams, path):
+    """JSON lines whose events are compact JSON, off the bulk layout."""
+    with path.open("w") as fh:
+        for stream in streams:
+            fh.write(json.dumps(_header(stream)) + "\n")
+            fh.writelines(f'{{"a":{a},"b":{b}}}\n' for a, b in
+                          zip(stream.a.tolist(), stream.b.tolist()))
+
+
+def _write_interleaved(streams, path):
+    """A CSV without stream lines, then one that names no setting pair:
+    under each, the rows of a pair's streams interleave."""
+    rng = np.random.default_rng(3)
+    rows = []
+    for stream in streams:
+        x, y = stream.setting_pair
+        rows += [(rng.random(), f"{x},{y},{stream.basis_variant},{a},{b}\n")
+                 for a, b in zip(stream.a.tolist(), stream.b.tolist())]
+    rows = [row for _, row in sorted(rows)]
+    half = len(rows) // 2
+    path.write_text("".join(["x,y,variant,a,b\n", *rows[:half],
+                             '# stream: {"seed": 5}\n', *rows[half:]]))
+
+
+def _fold_case(case, tmp_path) -> list:
+    """The event files of one case of `TestFold`'s stream-order test."""
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.csv"
+    if case == "two-streams":
+        write_jsonl(_runs(0.3, 1), a)
+        return [a]
+    if case == "two-files":
+        write_jsonl(_runs(0.3, 1, variants=(0, 2)), a)
+        write_csv(_runs(0.3, 2, variants=(1, 3)), b)
+        return [a, b]
+    if case == "two-betas":
+        write_csv(_runs(0.3, 1) + _runs(0.2, 1) + _runs(0.3, 2, 11, (3,)), b)
+        return [b]
+    if case == "compact-json":
+        _write_compact(_runs(0.3, 1), a)
+        return [a]
+    _write_interleaved(_runs(0.3, 1), b)
+    return [b]
+
+
+class TestFold:
+    """Event files fold stream by stream as they are read, into the sums
+    that whole sequences give."""
+
+    N_VALUES = [1, 2, 3, 5, 8, 13]
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 7, 64])
     @pytest.mark.parametrize("strategy", [Parity(),
                                           Majority(TiePolicy.RANDOMIZED)],
                              ids=repr)
-    def test_find_nc_independent_of_block(self, monkeypatch, strategy):
-        # blocks of 1, 7 and 64 clusters give the same entries
-        t = werner_correlators(settings_from_beta(0.3), 0.95)
-        per_beta = {0.3: make_sequences(t, 700, seed=2)}
-        n_values = [1, 2, 3, 7, 8, 41, 64, 65]
-        want = find_nc(per_beta, strategy, n_values)
-        for block in (1, 7, 64):
-            monkeypatch.setattr(analyze, "_BLOCK", block)
-            assert find_nc(per_beta, strategy, n_values) == want
+    @pytest.mark.parametrize("case", [
+        "two-streams", "two-files", "two-betas", "compact-json",
+        "interleaved-csv"])
+    def test_rows_equal_whole_sequences(self, tmp_path, monkeypatch, case,
+                                        strategy, chunk_bytes):
+        # clusters straddle streams and files; the oracle folds each
+        # pair's whole sequence, from `ingest`, as one run
+        paths = _fold_case(case, tmp_path)
+        want = find_nc(ingest(paths), strategy, self.N_VALUES)
+        monkeypatch.setattr(eventfile, "_CHUNK_BYTES", chunk_bytes)
+        assert find_nc(paths, strategy, self.N_VALUES) == want
+
+    def test_memory_does_not_grow_with_the_file(self, tmp_path, capsys):
+        # the analysis holds a chunk and the running sums; holding the
+        # bits took about 4 bytes per event, 7 MB more at 2e6 events
+        t = werner_correlators(settings_from_beta(0.151), 0.9871)
+        peaks = []
+        for events in (50_000, 500_000):
+            p = tmp_path / f"e{events}.jsonl"
+            write_jsonl([generate_run(t, sp, events, seed=7)
+                         for sp in SETTING_PAIRS], p)
+            tracemalloc.start()
+            try:
+                code = cli.main(["analyze", "--files", str(p), "--n", "1..8"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and capsys.readouterr().err == ""
+        assert abs(peaks[1] - peaks[0]) <= eventfile._CHUNK_BYTES
+
+    @pytest.mark.parametrize("fault", ["provenance", "draw", "pair"])
+    def test_header_checks_precede_later_lines(self, tmp_path, capsys,
+                                               fault):
+        # a stream is checked when its header is read, so a malformed
+        # line after it is not reached
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        streams = _runs(0.3, 1)
+        write_jsonl(streams, first)
+        if fault == "provenance":
+            streams = [EventStream(s.setting_pair, s.basis_variant, s.a,
+                                   s.b, {**s.meta, "visibility": 0.9})
+                       for s in _runs(0.3, 2)]
+        elif fault == "pair":
+            streams[0] = EventStream((3, 1), 0, streams[0].a, streams[0].b)
+        write_jsonl(streams, second)
+        second.write_text(second.read_text() + "5\n")
+        paths = [second] if fault == "pair" else [first, second]
+        message = {
+            "provenance": f"{first} and {second}: streams at beta=0.3 "
+                          "differ in visibility; analyze them separately",
+            "draw": f"{first} and {second}: streams at beta=0.3 repeat "
+                    "seed 1 for setting pair (1, 1), basis variant 0; "
+                    "their events would count twice",
+            "pair": "unknown setting pair (3, 1)"}[fault]
+        for call in (lambda: ingest(paths),
+                     lambda: find_nc(paths, Parity(), [1])):
+            with pytest.raises(IngestionError) as exc:
+                call()
+            assert str(exc.value) == message
+        code = cli.main(["analyze", "--files", *map(str, paths), "--n", "1"])
+        assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+        # without the fault the malformed line is reported
+        if fault != "draw":
+            write_jsonl(_runs(0.3, 2), second)
+            second.write_text(second.read_text() + "5\n")
+            lines = len(second.read_text().splitlines())
+            with pytest.raises(IngestionError,
+                               match=f"b.jsonl:{lines}: unrecognized"):
+                find_nc(paths, Parity(), [1])
 
 
 class TestFindNc:
@@ -1138,23 +1242,17 @@ class TestFindNc:
     @pytest.mark.parametrize("strategy", [Parity(),
                                           Majority(TiePolicy.RANDOMIZED)],
                              ids=repr)
-    def test_reshape_clustering_gives_same_entries(self, monkeypatch,
-                                                   strategy):
+    def test_reshape_clustering_gives_same_entries(self, strategy):
         t = werner_correlators(settings_from_beta(0.3), 0.95)
         per_beta = {0.3: make_sequences(t, 3000, seed=2),
                     0.2: make_sequences(t, 3000, seed=3)}
-        fast = find_nc(per_beta, strategy, range(1, 9))
-        calls = []
-
-        def reshape(totals, n):
-            # the bits of the block, from its totals, summed by reshaping
-            calls.append(n)
-            bits = np.diff(totals, axis=1).astype(np.uint8)
-            c = reshape_cluster_events(bits, n)
-            return np.array([c.a_counts, c.b_counts])
-
-        monkeypatch.setattr(analyze, "_windows", reshape)
-        slow = find_nc(per_beta, strategy, range(1, 9))
-        assert sorted(set(calls)) == list(range(1, 9))
-        assert fast.entries == slow.entries
-        assert fast.n_critical == slow.n_critical
+        curve = find_nc(per_beta, strategy, range(1, 9))
+        want = []
+        for beta, seqs in per_beta.items():
+            sigmas = bootstrap_sn(category_counts(seqs), range(1, 9),
+                                  strategy)[1]
+            for n, sigma in zip(range(1, 9), sigmas):
+                s = chsh_value([mean_correlator(reshape_cluster_events(
+                    seqs[sp], n), strategy) for sp in SETTING_PAIRS]).s
+                want.append((beta, n, s, sigma))
+        assert curve.entries == tuple(sorted(want, key=lambda e: e[1::-1]))
