@@ -74,8 +74,17 @@ class SnCurve:
 
 def _pooling_check():
     """A check of each stream header of the files pooled, in stream
-    order: `check(path, pair, variant, meta)` raises IngestionError as
-    `streams_by_beta` says."""
+    order: `check(path, pair, variant, meta)`.
+
+    A stream's setting pair must be known.  Streams of one beta (0.0 if
+    they name none) must agree in visibility, detector, discard
+    probability and, per setting pair, correlator table, and no two of
+    them may share a seed, setting pair and basis variant: their draws
+    would overlap, so the events would count twice.  Otherwise raises
+    IngestionError naming the unknown pair, or two files whose streams
+    differ or repeat a draw.  Streams without a seed are not checked for
+    repeats.
+    """
     seen: dict[tuple, tuple] = {}
     draws: dict[tuple, object] = {}
 
@@ -104,29 +113,6 @@ def _pooling_check():
             raise IngestionError(f"unknown setting pair {pair!r}")
 
     return check
-
-
-def streams_by_beta(paths) -> dict:
-    """Read event files and group their streams by the beta in their metadata.
-
-    Streams without a beta group under 0.0.  Each stream is checked when
-    its header is read, before the lines after it.  Its setting pair
-    must be known.  Streams of one beta must agree in visibility,
-    detector, discard probability and, per setting pair, correlator
-    table, and no two of them may share a seed, setting pair and basis
-    variant: their draws would overlap, so the events would count twice.
-    Otherwise raises IngestionError naming the unknown pair, or two files
-    whose streams differ or repeat a draw.  Streams without a seed are
-    not checked for repeats.
-    """
-    groups: dict[float, list] = {}
-    check = _pooling_check()
-    for path in paths:
-        # the check returns no fold, so the reader keeps the bits
-        for stream in read_streams(path, lambda *fields: check(path, *fields)):
-            beta = float(stream.meta.get("beta", 0.0))
-            groups.setdefault(beta, []).append(stream)
-    return groups
 
 
 def sequences_from_streams(streams) -> dict:
@@ -159,17 +145,6 @@ def sequences_from_streams(streams) -> dict:
             lo = hi
         out[key] = a, b
     return out
-
-
-def ingest(paths) -> dict:
-    """Read event files into {beta: logical sequences by setting pair}.
-
-    Streams are grouped and checked by `streams_by_beta`, so streams of
-    one beta with different provenance, or that repeat a draw, raise
-    IngestionError.
-    """
-    return {beta: sequences_from_streams(group)
-            for beta, group in streams_by_beta(paths).items()}
 
 
 def _running_totals(sequence: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -284,13 +259,27 @@ class _PairSums:
         return self
 
 
+#: Events of an in-memory sequence that `find_nc` folds at a time: the
+#: fold holds about 26 bytes per event of its run.
+_SEQUENCE_RUN = 1 << 16
+
+
+def _fold_sequence(sums: _PairSums, a: np.ndarray,
+                   b: np.ndarray) -> _PairSums:
+    """Fold a setting pair's whole logical sequence into `sums` in runs
+    of `_SEQUENCE_RUN` events; returns sums."""
+    for lo in range(0, len(a), _SEQUENCE_RUN):
+        sums.fold(a[lo:lo + _SEQUENCE_RUN], b[lo:lo + _SEQUENCE_RUN])
+    return sums
+
+
 def _fold_files(paths, grid) -> dict:
     """{beta: {setting pair: _PairSums}} of event files, each stream's
     bits de-inverted by its basis variant and folded as they are read.
 
-    Each stream is checked when its header is read, as `streams_by_beta`
-    says.  Raises IngestionError for a stream it refuses and for a beta
-    without any stream of a setting pair.
+    Each stream is checked when its header is read (`_pooling_check`).
+    Raises IngestionError for a stream it refuses and for a beta without
+    any stream of a setting pair.
     """
     check, sums = _pooling_check(), {}
     for path in paths:
@@ -314,16 +303,16 @@ def find_nc(data, strategy: BinningStrategy, n_values,
     """S_n with error bars over a (beta, n) grid, plus the largest violating n.
 
     `data` is {beta: logical sequences by setting pair}, each sequence
-    folded as one run (`_PairSums`), or a list of event files, whose
-    streams are folded as they are read (`_fold_files`), so that one
-    chunk of a file and the running sums are held.  The point estimate
-    comes from the unshuffled ordering, as in `estimate_sn`, sigma from
-    `bootstrap_sn` on the category counts; neither draws a random
-    number, so a row depends only on the data.  n_critical is the
-    largest n at which any beta meets the criterion (0, with a note,
-    when none does).  Raises InvalidArgumentError, before any work,
-    unless the criterion is a MinusKSigma, there is data and each n is
-    at least 1.
+    folded in runs of `_SEQUENCE_RUN` events (`_PairSums`), or a list of
+    event files, whose streams are folded as they are read
+    (`_fold_files`), so that one run or one chunk of a file and the
+    running sums are held.  The point estimate comes from the unshuffled
+    ordering, as in `estimate_sn`, sigma from `bootstrap_sn` on the
+    category counts; neither draws a random number, so a row depends
+    only on the data.  n_critical is the largest n at which any beta
+    meets the criterion (0, with a note, when none does).  Raises
+    InvalidArgumentError, before any work, unless the criterion is a
+    MinusKSigma, there is data and each n is at least 1.
     """
     if not isinstance(criterion, MinusKSigma):
         raise InvalidArgumentError(
@@ -336,7 +325,7 @@ def find_nc(data, strategy: BinningStrategy, n_values,
             f"cluster size must be >= 1, got {n_values[0]!r}")
     grid = [(n, _signs(n, strategy)) for n in n_values]
     if isinstance(data, dict):
-        sums = {beta: {key: _PairSums(grid).fold(*sequences[key])
+        sums = {beta: {key: _fold_sequence(_PairSums(grid), *sequences[key])
                        for key in SETTING_PAIRS}
                 for beta, sequences in data.items()}
     else:

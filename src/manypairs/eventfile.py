@@ -3,8 +3,8 @@
 Each reader walks its file once, front to back, in chunks of whole
 lines, checks each run of event lines against the layout `simulate`
 writes as one array, and parses only the other lines one by one.  A
-stream's bits are kept, or handed to a fold as they are read, so that
-`analyze` holds one chunk of a file rather than its bits.
+stream's bits go to the fold that its header asks of a sink as they are
+read, so that a reader holds one chunk of a file rather than its bits.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import IngestionError, InvalidArgumentError
 from .pairstats import CorrelatorTable
 from .simulate import (CSV_COLUMNS, CSV_EVENT, CSV_STREAM_PREFIX, JSONL_EVENT,
-                       EventStream, event_format)
+                       event_format)
 
 #: One cell of a CSV event row: a run of ASCII digits.
 _CSV_CELL = re.compile(r"[0-9]+")
@@ -188,13 +188,12 @@ def _event_bits(raw: bytes, lo: int, hi: int, template: bytes, columns):
 
 
 class _Events:
-    """One stream under assembly: its a and b bits in file order, or,
-    if `sink(pair, variant, meta)` returns a fold for them, the bits
-    read since the fold last took them (`flush`)."""
+    """One stream under assembly: the fold `sink(pair, variant, meta)`
+    returns for its bits, and the a and b bits read since the fold last
+    took them (`flush`)."""
 
-    def __init__(self, pair: tuple, variant: int, meta: dict, sink=None):
-        self.fields = (pair, variant, meta)
-        self.fold = sink and sink(pair, variant, meta)
+    def __init__(self, pair: tuple, variant: int, meta: dict, sink):
+        self.fold = sink(pair, variant, meta)
         self.a, self.b = bytearray(), bytearray()
         self.folded = 0
 
@@ -206,34 +205,27 @@ class _Events:
         self.b.extend(b)
 
     def flush(self) -> None:
-        """Hand the bits held to the fold, if the stream has one."""
-        if self.fold and self.a:
+        """Hand the bits held to the fold."""
+        if self.a:
             self.fold(np.frombuffer(self.a, np.uint8),
                       np.frombuffer(self.b, np.uint8))
             self.folded += len(self.a)
             self.a, self.b = bytearray(), bytearray()
 
-    def stream(self):
-        """The EventStream read, or, if its bits were folded, this
-        record of its event count."""
-        if self.fold:
-            return self
-        pair, variant, meta = self.fields
-        return EventStream(pair, variant, np.frombuffer(self.a, np.uint8),
-                           np.frombuffer(self.b, np.uint8), meta)
 
+def read_jsonl(path, sink) -> list[_Events]:
+    """Fold a JSON-lines event file stream by stream; returns the
+    streams' records, whose len() is their event count.
 
-def read_jsonl(path, sink=None) -> list[EventStream]:
-    """Parse a JSON-lines event file into streams (physical bits).
-
-    The file is read in chunks of whole lines (`_read_chunks`), so the
-    reader holds one chunk and the bits read so far, not the file.  In
-    each chunk, each run of event lines is checked as one block against
-    `write_jsonl`'s layout and appended to the latest stream; only the
-    lines of a run that departs from it, and the header lines, are
-    parsed one by one.  Errors name `path:line`.  A stream whose header
-    `sink` gives a fold (`_Events`) has its bits folded after each chunk
-    and at the next header, and is returned as its event count.
+    Each stream header calls `sink(pair, variant, meta)`, in file order,
+    for the fold of that stream's physical bits, `fold(a, b)`.  The file
+    is read in chunks of whole lines (`_read_chunks`), so the reader
+    holds one chunk, not the file.  In each chunk, each run of event
+    lines is checked as one block against `write_jsonl`'s layout and
+    appended to the latest stream; only the lines of a run that departs
+    from it, and the header lines, are parsed one by one.  A stream's
+    bits are folded after each chunk and at the next header.  Errors
+    name `path:line`.
     """
     path = Path(path)
     template, columns = JSONL_EVENT
@@ -272,27 +264,28 @@ def read_jsonl(path, sink=None) -> list[EventStream]:
     with path.open("rb") as fh:
         _read_chunks(path, fh, b'"settingPair"', block, line,
                      lambda: streams and streams[-1].flush())
-    return [events.stream() for events in streams]
+    return streams
 
 
-def read_csv(path, sink=None) -> list[EventStream]:
-    """Parse the compact CSV form (x, y, variant, a, b) into streams.
+def read_csv(path, sink) -> list[_Events]:
+    """Fold the compact CSV form (x, y, variant, a, b), as `read_jsonl`
+    folds JSON lines.
 
     A `# stream: {json}` comment line carries the metadata of the rows
     after it; files without such lines read with empty metadata.  If it
     names a setting pair or basis variant, it must name both, as a
     JSON-lines header does (`_stream_header`), and every row after it
     must be of that pair and variant.  After the column line, the file
-    is read in chunks of whole lines (`_read_chunks`), so the reader
-    holds one chunk and the bits read so far, not the file.  Under
+    is read in chunks of whole lines (`_read_chunks`).  Under
     `write_csv`'s column line, each run of rows of a chunk between two
     such comment lines is checked as one block against the layout of
     its first row; only the rows of a run that departs from it, and the
-    comment lines, are parsed one by one.
-    Errors name `path:line`.  With a `sink`, as in `read_jsonl`, the
-    first stream of each setting pair under a header is folded after
-    each chunk; the bits of a later one, whose rows may interleave with
-    the first's, wait until the next comment line or the end.
+    comment lines, are parsed one by one.  A stream is a (header, pair,
+    variant), and `sink` is called at its first row.  The first stream
+    of each setting pair under a header is folded after each chunk; the
+    bits of a later one, whose rows may interleave with the first's,
+    wait until the next comment line or the end.  Errors name
+    `path:line`.
     """
     path = Path(path)
     suffix, columns = CSV_EVENT
@@ -381,11 +374,11 @@ def read_csv(path, sink=None) -> list[EventStream]:
         _read_chunks(path, fh, CSV_STREAM_PREFIX.encode(), block, line,
                      flush, 2)
     flush(end=True)
-    return [stream.stream() for stream in streams.values()]
+    return list(streams.values())
 
 
-def read_streams(path, sink=None) -> list[EventStream]:
-    """Read an event file, with `sink`, by the reader of the format its
+def read_streams(path, sink) -> list[_Events]:
+    """Fold an event file, with `sink`, by the reader of the format its
     suffix names (`event_format`), so a pipe such as /dev/stdin reads as
     JSON lines.
 

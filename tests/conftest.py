@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from manypairs.analyze import (ClusteredOutcomes, _running_totals, _windows,
-                               estimate_sn)
+                               estimate_sn, sequences_from_streams)
 from manypairs.binning import Majority, Parity, sign_vector
 from manypairs.errors import IngestionError, NoViolationError
 from manypairs.eventfile import (_CSV_CELL, _is_json_int, _no_constant,
@@ -24,7 +24,7 @@ from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
                                  settings_from_beta, werner_correlators)
 from manypairs.simulate import (CSV_COLUMNS, CSV_STREAM_PREFIX,
                                 PERFECT_DETECTORS, EventStream, _header,
-                                variant_inversions)
+                                event_format, variant_inversions)
 
 
 def random_feasible_table(rng: np.random.Generator,
@@ -645,6 +645,43 @@ def read_csv_lines(path: Path) -> list[EventStream]:
                                    basis_variant=variant, a=pairs[:, 0],
                                    b=pairs[:, 1], meta=dict(metas[block])))
     return streams
+
+
+def ingest(paths) -> dict:
+    """{beta: logical sequences by setting pair} of event files, read by
+    the line parsers and joined by `sequences_from_streams`: the oracle
+    of `find_nc`'s fold of the files.  Streams without a beta group under
+    0.0; their provenance is not checked."""
+    groups: dict[float, list] = {}
+    for path in map(Path, paths):
+        read = (read_csv_lines if event_format(path) == "csv"
+                else read_jsonl_lines)
+        for stream in read(path):
+            groups.setdefault(float(stream.meta.get("beta", 0.0)),
+                              []).append(stream)
+    return {beta: sequences_from_streams(group)
+            for beta, group in groups.items()}
+
+
+def read_back(read, path) -> list[EventStream]:
+    """The streams that the reader `read` (`read_jsonl` or `read_csv`)
+    folds from the event file at `path`, in the order it calls its sink,
+    each with the bits its fold took (uint8; empty arrays if none)."""
+    streams = []
+
+    def sink(pair: tuple, variant: int, meta: dict):
+        a, b = bytearray(), bytearray()
+        streams.append((pair, variant, meta, a, b))
+
+        def fold(run_a: np.ndarray, run_b: np.ndarray) -> None:
+            a.extend(run_a)
+            b.extend(run_b)
+        return fold
+
+    read(path, sink)
+    return [EventStream(pair, variant, np.frombuffer(a, np.uint8),
+                        np.frombuffer(b, np.uint8), meta)
+            for pair, variant, meta, a, b in streams]
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@ them live); the assertion carries the same verdict.
 import math
 
 import numpy as np
-import pytest
 
 from manypairs.analyze import find_nc, sequences_from_streams
 from manypairs.binning import (PARITY_BETA_SCALE, PARITY_S_LIMIT, Majority,

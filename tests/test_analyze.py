@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from manypairs import cli, eventfile
+from manypairs import analyze, cli, eventfile
 from manypairs.analyze import (ClusteredOutcomes, MinusKSigma, _running_totals,
                                bootstrap_sn, cluster_events, estimate_sn,
-                               find_nc, ingest, read_csv, read_jsonl,
+                               find_nc, read_csv, read_jsonl,
                                sequences_from_streams)
 from manypairs.binning import (Majority, Parity, TiePolicy, chsh_value,
                                parity_chsh_analytic, table_chsh)
@@ -23,9 +23,10 @@ from manypairs.simulate import (DetectorModel, EventStream, _header,
 
 from conftest import (category_counts, coin_estimate_sn,
                       exact_shuffle_sigma, finite_population_parity_sigma,
-                      logical_bits, mean_correlator, monte_carlo_bootstrap_sn,
-                      read_csv_lines, read_jsonl_lines,
-                      reshape_cluster_events, shuffle_parity_mean)
+                      ingest, logical_bits, mean_correlator,
+                      monte_carlo_bootstrap_sn, read_back, read_csv_lines,
+                      read_jsonl_lines, reshape_cluster_events,
+                      shuffle_parity_mean)
 
 
 def make_sequences(table, n_events, seed, extra_meta=None):
@@ -95,29 +96,6 @@ class TestIngest:
         with pytest.raises(IngestionError, match=r"setting pair \(1, 2\)"):
             sequences_from_streams(streams[:1] + streams[2:3])
 
-    def test_ingest_holds_the_streams_and_one_copy(self, tmp_path,
-                                                    monkeypatch):
-        # the streams' bits, 2 bytes per event and their buffers' slack,
-        # and the sequences, 2 more, besides a reader's chunk; logical
-        # copies per stream, concatenated afterwards, took 2 more
-        monkeypatch.setattr(eventfile, "_CHUNK_BYTES", 1 << 14)
-        t = werner_correlators(settings_from_beta(0.3), 0.95)
-        streams = [generate_run(t, sp, 25_000 + 7 * i, seed=6,
-                                basis_variant=v)
-                   for i, (v, sp) in enumerate(
-                       (v, sp) for v in (1, 2) for sp in SETTING_PAIRS)]
-        p = tmp_path / "e.jsonl"
-        write_jsonl(streams, p)
-        events = sum(len(s) for s in streams)
-        tracemalloc.start()
-        try:
-            sequences = ingest([p])[0.0]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sum(len(a) for a, _ in sequences.values()) == events
-        assert peak <= 4 * eventfile._CHUNK_BYTES + 4.5 * events
-
     def test_ingest_files(self, tmp_path):
         t = CorrelatorTable(0.5, 0.5, 0.5, 0.5)
         streams = [generate_run(t, sp, 100, seed=1) for sp in SETTING_PAIRS]
@@ -130,6 +108,8 @@ class TestIngest:
         assert set(per_beta[0.0]) == set(SETTING_PAIRS)
         assert all(len(a) == len(b) == 100
                    for a, b in per_beta[0.0].values())
+        assert (find_nc([p1, p2], Parity(), [1, 3])
+                == find_nc(per_beta, Parity(), [1, 3]))
 
     def test_streams_without_seed_pool_unchecked(self, tmp_path):
         t = CorrelatorTable(0.5, 0.5, 0.5, 0.5)
@@ -139,10 +119,13 @@ class TestIngest:
                                  if k != "seed"}) for s in streams]
         p = tmp_path / "a.jsonl"
         write_jsonl(unseeded, p)
-        assert all(len(a) == 200 for a, _ in ingest([p, p])[0.0].values())
+        per_beta = ingest([p, p])
+        assert all(len(a) == 200 for a, _ in per_beta[0.0].values())
+        assert (find_nc([p, p], Parity(), [1, 3])
+                == find_nc(per_beta, Parity(), [1, 3]))
         write_jsonl(streams, p)
         with pytest.raises(IngestionError, match="repeat seed 1"):
-            ingest([p, p])
+            find_nc([p, p], Parity(), [1])
 
     def test_ingest_refuses_mixed_visibility(self, tmp_path):
         paths = []
@@ -155,12 +138,12 @@ class TestIngest:
             paths.append(tmp_path / name)
             write_jsonl(streams, paths[-1])
         with pytest.raises(IngestionError, match="visibility"):
-            ingest(paths)
+            find_nc(paths, Parity(), [1])
 
     def test_missing_file_named(self, tmp_path):
         missing = tmp_path / "missing.jsonl"
         with pytest.raises(IngestionError, match="missing.jsonl"):
-            ingest([missing])
+            find_nc([missing], Parity(), [1])
 
     @pytest.mark.parametrize("name, text", [
         ("e.jsonl", ""), ("e.jsonl", "\n \r\n\r\n"),
@@ -178,7 +161,7 @@ class TestIngest:
         p = tmp_path / name
         p.write_text(text)
         with pytest.raises(IngestionError) as exc:
-            ingest([p] if alone else [full, p])
+            find_nc([p] if alone else [full, p], Parity(), [1])
         assert str(exc.value) == f"{p}: no event stream"
 
     def test_malformed_record_names_location(self, tmp_path):
@@ -186,13 +169,13 @@ class TestIngest:
         p.write_text('{"settingPair": [1, 1], "basisVariant": 0}\n'
                      '{"a": 2, "b": 0}\n')
         with pytest.raises(IngestionError, match=r"bad\.jsonl:2"):
-            ingest([p])
+            find_nc([p], Parity(), [1])
 
     def test_bad_variant_rejected(self, tmp_path):
         p = tmp_path / "bad.jsonl"
         p.write_text('{"settingPair": [1, 1], "basisVariant": 5}\n')
         with pytest.raises(IngestionError, match="variant"):
-            ingest([p])
+            find_nc([p], Parity(), [1])
 
     @pytest.mark.parametrize("name, text, message", [
         ("bad.csv", 'x,y,variant,a,b\n# stream: 5\n1,1,0,1,0\n',
@@ -289,7 +272,7 @@ class TestIngest:
         p = tmp_path / name
         p.write_text(text)
         with pytest.raises(IngestionError) as exc:
-            ingest([p])
+            find_nc([p], Parity(), [1])
         assert str(exc.value) == f"{p}:{message}"
 
     @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
@@ -300,7 +283,7 @@ class TestIngest:
             discard_prob=0.25, extra_meta={"beta": 0.2, "visibility": 1})]
         p = tmp_path / f"e{suffix}"
         (write_jsonl if suffix == ".jsonl" else write_csv)(streams, p)
-        assert list(ingest([p])) == [0.2]
+        assert {e[0] for e in find_nc([p], Parity(), [1]).entries} == {0.2}
         assert len(parsed_lines) == len(streams)
         assert not any(_is_event_line(line) for line in parsed_lines)
 
@@ -317,7 +300,7 @@ class TestIngest:
         p = tmp_path / name
         p.write_text(text)
         with pytest.raises(IngestionError) as exc:
-            ingest([p])
+            find_nc([p], Parity(), [1])
         assert str(exc.value).startswith(f"{p}:2: bad ")
 
 
@@ -427,12 +410,12 @@ class TestBulkRead:
         p = tmp_path / f"e{suffix}"
         if suffix == ".csv":
             write_csv(streams, p)
-            back, lines = read_csv(p), read_csv_lines(p)
+            back, lines = read_back(read_csv, p), read_csv_lines(p)
             # CSV keeps no stream without rows
             written, streams = len(streams), [s for s in streams if len(s)]
         else:
             write_jsonl(streams, p)
-            back, lines = read_jsonl(p), read_jsonl_lines(p)
+            back, lines = read_back(read_jsonl, p), read_jsonl_lines(p)
             written = len(streams)
         # only the header lines, one per stream written, went line by line
         assert len(parsed_lines) == written
@@ -454,10 +437,10 @@ class TestBulkRead:
                                (write_jsonl, read_jsonl, read_jsonl_lines))
         p = tmp_path / f"e{suffix}"
         write(streams, p)
-        want = read(p)
+        want = read_back(read, p)
         parsed_lines.clear()
         p.write_bytes(p.read_bytes().replace(b"\n", newline))
-        back = read(p)
+        back = read_back(read, p)
         assert len(parsed_lines) == len(streams)
         assert not any(_is_event_line(line) for line in parsed_lines)
         _same_streams(back, want)
@@ -475,8 +458,8 @@ class TestBulkRead:
         head, *sections = p.read_bytes().split(marker)
         sections[3] = sections[3].replace(b"\n", newline)
         p.write_bytes(head + b"".join(marker + s for s in sections))
-        _same_streams((read_csv if suffix == ".csv" else read_jsonl)(p),
-                      streams)
+        _same_streams(read_back(read_csv if suffix == ".csv" else read_jsonl,
+                                p), streams)
         assert len(parsed_lines) == len(streams)
         assert not any(_is_event_line(line) for line in parsed_lines)
 
@@ -491,7 +474,7 @@ class TestBulkRead:
         p = tmp_path / "e.jsonl"
         write_jsonl(streams, p)
         p.write_bytes(edit(p.read_text()).encode())
-        back = read_jsonl(p)
+        back = read_back(read_jsonl, p)
         assert any(_is_event_line(line) for line in parsed_lines)
         _same_streams(back, read_jsonl_lines(p))
         _same_streams(back, streams)
@@ -506,7 +489,7 @@ class TestBulkRead:
         p = tmp_path / "e.csv"
         write_csv(streams, p)
         p.write_bytes(edit(p.read_text()).encode())
-        back = read_csv(p)
+        back = read_back(read_csv, p)
         assert any(_is_event_line(line) for line in parsed_lines)
         _same_streams(back, read_csv_lines(p))
         _same_streams(back, streams)
@@ -530,7 +513,7 @@ class TestBulkRead:
             picks = rng.choice(len(pool), size=int(rng.integers(1, 5)))
             write([pool[i] for i in picks], p)
             p.write_bytes(_mutate(p.read_bytes(), rng))
-            got = _outcome(read, p)
+            got = _outcome(lambda path: read_back(read, path), p)
             assert got == _outcome(oracle, p)
             refused += isinstance(got, str)
         assert 30 < refused < 270
@@ -599,7 +582,7 @@ class TestBulkRead:
         lines[line - 1] = replacement
         path.write_text("\n".join(lines))
         with pytest.raises(IngestionError) as exc:
-            ingest([path])
+            find_nc([path], Parity(), [1])
         assert str(exc.value) == f"{path}:{line}: {message}"
 
 
@@ -617,7 +600,7 @@ def test_mixed_line_breaks_read_in_bulk(tmp_path, suffix, newline,
     p = tmp_path / f"e{suffix}"
     write(streams, p)
     p.write_bytes(p.read_bytes().replace(b"\n", newline, 7))
-    back = read(p)
+    back = read_back(read, p)
     assert len(parsed_lines) == len(streams)
     assert not any(_is_event_line(line) for line in parsed_lines)
     _same_streams(back, oracle(p))
@@ -654,7 +637,7 @@ class TestChunkBoundaries(TestBulkRead):
             line + ("\r\n" if 4 <= i < 10 else "\r" if 10 <= i < 14 else "\n")
             for i, line in enumerate(lines)).encode())
         with pytest.raises(IngestionError) as exc:
-            ingest([p])
+            find_nc([p], Parity(), [1])
         assert str(exc.value) == f"{p}:25: {message}"
 
     @pytest.mark.parametrize("malformed", [False, True],
@@ -671,7 +654,7 @@ class TestChunkBoundaries(TestBulkRead):
         lines[-1] += b"\xff"
         p.write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(IngestionError) as exc:
-            ingest([p])
+            find_nc([p], Parity(), [1])
         line3 = ("malformed row '1,'" if write is write_csv else
                  "bad JSON (Extra data: line 1 column 2 (char 1))")
         assert str(exc.value) == (f"{p}:3: {line3}" if malformed else
@@ -679,35 +662,47 @@ class TestChunkBoundaries(TestBulkRead):
 
 
 class TestReaderMemory:
-    @pytest.mark.parametrize("newline, chunk_bytes, events_per_pair", [
-        (b"\n", eventfile._CHUNK_BYTES, 50_000), (b"\r", 1 << 14, 12_000),
-        (b"\r\n", eventfile._CHUNK_BYTES, 50_000)],
-        ids=["lf", "lone-cr", "crlf"])
+    @pytest.mark.parametrize("events_per_pair", [50_000, 500_000])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r", b"\r\n"],
+                             ids=["lf", "lone-cr", "crlf"])
     @pytest.mark.parametrize("write, read", [
         (write_jsonl, read_jsonl), (write_csv, read_csv)], ids=["jsonl", "csv"])
-    def test_reader_holds_one_chunk(self, tmp_path, monkeypatch, write, read,
-                                    newline, chunk_bytes, events_per_pair):
-        # a chunk and its XOR with the template, or a chunk and its LF
-        # form, plus 2 bytes of bits per event and their buffers' slack;
-        # a reader that holds the file needs about 17 bytes more per
-        # JSON-lines event and 10 per CSV row.  The CR LF and lone-CR
-        # copies take the same bulk path.
-        monkeypatch.setattr(eventfile, "_CHUNK_BYTES", chunk_bytes)
+    def test_reader_holds_one_chunk(self, tmp_path, write, read, newline,
+                                    events_per_pair):
+        # a chunk and its XOR with the template, or its copies on the
+        # way to its LF form, and the chunk's bits, whatever the file's
+        # size; holding the bits took 2 bytes per event, 15 chunks at
+        # 2e6 events.  The CR LF and lone-CR copies take the same bulk
+        # path.
         t = werner_correlators(settings_from_beta(0.3), 0.95)
         streams = [generate_run(t, sp, events_per_pair + 7 * i, seed=6)
                    for i, sp in enumerate(SETTING_PAIRS)]
         p = tmp_path / "e"
         write(streams, p)
         p.write_bytes(p.read_bytes().replace(b"\n", newline))
-        events = sum(len(s) for s in streams)
+        counts = []
+
+        def sink(pair, variant, meta):
+            count = [pair, variant, 0, 0, 0]
+            counts.append(count)
+
+            def fold(a, b):
+                count[2] += len(a)
+                count[3] += int(np.count_nonzero(a))
+                count[4] += int(np.count_nonzero(b))
+            return fold
+
         tracemalloc.start()
         try:
-            back = read(p)
+            records = read(p, sink)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        _same_streams(back, streams)
-        assert peak <= 2 * eventfile._CHUNK_BYTES + 4 * events
+        assert counts == [[s.setting_pair, s.basis_variant, len(s),
+                           int(np.count_nonzero(s.a)),
+                           int(np.count_nonzero(s.b))] for s in streams]
+        assert [len(r) for r in records] == [len(s) for s in streams]
+        assert peak <= 5 * eventfile._CHUNK_BYTES
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"],
                              ids=["lf", "crlf", "lone-cr"])
@@ -1112,21 +1107,24 @@ class TestFold:
     def test_rows_equal_whole_sequences(self, tmp_path, monkeypatch, case,
                                         strategy, chunk_bytes):
         # clusters straddle streams and files; the oracle folds each
-        # pair's whole sequence, from `ingest`, as one run
+        # pair's whole sequence, read line by line (`ingest`)
         paths = _fold_case(case, tmp_path)
         want = find_nc(ingest(paths), strategy, self.N_VALUES)
         monkeypatch.setattr(eventfile, "_CHUNK_BYTES", chunk_bytes)
         assert find_nc(paths, strategy, self.N_VALUES) == want
 
-    def test_memory_does_not_grow_with_the_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("write, suffix", [
+        (write_jsonl, ".jsonl"), (write_csv, ".csv")], ids=["jsonl", "csv"])
+    def test_memory_does_not_grow_with_the_file(self, tmp_path, capsys,
+                                                write, suffix):
         # the analysis holds a chunk and the running sums; holding the
         # bits took about 4 bytes per event, 7 MB more at 2e6 events
         t = werner_correlators(settings_from_beta(0.151), 0.9871)
         peaks = []
         for events in (50_000, 500_000):
-            p = tmp_path / f"e{events}.jsonl"
-            write_jsonl([generate_run(t, sp, events, seed=7)
-                         for sp in SETTING_PAIRS], p)
+            p = tmp_path / f"e{events}{suffix}"
+            write([generate_run(t, sp, events, seed=7)
+                   for sp in SETTING_PAIRS], p)
             tracemalloc.start()
             try:
                 code = cli.main(["analyze", "--files", str(p), "--n", "1..8"])
@@ -1160,11 +1158,9 @@ class TestFold:
                     "seed 1 for setting pair (1, 1), basis variant 0; "
                     "their events would count twice",
             "pair": "unknown setting pair (3, 1)"}[fault]
-        for call in (lambda: ingest(paths),
-                     lambda: find_nc(paths, Parity(), [1])):
-            with pytest.raises(IngestionError) as exc:
-                call()
-            assert str(exc.value) == message
+        with pytest.raises(IngestionError) as exc:
+            find_nc(paths, Parity(), [1])
+        assert str(exc.value) == message
         code = cli.main(["analyze", "--files", *map(str, paths), "--n", "1"])
         assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
         # without the fault the malformed line is reported
@@ -1238,6 +1234,43 @@ class TestFindNc:
         curve = find_nc({0.3: seqs}, Majority(TiePolicy.RANDOMIZED),
                         [1, 2, 4])
         assert [n for _, n, _, _ in curve.entries] == [1, 2, 4]
+
+    @pytest.mark.parametrize("strategy", [Parity(),
+                                          Majority(TiePolicy.RANDOMIZED)],
+                             ids=repr)
+    def test_runs_fold_as_the_whole_sequence(self, monkeypatch, strategy):
+        # 3001 events per pair is one run by default; in runs of 7, the
+        # clusters of every n but 1 and 7 straddle runs
+        t = werner_correlators(settings_from_beta(0.3), 0.95)
+        per_beta = {0.3: make_sequences(t, 3001, seed=2),
+                    0.2: make_sequences(t, 3001, seed=3)}
+        want = find_nc(per_beta, strategy, range(1, 14))
+        monkeypatch.setattr(analyze, "_SEQUENCE_RUN", 7)
+        assert find_nc(per_beta, strategy, range(1, 14)) == want
+
+    @pytest.mark.parametrize("strategy, n_values", [
+        (Parity(), [1]), (Parity(), range(1, 17)),
+        (Majority(), range(41, 45))], ids=["parity-1", "parity-1..16",
+                                           "majority-41..44"])
+    def test_memory_does_not_grow_with_the_sequences(self, strategy,
+                                                     n_values):
+        # a sequence folds run by run, so the fold holds one run's
+        # running totals and cluster counts; folding it whole took 26
+        # bytes per event of a pair at n = 1, 23 MB more at 10^6 events
+        rng = np.random.default_rng(8)
+        peaks = []
+        for events in (100_000, 1_000_000):
+            seqs = {sp: (rng.integers(0, 2, events, dtype=np.uint8),
+                         rng.integers(0, 2, events, dtype=np.uint8))
+                    for sp in SETTING_PAIRS}
+            tracemalloc.start()
+            try:
+                find_nc({0.3: seqs}, strategy, n_values)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # within the a and b bits of one run of 2^16 events
+        assert abs(peaks[1] - peaks[0]) <= 2 * 2 ** 16
 
     @pytest.mark.parametrize("strategy", [Parity(),
                                           Majority(TiePolicy.RANDOMIZED)],

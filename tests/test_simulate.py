@@ -13,7 +13,7 @@ from manypairs.analyze import read_csv, read_jsonl
 from manypairs.cli import main
 
 from conftest import (choice_generate_run, logical_bits,
-                      random_feasible_table, write_csv_lines,
+                      random_feasible_table, read_back, write_csv_lines,
                       write_jsonl_lines)
 
 
@@ -210,7 +210,7 @@ class TestRoundTrip:
         streams = self._streams()
         path = tmp_path / "events.jsonl"
         write_jsonl(streams, path)
-        back = read_jsonl(path)
+        back = read_back(read_jsonl, path)
         assert len(back) == len(streams)
         for orig, rt in zip(streams, back):
             assert rt.setting_pair == orig.setting_pair
@@ -223,7 +223,7 @@ class TestRoundTrip:
         streams = self._streams()
         path = tmp_path / "events.csv"
         write_csv(streams, path)
-        back = read_csv(path)
+        back = read_back(read_csv, path)
         assert len(back) == len(streams)
         for orig, rt in zip(streams, back):
             assert rt.setting_pair == orig.setting_pair
@@ -261,7 +261,7 @@ class TestRoundTrip:
         path = tmp_path / "old.csv"
         path.write_text("x,y,variant,a,b\n1,1,0,1,0\n2,2,1,0,0\n"
                         "1,1,0,1,1\n")
-        back = read_csv(path)
+        back = read_back(read_csv, path)
         assert [(s.setting_pair, s.basis_variant, s.meta) for s in back] == [
             ((1, 1), 0, {}), ((2, 2), 1, {})]
         assert back[0].a.tolist() == [1, 1] and back[0].b.tolist() == [0, 1]
