@@ -97,14 +97,6 @@ def _stream_header(header: dict) -> tuple[tuple, int, dict]:
     return tuple(pair), variant, _stream_meta(header)
 
 
-def _lf(raw: bytes) -> bytes:
-    """raw with its line breaks as text mode reads them: each CR LF pair
-    and each lone CR becomes an LF."""
-    if b"\r" not in raw:
-        return raw
-    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-
-
 #: Bytes a reader takes from an event file at a time, before it completes
 #: the chunk to the end of its line (`_to_line_end`).
 _CHUNK_BYTES = 1 << 18
@@ -123,13 +115,16 @@ def _to_line_end(fh, head: bytes) -> bytes:
     """head, read on from the buffered file `fh` through the next line
     break: an LF, a CR LF pair or a lone CR.  A head that ends in a line
     break takes at most the LF of a CR LF pair, so no chunk ends between
-    the two."""
-    while not head.endswith(b"\n") and (ahead := fh.peek()):
-        if head.endswith(b"\r"):
-            return head + fh.read(1 if ahead.startswith(b"\n") else 0)
+    the two.  The bytes read on are joined to head once, so a copy of head
+    is made at most once."""
+    tail = b""
+    while not (tail or head).endswith(b"\n") and (ahead := fh.peek()):
+        if (tail or head).endswith(b"\r"):
+            tail += fh.read(1 if ahead.startswith(b"\n") else 0)
+            break
         ends = [i for i in (ahead.find(b"\n"), ahead.find(b"\r")) if i >= 0]
-        head += fh.read(min(ends, default=len(ahead) - 1) + 1)
-    return head
+        tail += fh.read(min(ends, default=len(ahead) - 1) + 1)
+    return head + tail
 
 
 def _read_chunks(path, fh, marker: bytes, block, line, flush,
@@ -139,7 +134,8 @@ def _read_chunks(path, fh, marker: bytes, block, line, flush,
 
     Each chunk is `_CHUNK_BYTES` bytes completed to the next line break
     (`_to_line_end`), so no line, CR LF pair or UTF-8 sequence is split,
-    and its line breaks are made LFs (`_lf`).  A chunk is cut before and
+    and its line breaks are made LFs as text mode reads them: each CR LF
+    pair and each lone CR becomes an LF.  A chunk is cut before and
     after each line holding `marker`.  Each run of lines in between goes
     to `block(chunk, lo, hi)`, which returns the number of lines it took
     as one block, or 0 if it did not take the run; the lines of a run it
@@ -149,7 +145,10 @@ def _read_chunks(path, fh, marker: bytes, block, line, flush,
     IngestionError naming `path:line`.
     """
     while chunk := fh.read(_CHUNK_BYTES):
-        chunk = _lf(_to_line_end(fh, chunk))
+        chunk = _to_line_end(fh, chunk)
+        if b"\r" in chunk:  # one step at a time: two copies at most
+            chunk = chunk.replace(b"\r\n", b"\n")
+            chunk = chunk.replace(b"\r", b"\n")
         lo = 0
         while lo < len(chunk):
             key = chunk.find(marker, lo)

@@ -18,8 +18,8 @@ with the Fourier weights W_k >= 0 of that function (R. O'Donnell,
   randomized ties average the two one-sided functions, which keeps only
   the odd levels.
 
-The polynomial and its derivatives are built together, from one
-computation of the weights, and cached per (n, binning).  Only the
+The polynomial and its derivatives are two tables, each built on first
+use from one cached computation of the weights per (n, binning).  Only the
 nonzero levels are evaluated, as f(e) = f_even(|e|) + sign(e)
 f_odd(|e|): every power is taken of |e| (np.power is many times slower
 on a negative base) and the odd levels carry the sign.  The L levels
@@ -125,10 +125,11 @@ class _SplitPolynomial:
         return out.reshape((-1,) + x.shape)
 
 
+@functools.lru_cache(maxsize=1024)
 def _response_weights(n: int, strategy: BinningStrategy):
     """Nonzero levels k of the binning, n >= 1, an arithmetic progression,
     and an (L, 2) matrix whose columns hold the Fourier weights W_k of
-    the even and the odd levels.
+    the even and the odd levels, both read-only.
 
     Majority takes u_k = C(n, k) c_{k|1}^2 for k = 0..n, where c_j is the
     level-j coefficient of Maj_m, m = n + 1 - n % 2 and h = n // 2, as a
@@ -151,22 +152,31 @@ def _response_weights(n: int, strategy: BinningStrategy):
         weights = u[levels]
     split = np.zeros((len(levels), 2))
     split[np.arange(len(levels)), levels % 2] = weights
+    levels.setflags(write=False)
+    split.setflags(write=False)
     return levels, split
 
 
 @functools.lru_cache(maxsize=1024)
-def _response_polynomials(n: int, strategy: BinningStrategy) -> tuple:
-    """The binning's response polynomial and its derivatives, to evaluate
-    at |e|, from one computation of its weights.
+def _response_polynomial(n: int, strategy: BinningStrategy):
+    """The binning's response polynomial, to evaluate at |e|: two
+    columns, f's even and its odd levels."""
+    levels, split = _response_weights(n, strategy)
+    step = int(levels[1] - levels[0]) if len(levels) > 1 else 1
+    return _SplitPolynomial(int(levels[0]), step, split)
 
-    The first has two columns, f's even and its odd levels.  The second
-    has six columns r, with f, f', f'' = r[:3] + sign(e) r[3:]: a row per
+
+@functools.lru_cache(maxsize=1024)
+def _derivative_polynomial(n: int, strategy: BinningStrategy):
+    """f, f' and f'' of the binning's response polynomial, to evaluate at
+    |e|, built apart from f alone, as only Newton's method needs them.
+
+    Six columns r, with f, f', f'' = r[:3] + sign(e) r[3:]: a row per
     exponent j, from two below the lowest level to the top one, holds
     order o's term (j + o)!/j! W_(j+o) |e|^j, which changes sign with e
     when j is odd.
     """
     levels, split = _response_weights(n, strategy)
-    step = int(levels[1] - levels[0]) if len(levels) > 1 else 1
     low, top = max(int(levels[0]) - 2, 0), int(levels[-1])
     weights = np.zeros(top + 3 - low)
     weights[levels - low] = split.sum(axis=1)
@@ -175,8 +185,7 @@ def _response_polynomials(n: int, strategy: BinningStrategy) -> tuple:
     matrix[np.arange(len(j)), j % 2] = np.column_stack([
         weights[:-2], (j + 1) * weights[1:-1],
         (j + 1) * (j + 2) * weights[2:]])
-    return (_SplitPolynomial(int(levels[0]), step, split),
-            _SplitPolynomial(low, 1, matrix.reshape(len(j), 6)))
+    return _SplitPolynomial(low, 1, matrix.reshape(len(j), 6))
 
 
 def binned_correlator_from_e(e, n: int, strategy: BinningStrategy):
@@ -186,7 +195,7 @@ def binned_correlator_from_e(e, n: int, strategy: BinningStrategy):
     the same shape).
     """
     e = np.asarray(e, dtype=float)
-    even, odd = _response_polynomials(n, strategy)[0](np.abs(e))
+    even, odd = _response_polynomial(n, strategy)(np.abs(e))
     out = even + np.copysign(odd, e)
     return float(out) if out.ndim == 0 else out
 
@@ -199,7 +208,7 @@ def _response_derivatives(e, n: int, strategy: BinningStrategy) -> np.ndarray:
     taken of a non-negative base.
     """
     e = np.asarray(e, dtype=float)
-    r = _response_polynomials(n, strategy)[1](np.abs(e))
+    r = _derivative_polynomial(n, strategy)(np.abs(e))
     return r[:3] + np.copysign(r[3:], e)
 
 
@@ -331,7 +340,14 @@ def max_chsh(n: int, visibility: float,
     (or of one more evaluation, at a grid point that beats a Newton point
     away from it).
     """
-    vals = family_chsh(_GRID, visibility, n, strategy)
+    return _refine(family_chsh(_GRID, visibility, n, strategy), n,
+                   visibility, strategy)
+
+
+def _refine(vals: np.ndarray, n: int, visibility: float,
+            strategy: BinningStrategy) -> OptimizationResult:
+    """`max_chsh` from the family's values on `_GRID`: never below their
+    maximum."""
     i = int(np.argmax(vals))
     lo = _GRID[i - 1] if i > 0 else _GRID[0] / 2.0
     hi = _GRID[i + 1] if i + 1 < _GRID_POINTS else _GRID[-1]
@@ -423,9 +439,12 @@ def critical_pairs(visibility: float, strategy: BinningStrategy,
     """Largest pair count still violating CHSH at the given visibility.
 
     Exponential growth then binary search, relying on the monotonicity of
-    the critical visibility in n.  Returns EXCEEDS_CAP when n_max itself
-    still violates.  Raises InvalidArgumentError unless n_max is an
-    integer >= 1.
+    the critical visibility in n.  A probe of n violates if its `max_chsh`
+    exceeds 2; as that is never below the beta grid's maximum, a grid
+    above 2 decides the probe, and only the others run Newton's method
+    and build the derivative table.  Returns EXCEEDS_CAP when n_max
+    itself still violates.  Raises InvalidArgumentError unless n_max is
+    an integer >= 1.
     """
     if not 0.0 < visibility <= 1.0:
         raise InvalidArgumentError(
@@ -434,21 +453,23 @@ def critical_pairs(visibility: float, strategy: BinningStrategy,
         raise InvalidArgumentError(
             f"n_max must be an integer >= 1, got {n_max!r}")
 
-    def violates(n: int) -> bool:
-        return max_chsh(n, visibility, strategy).s_max > 2.0
+    def s_max(n: int) -> float:  # exact whenever it is at most 2
+        vals = family_chsh(_GRID, visibility, n, strategy)
+        top = float(vals.max())
+        return top if top > 2.0 else _refine(vals, n, visibility,
+                                             strategy).s_max
 
-    first = max_chsh(1, visibility, strategy)
-    if first.s_max <= 2.0:
+    if (first := s_max(1)) <= 2.0:
         raise NoViolationError(
-            f"no violation even at n=1 for V={visibility}", first.s_max)
+            f"no violation even at n=1 for V={visibility}", first)
     lo = 1
-    while lo < n_max and violates(hi := min(2 * lo, n_max)):
+    while lo < n_max and s_max(hi := min(2 * lo, n_max)) > 2.0:
         lo = hi
     if lo == n_max:  # n_max still violating
         return EXCEEDS_CAP
-    while hi - lo > 1:  # violates(lo) True, violates(hi) False
+    while hi - lo > 1:  # lo violates, hi does not
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if violates(mid) else (lo, mid)
+        lo, hi = (mid, hi) if s_max(mid) > 2.0 else (lo, mid)
     return lo
 
 

@@ -13,12 +13,11 @@ import pytest
 from manypairs.analyze import (ClusteredOutcomes, _running_totals, _windows,
                                estimate_sn, sequences_from_streams)
 from manypairs.binning import Majority, Parity, sign_vector
-from manypairs.errors import IngestionError, NoViolationError
-from manypairs.eventfile import (_CSV_CELL, _is_json_int, _no_constant,
-                                 _stream_header, _stream_meta)
-from manypairs.optimize import (_response_derivatives, _response_weights,
-                                binned_correlator_from_e, family_chsh,
-                                max_chsh)
+from manypairs.errors import (IngestionError, InvalidArgumentError,
+                              NoViolationError)
+from manypairs.optimize import (EXCEEDS_CAP, _response_derivatives,
+                                _response_weights, binned_correlator_from_e,
+                                family_chsh, max_chsh)
 from manypairs.pairstats import (SETTING_PAIRS, CorrelatorTable,
                                  MeasurementSettings, joint_table,
                                  settings_from_beta, werner_correlators)
@@ -220,6 +219,31 @@ def critical_visibility_bisect(n: int, strategy,
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def critical_pairs_bisect(visibility: float, strategy, n_max: int = 4096):
+    """Largest n <= n_max with max_chsh(n, ..).s_max > 2, by doubling then
+    bisection on that predicate, EXCEEDS_CAP if n_max still violates;
+    NoViolationError with the n = 1 maximum if n = 1 does not."""
+    first = max_chsh(1, visibility, strategy).s_max
+    if first <= 2.0:
+        raise NoViolationError(f"no violation at n=1 for V={visibility}",
+                               first)
+    lo, hi = 1, None
+    while lo < n_max:
+        hi = min(2 * lo, n_max)
+        if max_chsh(hi, visibility, strategy).s_max <= 2.0:
+            break
+        lo = hi
+    if lo == n_max:
+        return EXCEEDS_CAP
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if max_chsh(mid, visibility, strategy).s_max > 2.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _crossover_bracket(v_values, n_values):
@@ -526,6 +550,77 @@ def _text_lines(path: Path):
         yield text.decode() + "\n" * (len(text) < len(raw))
 
 
+def _refuse_constant(token: str):
+    """json.loads hook: NaN, Infinity and -Infinity are no JSON numbers."""
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def _json_int(value) -> bool:
+    """A JSON integer: json reads true and false as bools, which are
+    ints in Python."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_number(value) -> bool:
+    """A JSON number that is finite as a float; an integer beyond the
+    float range is not."""
+    if not (_json_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
+def _meta_by_format(header: dict) -> dict:
+    """A stream header's metadata, checked by the event format's rules in
+    this order: a beta (0 if absent) that is a finite number; a detector,
+    if any, that is an object; a visibility in [0, 1], a discardProb in
+    [0, 1) and the detector's four efficiencies in [0, 1]; a table that
+    `CorrelatorTable` takes.  Raises ValueError naming the first fault."""
+    if not _finite_number(header.get("beta", 0)):
+        raise ValueError(f"beta {header['beta']!r} is not a finite number")
+    checks = []
+    for name, closed in (("visibility", True), ("discardProb", False)):
+        if name in header:
+            checks.append((name, header[name], closed))
+    if "detector" in header:
+        detector = header["detector"]
+        if not isinstance(detector, dict):
+            raise ValueError(f"detector {detector!r} is not an object")
+        for port in ("etaT_A", "etaR_A", "etaT_B", "etaR_B"):
+            checks.append((f"detector {port}", detector.get(port), True))
+    for name, value, closed in checks:
+        inside = _finite_number(value) and (
+            0 <= value <= 1 if closed else 0 <= value < 1)
+        if not inside:
+            raise ValueError(f"{name} {value!r} is not a finite number in "
+                             f"[0, {'1]' if closed else '1)'}")
+    if "table" in header:
+        try:
+            CorrelatorTable.from_json_dict(header["table"])
+        except InvalidArgumentError:
+            raise ValueError(
+                f"table {header['table']!r} is not a correlator table")
+    return {key: value for key, value in header.items()
+            if key not in ("settingPair", "basisVariant")}
+
+
+def _header_by_format(header: dict) -> tuple:
+    """(setting pair, basis variant, metadata) of a stream header: the
+    variant a JSON integer in 0..3, then the pair a list of two JSON
+    integers, then `_meta_by_format`.  Raises ValueError naming the
+    first fault."""
+    variant = header.get("basisVariant")
+    if not (_json_int(variant) and 0 <= variant <= 3):
+        raise ValueError("basis variant outside 0..3")
+    pair = header.get("settingPair")
+    if not (type(pair) is list and len(pair) == 2
+            and _json_int(pair[0]) and _json_int(pair[1])):
+        raise ValueError(f"setting pair {pair!r} is not two integers")
+    return (pair[0], pair[1]), variant, _meta_by_format(header)
+
+
 def read_jsonl_lines(path: Path) -> list[EventStream]:
     """JSON-lines event reader that parses every line on its own."""
     streams: list[EventStream] = []
@@ -547,7 +642,7 @@ def read_jsonl_lines(path: Path) -> list[EventStream]:
         if not line:
             continue
         try:
-            obj = json.loads(line, parse_constant=_no_constant)
+            obj = json.loads(line, parse_constant=_refuse_constant)
         except (ValueError, RecursionError) as exc:
             # ValueError covers JSONDecodeError and integers longer
             # than Python converts; RecursionError, deep nesting
@@ -555,7 +650,7 @@ def read_jsonl_lines(path: Path) -> list[EventStream]:
         if isinstance(obj, dict) and "settingPair" in obj:
             flush()
             try:
-                fields = _stream_header(obj)
+                fields = _header_by_format(obj)
             except ValueError as exc:
                 raise IngestionError(f"{path}:{lineno}: {exc}")
             a_bits, b_bits = [], []
@@ -563,7 +658,7 @@ def read_jsonl_lines(path: Path) -> list[EventStream]:
             if fields is None:
                 raise IngestionError(
                     f"{path}:{lineno}: event record before any header")
-            if not all(_is_json_int(obj[k]) and obj[k] in (0, 1)
+            if not all(_json_int(obj[k]) and obj[k] in (0, 1)
                        for k in ("a", "b")):
                 raise IngestionError(
                     f"{path}:{lineno}: outcomes must be bits")
@@ -596,7 +691,7 @@ def read_csv_lines(path: Path) -> list[EventStream]:
         if line.startswith(CSV_STREAM_PREFIX):
             try:
                 header = json.loads(line[len(CSV_STREAM_PREFIX):],
-                                    parse_constant=_no_constant)
+                                    parse_constant=_refuse_constant)
             except (ValueError, RecursionError) as exc:
                 raise IngestionError(
                     f"{path}:{lineno}: bad stream metadata ({exc})")
@@ -605,10 +700,10 @@ def read_csv_lines(path: Path) -> list[EventStream]:
                     f"{path}:{lineno}: stream metadata is not an object")
             try:
                 if "settingPair" in header or "basisVariant" in header:
-                    pair, variant, meta = _stream_header(header)
+                    pair, variant, meta = _header_by_format(header)
                     named.append((pair, variant))
                 else:
-                    meta = _stream_meta(header)
+                    meta = _meta_by_format(header)
                     named.append(None)
             except ValueError as exc:
                 raise IngestionError(f"{path}:{lineno}: {exc}")
@@ -620,7 +715,7 @@ def read_csv_lines(path: Path) -> list[EventStream]:
         cells = row.split(",")
         try:
             if len(cells) != len(cols) or not all(
-                    _CSV_CELL.fullmatch(c) for c in cells):
+                    c.isascii() and c.isdigit() for c in cells):
                 raise ValueError
             x, y, v, a, b = (int(cells[i]) for i in cols)
         except ValueError:  # int() also refuses over 4300 digits

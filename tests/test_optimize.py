@@ -17,10 +17,10 @@ from manypairs.pairstats import (SETTING_PAIRS, settings_from_beta,
                                  werner_correlators)
 
 from conftest import (bfgs_full_planar_maximum, brent_family_maximum,
-                      brentq_crossover, critical_visibility_bisect,
-                      crossover_bisect, direct_binned_correlator,
-                      hessian_of_terms, planar_chsh, planar_chsh_gradient,
-                      planar_hessian)
+                      brentq_crossover, critical_pairs_bisect,
+                      critical_visibility_bisect, crossover_bisect,
+                      direct_binned_correlator, hessian_of_terms,
+                      planar_chsh, planar_chsh_gradient, planar_hessian)
 
 
 ALL_STRATEGIES = (Majority(TiePolicy.TIE_TO_MINUS),
@@ -116,7 +116,7 @@ class TestFastCorrelatorPath:
         # takes it.
         e = np.concatenate([np.linspace(-1.0, 1.0, 2001),
                             [-1e-300, 1e-300, 0.0, -0.0, -0.7, 0.7]])
-        polynomial = optimize._response_polynomials(n, Parity())[0]
+        polynomial = optimize._response_polynomial(n, Parity())
         assert polynomial.powers[0, 0] == n
         power = np.power(np.abs(e)[None], polynomial.powers)[0]
         want = np.copysign(power, e if n % 2 else 1.0)
@@ -570,13 +570,20 @@ class TestCriticalPairs:
     def test_parity_99(self):
         assert critical_pairs(0.99, Parity()) >= 14
 
-    def test_no_violation(self):
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
+    @pytest.mark.parametrize("v", [0.5, 0.7, 0.707])
+    def test_no_violation(self, strategy, v):
+        # the n = 1 probe refines, so the error carries max_chsh's s_max
         with pytest.raises(NoViolationError) as err:
-            critical_pairs(0.5, Majority())
-        assert err.value.s_max <= 2.0
+            critical_pairs(v, strategy)
+        with pytest.raises(NoViolationError) as oracle:
+            critical_pairs_bisect(v, strategy)
+        assert err.value.s_max == oracle.value.s_max <= 2.0
 
     @pytest.mark.parametrize("n_max", [0, -3, 2.5, 64.0, "64", None])
     def test_bad_n_max_rejected(self, monkeypatch, n_max):
+        # a probe evaluates the grid before it may refine
+        monkeypatch.setattr(optimize, "family_chsh", _no_optimization)
         monkeypatch.setattr(optimize, "max_chsh", _no_optimization)
         with pytest.raises(InvalidArgumentError, match="n_max"):
             critical_pairs(0.99, Parity(), n_max=n_max)
@@ -584,6 +591,51 @@ class TestCriticalPairs:
     def test_smallest_n_max(self):
         assert critical_pairs(0.99, Parity(), n_max=1) is EXCEEDS_CAP
         assert critical_pairs(0.99, Parity(), n_max=np.int64(4)) is EXCEEDS_CAP
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=repr)
+    def test_matches_max_chsh_bisection(self, strategy):
+        # the grid decides only probes whose max_chsh is above 2 anyway
+        # n_max = 512 at the top two visibilities is EXCEEDS_CAP for all
+        # but randomized ties, which lose the violation at n = 2
+        cases = [(v, 4096) for v in np.linspace(0.95, 0.9995, 24).tolist()]
+        for v, n_max in cases + [(0.9999, 512), (1.0, 512)]:
+            assert critical_pairs(v, strategy, n_max) == critical_pairs_bisect(
+                v, strategy, n_max), v
+
+    @pytest.mark.parametrize("strategy", [Majority(), Parity()],
+                             ids=["majority", "parity"])
+    def test_grid_decided_probe_skips_newton(self, monkeypatch, strategy):
+        # a probe whose grid maximum exceeds 2 takes no derivative and
+        # asks for no derivative table; the others refine
+        family, derivatives = optimize.family_chsh, optimize._chsh_derivatives
+        table = optimize._derivative_polynomial
+        grid, newton, tables = {}, [], []
+
+        def grid_values(beta, v, n, s):
+            vals = family(beta, v, n, s)
+            grid[n] = vals.max()
+            return vals
+
+        def counting_derivatives(beta, v, n, s):
+            newton.append(n)
+            return derivatives(beta, v, n, s)
+
+        def counting_table(n, s):
+            tables.append(n)
+            return table(n, s)
+
+        monkeypatch.setattr(optimize, "family_chsh", grid_values)
+        monkeypatch.setattr(optimize, "_chsh_derivatives",
+                            counting_derivatives)
+        monkeypatch.setattr(optimize, "_derivative_polynomial",
+                            counting_table)
+        for v in (0.98, 0.99, 0.999):
+            for record in (grid, newton, tables):
+                record.clear()
+            critical_pairs(v, strategy)
+            decided = {n for n, top in grid.items() if top > 2.0}
+            assert decided and not decided & (set(newton) | set(tables))
+            assert set(newton) == set(tables) == set(grid) - decided != set()
 
 
 class TestFitVcCurve:
